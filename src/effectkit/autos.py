@@ -51,7 +51,7 @@ from .errors import (
     NotScalarAction,
     UnitarityViolation,
 )
-from .fracfun import FpParam, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
+from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
 
@@ -87,7 +87,9 @@ class EffectAutomorphism:
         U = numkern.as_complex_matrix(self.U)
         n = U.shape[0]
         defect = numkern.frobenius(U.conj().T @ U - np.eye(n))
-        if defect > 1e-10 * n:
+        if not (defect <= 1e-10 * n):
+            if not np.isfinite(U).all():
+                raise UnitarityViolation("U has non-finite entries")
             raise UnitarityViolation(f"U is not unitary: defect {defect:.3e}")
         U = U.copy()
         U.setflags(write=False)
@@ -185,6 +187,13 @@ def fit_p(
     the order-form family and NotInFamily is raised; the multiplier gives
     p = 1 - a.
     """
+    return _fit_family(phi, grid, dim, tol)[0]
+
+
+def _fit_family(
+    phi: EffectMap, grid: int, dim: int | None, tol: ToleranceConfig
+) -> tuple[FpParam, FracFit]:
+    """The work of ``fit_p``; also returns the fit it accepted."""
     n = _map_dim(phi, dim)
     samples = []
     for x in interior_grid(grid):
@@ -197,7 +206,7 @@ def fit_p(
     fit = fit_frac(samples)
     if abs(fit.c - 1.0) > _FIT_C_TOL:
         raise NotInFamily(f"fitted exponent {fit.c!r} deviates from 1 beyond {_FIT_C_TOL}")
-    return FpParam(1.0 - fit.a)
+    return FpParam(1.0 - fit.a), fit
 
 
 @dataclass(frozen=True)

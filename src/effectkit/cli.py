@@ -42,9 +42,11 @@ invalid parameter).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -54,8 +56,8 @@ from . import __version__, numkern
 from .autos import (
     EffectAutomorphism,
     VerificationReport,
+    _fit_family,
     apply as apply_map,
-    fit_p,
     random_automorphism,
     verify_ortho,
     verify_order,
@@ -71,7 +73,6 @@ from .coexist import (
 )
 from .effects import (
     Effect,
-    is_scalar,
     make_effect,
     make_ray,
     sample_effect,
@@ -177,13 +178,40 @@ def matrix_to_doc(M: np.ndarray) -> dict:
     }
 
 
+def _is_finite_number(value) -> bool:
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _entry_to_complex(entry, where: str) -> complex:
     if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
         raise ParseFailure(f"{where}: each entry must be a [re, im] pair")
     re, im = entry
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (re, im)):
+    if not (_is_finite_number(re) and _is_finite_number(im)):
         raise ParseFailure(f"{where}: entries must be finite numbers")
     return complex(float(re), float(im))
+
+
+def _bulk_complex(items, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``items`` as a complex array of ``shape`` in one numpy conversion.
+
+    Taken only when ``items`` converts to ``shape`` [re, im] pairs of
+    finite ints or floats; otherwise None, and the per-entry parser
+    decides (and names the fault).  The two parts are assigned separately
+    because ``re + 1j * im`` would turn an imaginary -0.0 into +0.0.
+    """
+    try:
+        parts = np.array(items)
+    except ValueError:  # ragged nesting
+        return None
+    if parts.shape != shape + (2,) or parts.dtype.kind not in "fi" or not np.isfinite(parts).all():
+        return None
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = parts[..., 0]
+    out.imag = parts[..., 1]
+    return out
 
 
 def doc_to_matrix(doc, where: str = "matrix document") -> np.ndarray:
@@ -195,6 +223,9 @@ def doc_to_matrix(doc, where: str = "matrix document") -> np.ndarray:
         raise ParseFailure(f"{where}: field 'n' must be a positive integer")
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseFailure(f"{where}: field 'rows' must hold {n} rows")
+    out = _bulk_complex(rows, (n, n))
+    if out is not None:
+        return out
     out = np.zeros((n, n), dtype=np.complex128)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
@@ -213,6 +244,9 @@ def doc_to_vector(doc, where: str = "vector document") -> np.ndarray:
         raise ParseFailure(f"{where}: field 'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseFailure(f"{where}: field 'entries' must hold {n} pairs")
+    out = _bulk_complex(entries, (n,))
+    if out is not None:
+        return out
     return np.array([_entry_to_complex(e, where) for e in entries], dtype=np.complex128)
 
 
@@ -242,7 +276,7 @@ def load_map(path: str) -> EffectAutomorphism:
         raise ParseFailure(f"{path}: map document needs fields 'U', 'conjugate', 'p'")
     if not isinstance(doc["conjugate"], bool):
         raise ParseFailure(f"{path}: field 'conjugate' must be a boolean")
-    if not isinstance(doc["p"], (int, float)) or not math.isfinite(doc["p"]):
+    if not _is_finite_number(doc["p"]):
         raise ParseFailure(f"{path}: field 'p' must be a finite number")
     U = doc_to_matrix(doc["U"], f"{path}: field 'U'")
     return EffectAutomorphism(U=U, conjugate=doc["conjugate"], p=FpParam(float(doc["p"])))
@@ -431,13 +465,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     tol = DEFAULT_TOL.scaled(args.tol)
-    phi = load_map(args.map)
-    param = fit_p(phi, args.grid, tol=tol)
-    samples = []
-    for x in interior_grid(args.grid):
-        _, mu = is_scalar(phi(scalar_effect(phi.dim, float(x))), tol)
-        samples.append((float(x), float(mu)))
-    fit = fit_frac(samples)
+    param, fit = _fit_family(load_map(args.map), args.grid, None, tol)
     out = {
         "p": param.p,
         "a": fit.a,
@@ -459,6 +487,8 @@ def _expected_for(suite: str, p: float, expect: str) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     tol = DEFAULT_TOL.scaled(args.tol)
+    if args.trials < 1:
+        raise ParseFailure("--trials must be a positive integer")
     seed = _resolve_seed(args.seed)
     dims = _parse_int_list(args.dims, "dims")
     ps = _parse_float_list(args.p, "p")
@@ -598,14 +628,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+# A value token that starts like a negative number (-3, -.5, -1e6,0).
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The ``build_parser`` tree, built on the first request and then reused.
+
+    argparse takes only plain negative numbers such as -3 or -0.5 as
+    option values and reads ``--p -1e6,0`` as a missing value followed by
+    an option.  No option of this tree starts like a negative number, so
+    every subcommand parser takes such a token as a value.
+    """
     parser = build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                sub._negative_number_matcher = _NEGATIVE_NUMBER
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        # Resolved on this module per request, as when the parser was built
+        # per request, so a command replaced here (a test double, a tracing
+        # wrapper) is the one that runs.
+        return globals()[args.func.__name__](args)
     except ParseFailure as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

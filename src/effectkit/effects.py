@@ -95,7 +95,7 @@ def make_effect(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """
     dec = numkern.eig_hermitian(M, tol)
     w = dec.eigenvalues
-    if w[0] < -tol.eps_psd or w[-1] > 1.0 + tol.eps_psd:
+    if not (w[0] >= -tol.eps_psd and w[-1] <= 1.0 + tol.eps_psd):
         raise SpectrumOutOfRange(
             f"spectrum [{w[0]:.12g}, {w[-1]:.12g}] not within [0, 1] plus eps_psd"
         )
@@ -191,9 +191,13 @@ def _same_dim(A: Effect, B: Effect) -> None:
 
 
 def leq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Loewner order on effects: True iff B - A is PSD within tolerance."""
+    """Loewner order on effects: True iff B - A is PSD within tolerance.
+
+    Effect matrices are exactly Hermitian, so they are compared without
+    validating them again.
+    """
     _same_dim(A, B)
-    return numkern.psd_leq(A.matrix, B.matrix, tol)
+    return numkern._psd_leq_hermitian(A.matrix, B.matrix, tol)
 
 
 def effects_equal(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -14,6 +14,7 @@ per-trial streams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,11 +109,16 @@ def require_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     """Validate hermiticity of ``M`` and return the hermitized copy.
 
     The defect ||M - M*|| is measured relative to max(1, ||M||) so the
-    check is scale-aware without going vacuous near zero.
+    check is scale-aware without going vacuous near zero.  A matrix whose
+    norm is not finite (a NaN or inf entry) is rejected first: an inf
+    entry would otherwise meet the infinite bound.
     """
     A = as_complex_matrix(M)
+    scale = frobenius(A)
+    if not math.isfinite(scale):
+        raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
     defect = frobenius(A - A.conj().T)
-    if defect > tol.eps_herm * max(1.0, frobenius(A)):
+    if not (defect <= tol.eps_herm * max(1.0, scale)):
         raise HermiticityViolation(f"matrix is not Hermitian: defect {defect:.3e}")
     return hermitize(A)
 
@@ -139,6 +145,16 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     B = require_hermitian(N, tol)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
+    return _psd_leq_hermitian(A, B, tol)
+
+
+def _psd_leq_hermitian(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> bool:
+    """The comparison of ``psd_leq`` without validation.
+
+    ``A`` and ``B`` must be complex matrices of one shape that are exactly
+    Hermitian, such as Effect matrices or real multiples of one: hermitize
+    then returns them bit for bit, so the result equals ``psd_leq``'s.
+    """
     D = hermitize(B - A)
     w = np.linalg.eigvalsh(D)
     return bool(w[0] >= -tol.eps_psd * max(1.0, frobenius(D)))

@@ -105,7 +105,7 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
 
 
 def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Oracle strength via bisection of t against psd_leq(t P, A).
+    """Oracle strength via bisection of t against the Loewner test t P <= A.
 
     Runs a fixed number of iterations so the returned bracket endpoint is
     within 1e-8 of the supremum.  Independent of strength_closed by
@@ -115,7 +115,7 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     P = ray.projection.matrix
 
     def fits(t: float) -> bool:
-        return numkern.psd_leq(t * P, A.matrix, tol)
+        return numkern._psd_leq_hermitian(t * P, A.matrix, tol)
 
     if fits(1.0):
         return 1.0

@@ -43,6 +43,15 @@ def test_constructor_rejects_non_unitary():
         EffectAutomorphism(U=np.eye(2) * 2.0, conjugate=False, p=FpParam(0.0))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructor_rejects_non_finite_unitary(bad):
+    U = np.eye(2, dtype=complex)
+    U[1, 0] = bad
+    with pytest.raises(UnitarityViolation, match="non-finite entries"):
+        EffectAutomorphism(U=U, conjugate=False, p=FpParam(0.0))
+
+
 def test_apply_diagonal_known_values():
     phi = EffectAutomorphism(U=np.eye(2), conjugate=False, p=FpParam(0.5))
     A = make_effect(np.diag([0.5, 0.25]))

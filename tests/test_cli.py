@@ -10,15 +10,18 @@ import numpy as np
 import pytest
 
 import effectkit
-from effectkit.autos import apply, random_automorphism
+from effectkit import autos, cli
+from effectkit.autos import apply, fit_p, random_automorphism
 from effectkit.cli import (
     doc_to_matrix,
+    doc_to_vector,
     dump_json,
     main,
     map_to_doc,
     matrix_to_doc,
 )
-from effectkit.effects import make_effect
+from effectkit.effects import is_scalar, make_effect, scalar_effect
+from effectkit.fracfun import fit_frac, interior_grid
 
 
 @pytest.fixture()
@@ -177,18 +180,23 @@ def test_exit_two_on_bad_env_seed(docs, capsys, monkeypatch):
                  "--trials", "3"]) == 2
 
 
-def test_console_script_end_to_end(docs, tmp_path):
-    # A real child process through the console script's callable
-    # (effectkit.cli:run). The imported package's absolute source root goes on
-    # its path, so it needs no install and does not depend on pytest's cwd.
+def _child_env():
+    """Environment for a ``python -m effectkit`` child: the imported package's
+    absolute source root goes on its path, so it needs no install and does
+    not depend on pytest's cwd."""
     src_root = str(Path(effectkit.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    return env
 
+
+def test_console_script_end_to_end(docs, tmp_path):
+    # A real child process through the console script's callable
+    # (effectkit.cli:run).
     def effectkit_cmd(*args):
         return subprocess.run(
             [sys.executable, "-m", "effectkit", *args],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
+            capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
         )
 
     result = effectkit_cmd("strength", "--effect", docs["eff"], "--ray", docs["ray"])
@@ -210,3 +218,135 @@ def test_dump_json_formats():
     assert "0.10000000000000001" in text
     with pytest.raises(ValueError):
         dump_json({"bad": float("nan")})
+
+
+def test_parser_reused_across_requests(docs, capsys, monkeypatch):
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    argv = ["strength", "--effect", docs["eff"], "--ray", docs["ray"], "--oracle"]
+
+    assert main(["fit", "--map", docs["map"], "--grid", "twenty"]) == 2
+    usage = capsys.readouterr()
+    assert usage.out == "" and "invalid int value" in usage.err
+    results = []
+    for _ in range(2):
+        code = main(argv)
+        results.append((code, capsys.readouterr().out))
+    assert built == [1]
+
+    child = subprocess.run([sys.executable, "-m", "effectkit", *argv],
+                           capture_output=True, text=True, env=_child_env(), cwd=docs["dir"])
+    assert results == [(child.returncode, child.stdout)] * 2
+    assert child.returncode == 0
+
+
+def _per_entry(items):
+    """Reference: one complex(float(re), float(im)) per pair, as the loop parser does."""
+    if isinstance(items[0][0], list):
+        return np.stack([_per_entry(row) for row in items])
+    out = np.zeros(len(items), dtype=np.complex128)
+    for i, (re, im) in enumerate(items):
+        out[i] = complex(float(re), float(im))
+    return out
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[1, 0]]],
+        [[[-0.0, -0.0]]],
+        [[[0.5, 0], [-0.0, 0.25]], [[-0.0, -0.25], [1, -0.0]]],
+        [[[2**53 + 1, -1], [3, 7]], [[-(2**62) - 1, 5], [0, 0]]],
+        [[[2**53 + 1, -1], [3, 0.0]], [[2**63 + 1025, 0.5], [0, -0.0]]],
+        np.random.default_rng(5).normal(size=(4, 4, 2)).tolist(),
+    ],
+    ids=["n1-int", "n1-negzero", "n2-mixed", "int64-rounding", "float-rounding", "n4-random"],
+)
+def test_bulk_documents_match_per_entry_path(rows, monkeypatch):
+    def no_per_entry(entry, where):
+        raise AssertionError("per-entry parser used for a plainly numeric document")
+
+    monkeypatch.setattr(cli, "_entry_to_complex", no_per_entry)
+    n = len(rows)
+    for got, ref in (
+        (doc_to_matrix({"n": n, "rows": rows}), _per_entry(rows)),
+        (doc_to_vector({"n": n, "entries": rows[0]}), _per_entry(rows[0])),
+    ):
+        assert got.dtype == np.complex128 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+
+
+_MALFORMED_ENTRIES = {
+    "string-number": '"1.5"',
+    "null": "null",
+    "three-elements": "[0.5, 0.0, 0.0]",
+    "extra-nesting": "[[0.5, 0.0]]",
+    "nan-literal": "[NaN, 0.0]",
+    "infinity-literal": "[0.5, -Infinity]",
+    "huge-integer": "[" + "1" + "0" * 400 + ", 0]",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED_ENTRIES))
+def test_exit_two_on_malformed_entries(docs, tmp_path, capsys, kind):
+    entry = _MALFORMED_ENTRIES[kind]
+    eff = tmp_path / "eff.json"
+    eff.write_text('{"n": 2, "rows": [[%s, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}' % entry)
+    assert main(["strength", "--effect", str(eff), "--ray", docs["ray"]]) == 2
+    ray = tmp_path / "ray.json"
+    ray.write_text('{"n": 2, "entries": [[1.0, 0.0], %s]}' % entry)
+    assert main(["strength", "--effect", docs["eff"], "--ray", str(ray)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "Traceback" not in err
+
+
+def test_exit_two_on_ragged_rows_and_huge_map_parameter(docs, tmp_path, capsys):
+    eff = tmp_path / "eff.json"
+    eff.write_text('{"n": 2, "rows": [[[0.5, 0.0], [0.0, 0.0]], [[0.5, 0.0]]]}')
+    assert main(["strength", "--effect", str(eff), "--ray", docs["ray"]]) == 2
+    doc = json.loads((docs["dir"] / "map.json").read_text())
+    bad = tmp_path / "map.json"
+    bad.write_text(json.dumps(doc).replace('"p": 0.5', '"p": -1' + "0" * 400))
+    assert main(["apply", "--map", str(bad), "--effect", docs["eff"]]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_fit_fits_once_with_the_two_pass_output(docs, capsys, monkeypatch):
+    # Reference: the output fit_p followed by a second sampling and fit gave.
+    phi = docs["phi"]
+    param = fit_p(phi, 25)
+    samples = [(float(x), is_scalar(phi(scalar_effect(2, float(x))))[1])
+               for x in interior_grid(25)]
+    fit = fit_frac(samples)
+    expected = dump_json({"p": param.p, "a": fit.a, "c": fit.c,
+                          "c_deviation": abs(fit.c - 1.0), "residual": fit.residual}) + "\n"
+
+    calls = []
+    for module in (autos, cli):
+        monkeypatch.setattr(module, "fit_frac", lambda s: calls.append(1) or fit_frac(s))
+    assert main(["fit", "--map", docs["map"], "--grid", "25"]) == 0
+    assert capsys.readouterr().out == expected
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code = main(["verify", "--suite", "order", "--dims", "2", "--p", "0", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --trials")
+
+
+def test_negative_p_as_separate_token(capsys):
+    base = ["verify", "--suite", "order", "--dims", "2", "--trials", "3", "--seed", "5"]
+    outputs = []
+    for p_args in (["--p", "-1e6,0"], ["--p=-1e6,0"]):
+        code = main(base + p_args)
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["suites"][0]["suite"].startswith("order[n=2,p=-1e+06")

@@ -29,7 +29,7 @@ from effectkit.errors import (
     RankError,
     SpectrumOutOfRange,
 )
-from effectkit.numkern import frobenius
+from effectkit.numkern import frobenius, psd_leq
 
 
 def test_make_effect_valid():
@@ -49,6 +49,15 @@ def test_make_effect_rejects_spectrum():
 def test_make_effect_rejects_nonhermitian():
     with pytest.raises(HermiticityViolation):
         make_effect(np.array([[0.5, 0.4], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_make_effect_rejects_non_finite(bad, where):
+    M = np.diag([0.25, 0.5]).astype(complex)
+    M[where] = bad
+    with pytest.raises(HermiticityViolation, match="non-finite entries"):
+        make_effect(M)
 
 
 def test_make_effect_clamps_roundoff():
@@ -83,6 +92,20 @@ def test_leq_and_equality():
     assert not leq(B, A)
     assert effects_equal(A, A)
     assert not effects_equal(A, B)
+
+
+def test_leq_agrees_with_validating_psd_leq():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 8):
+        for _ in range(20):
+            A = sample_effect(n, rng)
+            B = sample_effect(n, rng)
+            P = sample_ray(n, rng).projection
+            pairs = [(A, B), (B, A), (A, A), (A, orthocomplement(A)),
+                     (orthocomplement(B), B), (WeakAtom(0.4, sample_ray(n, rng)).to_effect(), P),
+                     (P, A), (scalar_effect(n, 0.3), A)]
+            for L, R in pairs:
+                assert leq(L, R) == psd_leq(L.matrix, R.matrix)
 
 
 def test_orthocomplement_involution():

@@ -14,7 +14,7 @@ from effectkit.effects import (
 )
 from effectkit.errors import DimensionError, DomainError, OrthogonalityError, SpanError
 from effectkit.fracfun import fp_eval
-from effectkit.numkern import DEFAULT_TOL, haar_unitary
+from effectkit.numkern import DEFAULT_TOL, haar_unitary, psd_leq
 from effectkit.strength import (
     BISECT_ITERATIONS,
     StrengthValue,
@@ -27,6 +27,23 @@ from effectkit.strength import (
 def test_bisect_iteration_count():
     # enough halvings of [0, 1] to pin the value to 1e-8
     assert BISECT_ITERATIONS == 27
+
+
+def test_bisect_matches_a_validating_psd_leq_bisection():
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 8):
+        for _ in range(5):
+            A = sample_effect(n, rng)
+            ray = sample_ray(n, rng)
+            P = ray.projection.matrix
+            expected = 1.0
+            if not psd_leq(P, A.matrix):
+                lo, hi = 0.0, 1.0
+                for _ in range(BISECT_ITERATIONS):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if psd_leq(mid * P, A.matrix) else (lo, mid)
+                expected = lo
+            assert strength_bisect(A, ray) == expected
 
 
 def test_strength_known_value():
