@@ -16,32 +16,43 @@ additionally preserved exactly when p = 0.
 The verify_* suites sample seeded inputs, check one invariance each, and
 return a VerificationReport.  They accept either an EffectAutomorphism
 or any callable Effect -> Effect (pass ``dim=`` for the latter), so a
-harness can feed deliberately broken maps as negative controls.  Each
-trial derives its generator from (seed, trial index), so reports do not
-depend on evaluation order.
+harness can feed deliberately broken maps as negative controls.
+
+The suites run their trials as EffectStacks, up to ``_TRIAL_BLOCK`` at a
+time: each sampling, validation, map and decision step is one stacked
+LAPACK or matmul call for the whole block, and a family member maps a
+stack in one pass.  A black-box map is applied to each member as an
+Effect.  Trial k still draws from its own generator (seed, k), in the
+order a lone trial draws, so every member is the effect the trial would
+have built alone, bit for bit: reports depend neither on evaluation
+order nor on the block size, and equal those of running trials one by
+one.  Failures are then counted, and the first counterexample taken, in
+trial order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import numkern
 from .effects import (
     Effect,
+    EffectStack,
     RayProjection,
     WeakAtom,
     _effect,
     is_scalar,
     leq,
-    make_effect,
+    make_effect_stack,
     make_ray,
     orthocomplement,
-    sample_effect,
-    sample_ray,
+    sample_effect_stack,
+    sample_ray_stack,
     scalar_effect,
+    stack_effects,
     zero_product,
 )
 from .errors import (
@@ -85,11 +96,11 @@ class EffectAutomorphism:
 
     def __post_init__(self) -> None:
         U = numkern.as_complex_matrix(self.U)
+        if not np.isfinite(U).all():
+            raise UnitarityViolation("U has non-finite entries")
         n = U.shape[0]
         defect = numkern.frobenius(U.conj().T @ U - np.eye(n))
         if not (defect <= 1e-10 * n):
-            if not np.isfinite(U).all():
-                raise UnitarityViolation("U has non-finite entries")
             raise UnitarityViolation(f"U is not unitary: defect {defect:.3e}")
         U = U.copy()
         U.setflags(write=False)
@@ -113,7 +124,10 @@ def random_automorphism(
 
 
 def apply(phi: EffectAutomorphism, A: Effect) -> Effect:
-    """Image of A: conjugate entries if flagged, apply f_p, rotate by U."""
+    """Image of A: conjugate entries if flagged, apply f_p, rotate by U.
+
+    For an EffectStack, the stack of the member images.
+    """
     if A.dim != phi.dim:
         raise DimensionError(f"dimension mismatch: effect {A.dim}, map {phi.dim}")
     if phi.conjugate:
@@ -237,6 +251,7 @@ class VerificationReport:
 
 
 def _matrix_rows(M: np.ndarray) -> list:
+    """Rows of [re, im] pairs: the one serialization of a matrix's entries."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
 
 
@@ -245,30 +260,68 @@ def _example(check: str, **mats: np.ndarray) -> dict:
 
 
 class _SuiteState:
-    """Failure bookkeeping shared by the verify_* drivers."""
+    """Failure bookkeeping shared by the verify_* drivers.
+
+    Checks arrive as sequences in trial order; ``example(i)`` builds the
+    counterexample of the i-th check of the sequence.
+    """
 
     def __init__(self) -> None:
         self.failures = 0
         self.worst = 0.0
         self.counterexample: dict | None = None
 
-    def boolean(self, ok: bool, example: Callable[[], dict]) -> None:
-        if not ok:
-            self.failures += 1
-            self.worst = max(self.worst, 1.0)
-            if self.counterexample is None:
-                self.counterexample = example()
+    def boolean(self, ok: Sequence[bool], example: Callable[[int], dict]) -> None:
+        for i, passed in enumerate(ok):
+            if not passed:
+                self.failures += 1
+                self.worst = max(self.worst, 1.0)
+                if self.counterexample is None:
+                    self.counterexample = example(i)
 
-    def analog(self, residual: float, limit: float, example: Callable[[], dict]) -> None:
-        self.worst = max(self.worst, residual)
-        if residual > limit:
-            self.failures += 1
-            if self.counterexample is None:
-                self.counterexample = example()
+    def analog(self, residuals: Sequence[float], limit: float, example: Callable[[int], dict]) -> None:
+        for i, residual in enumerate(residuals):
+            residual = float(residual)
+            self.worst = max(self.worst, residual)
+            if residual > limit:
+                self.failures += 1
+                if self.counterexample is None:
+                    self.counterexample = example(i)
 
 
-def _trial_rng(seed: int, k: int) -> np.random.Generator:
-    return np.random.default_rng([seed, k])
+# Trials are stacked this many at a time, so memory does not grow with the
+# trial count; the reports do not depend on it.
+_TRIAL_BLOCK = 32
+
+
+def _trial_blocks(seed: int, trials: int) -> Iterator[list[np.random.Generator]]:
+    """The generators of trials 0..trials-1, ``_TRIAL_BLOCK`` at a time.
+
+    Trial k draws from its own stream ``default_rng([seed, k])`` in the
+    order a lone trial would, so a report depends neither on the order of
+    evaluation nor on how trials are grouped.
+    """
+    for start in range(0, trials, _TRIAL_BLOCK):
+        stop = min(trials, start + _TRIAL_BLOCK)
+        yield [np.random.default_rng([seed, k]) for k in range(start, stop)]
+
+
+def _image(phi: EffectMap, S: EffectStack) -> EffectStack:
+    """phi of each member: one stacked pass for a family member, else per item."""
+    if isinstance(phi, EffectAutomorphism):
+        return apply(phi, S)
+    return stack_effects([phi(S[k]) for k in range(len(S))])
+
+
+def _pairs_example(check: str, pairs) -> Callable[[int], dict]:
+    """Counterexample of check i, the checks running pair by pair within each trial."""
+
+    def example(i: int) -> dict:
+        L, R = pairs[i % len(pairs)]
+        k = i // len(pairs)
+        return _example(check, A=L.matrix[k], B=R.matrix[k])
+
+    return example
 
 
 def verify_order(
@@ -287,16 +340,17 @@ def verify_order(
     """
     n = _map_dim(phi, dim)
     state = _SuiteState()
-    for k in range(trials):
-        rng = _trial_rng(seed, k)
-        B = sample_effect(n, rng, tol)
-        A = seq_product(B, sample_effect(n, rng, tol), tol)
-        X = sample_effect(n, rng, tol)
-        Y = sample_effect(n, rng, tol)
-        for L, R in ((A, B), (X, Y)):
-            iL, iR = phi(L), phi(R)
-            ok = leq(L, R, tol) == leq(iL, iR, tol) and leq(R, L, tol) == leq(iR, iL, tol)
-            state.boolean(ok, lambda L=L, R=R: _example("order-biconditional", A=L.matrix, B=R.matrix))
+    for rngs in _trial_blocks(seed, trials):
+        B = sample_effect_stack(n, rngs, tol)
+        A = seq_product(B, sample_effect_stack(n, rngs, tol), tol)
+        X = sample_effect_stack(n, rngs, tol)
+        Y = sample_effect_stack(n, rngs, tol)
+        pairs = ((A, B), (X, Y))
+        ok = []
+        for L, R in pairs:
+            iL, iR = _image(phi, L), _image(phi, R)
+            ok.append((leq(L, R, tol) == leq(iL, iR, tol)) & (leq(R, L, tol) == leq(iR, iL, tol)))
+        state.boolean(np.stack(ok, axis=-1).ravel(), _pairs_example("order-biconditional", pairs))
     return VerificationReport("order", trials, state.failures, state.worst, state.counterexample, seed)
 
 
@@ -317,24 +371,25 @@ def verify_zero_product(
     if n < 2:
         raise DimensionError("zero-product suite needs dimension at least 2")
     state = _SuiteState()
-    for k in range(trials):
-        rng = _trial_rng(seed, k)
-        V = numkern.haar_unitary(n, rng)
-        split = int(rng.integers(1, n))
-        left, right = V[:, :split], V[:, split:]
-        A = _effect_from_frame(left, rng.uniform(0.0, 1.0, split))
-        B = _effect_from_frame(right, rng.uniform(0.0, 1.0, n - split))
-        X = sample_effect(n, rng, tol)
-        Y = sample_effect(n, rng, tol)
-        for L, R in ((A, B), (X, Y)):
-            ok = zero_product(L, R, tol) == zero_product(phi(L), phi(R), tol)
-            state.boolean(ok, lambda L=L, R=R: _example("zero-product-biconditional", A=L.matrix, B=R.matrix))
+    for rngs in _trial_blocks(seed, trials):
+        V = numkern.haar_unitary_stack(n, rngs)
+        splits = np.array([int(rng.integers(1, n)) for rng in rngs])
+        weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
+        A = np.empty_like(V)
+        B = np.empty_like(V)
+        # Trials are stacked per split: padding the frames with zero
+        # weights would change the matmul's inner dimension and its bits.
+        for split in np.unique(splits):
+            group = np.flatnonzero(splits == split)
+            A[group] = numkern.from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
+            B[group] = numkern.from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
+        A, B = make_effect_stack(A), make_effect_stack(B)
+        X = sample_effect_stack(n, rngs, tol)
+        Y = sample_effect_stack(n, rngs, tol)
+        pairs = ((A, B), (X, Y))
+        ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
+        state.boolean(np.stack(ok, axis=-1).ravel(), _pairs_example("zero-product-biconditional", pairs))
     return VerificationReport("zero-product", trials, state.failures, state.worst, state.counterexample, seed)
-
-
-def _effect_from_frame(frame: np.ndarray, weights: np.ndarray) -> Effect:
-    """Effect with the given orthonormal columns as eigenvectors."""
-    return make_effect(hermitize((frame * weights) @ frame.conj().T))
 
 
 def verify_ortho(
@@ -354,12 +409,13 @@ def verify_ortho(
     state = _SuiteState()
     half = scalar_effect(n, 0.5)
     res0 = numkern.frobenius(phi(half).matrix - half.matrix)
-    state.analog(res0, tol.eps_eq, lambda: _example("half-identity-fixed-point", A=half.matrix))
-    for k in range(trials):
-        rng = _trial_rng(seed, k)
-        A = sample_effect(n, rng, tol)
-        residual = numkern.frobenius(phi(orthocomplement(A)).matrix - orthocomplement(phi(A)).matrix)
-        state.analog(residual, tol.eps_eq, lambda A=A: _example("orthocomplement", A=A.matrix))
+    state.analog([res0], tol.eps_eq, lambda i: _example("half-identity-fixed-point", A=half.matrix))
+    for rngs in _trial_blocks(seed, trials):
+        A = sample_effect_stack(n, rngs, tol)
+        residuals = numkern.frobenius(
+            _image(phi, orthocomplement(A)).matrix - orthocomplement(_image(phi, A)).matrix
+        )
+        state.analog(residuals, tol.eps_eq, lambda k: _example("orthocomplement", A=A.matrix[k]))
     return VerificationReport("ortho", trials, state.failures, state.worst, state.counterexample, seed)
 
 
@@ -382,16 +438,25 @@ def verify_sequential(
     res0 = numkern.frobenius(
         phi(seq_product(half, half, tol)).matrix - seq_product(phi(half), phi(half), tol).matrix
     )
-    state.analog(res0, tol.eps_eq, lambda: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix))
-    for k in range(trials):
-        rng = _trial_rng(seed, k)
-        A = sample_effect(n, rng, tol)
-        B = sample_effect(n, rng, tol)
-        residual = numkern.frobenius(
-            phi(seq_product(A, B, tol)).matrix - seq_product(phi(A), phi(B), tol).matrix
+    state.analog(
+        [res0], tol.eps_eq, lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix)
+    )
+    for rngs in _trial_blocks(seed, trials):
+        A = sample_effect_stack(n, rngs, tol)
+        B = sample_effect_stack(n, rngs, tol)
+        residuals = numkern.frobenius(
+            _image(phi, seq_product(A, B, tol)).matrix
+            - seq_product(_image(phi, A), _image(phi, B), tol).matrix
         )
-        state.analog(residual, tol.eps_eq, lambda A=A, B=B: _example("sequential", A=A.matrix, B=B.matrix))
+        state.analog(
+            residuals, tol.eps_eq, lambda k: _example("sequential", A=A.matrix[k], B=B.matrix[k])
+        )
     return VerificationReport("sequential", trials, state.failures, state.worst, state.counterexample, seed)
+
+
+def _transition(P: EffectStack, Q: EffectStack) -> np.ndarray:
+    """tr(PQ) of each member pair."""
+    return np.trace(P.matrix @ Q.matrix, axis1=-2, axis2=-1).real
 
 
 def verify_transition(
@@ -409,16 +474,12 @@ def verify_transition(
     """
     n = _map_dim(phi, dim)
     state = _SuiteState()
-    for k in range(trials):
-        rng = _trial_rng(seed, k)
-        P = sample_ray(n, rng)
-        Q = sample_ray(n, rng)
-        before = float(np.trace(P.projection.matrix @ Q.projection.matrix).real)
-        after = float(np.trace(phi(P.projection).matrix @ phi(Q.projection).matrix).real)
+    for rngs in _trial_blocks(seed, trials):
+        P = sample_ray_stack(n, rngs)
+        Q = sample_ray_stack(n, rngs)
+        residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
         state.analog(
-            abs(before - after),
-            tol.eps_eq,
-            lambda P=P, Q=Q: _example("transition", P=P.projection.matrix, Q=Q.projection.matrix),
+            residuals, tol.eps_eq, lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k])
         )
     return VerificationReport("transition", trials, state.failures, state.worst, state.counterexample, seed)
 
@@ -446,9 +507,9 @@ def verify_scalar_pair(
     ok, mu = is_scalar(image, tol)
     if ok and isinstance(phi, EffectAutomorphism):
         expected = fp_eval(phi.p, lam)
-        state.analog(abs(mu - expected), tol.eps_eq, lambda: _example("scalar-image-value", A=image.matrix))
+        state.analog([abs(mu - expected)], tol.eps_eq, lambda i: _example("scalar-image-value", A=image.matrix))
     else:
-        state.boolean(ok, lambda: _example("scalar-image", A=image.matrix))
+        state.boolean([ok], lambda i: _example("scalar-image", A=image.matrix))
     zp = verify_zero_product(phi, trials, seed, dim=n, tol=tol)
     failures = state.failures + zp.failures
     worst = max(state.worst, zp.worst_violation)

@@ -57,6 +57,7 @@ from .autos import (
     EffectAutomorphism,
     VerificationReport,
     _fit_family,
+    _matrix_rows,
     apply as apply_map,
     random_automorphism,
     verify_ortho,
@@ -172,10 +173,7 @@ def dump_json(obj, level: int = 0) -> str:
 
 def matrix_to_doc(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=np.complex128)
-    return {
-        "n": int(M.shape[0]),
-        "rows": [[[float(z.real), float(z.imag)] for z in row] for row in M],
-    }
+    return {"n": int(M.shape[0]), "rows": _matrix_rows(M)}
 
 
 def _is_finite_number(value) -> bool:
@@ -465,6 +463,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_fit(args: argparse.Namespace) -> int:
     tol = DEFAULT_TOL.scaled(args.tol)
+    if args.grid < 3:
+        raise ParseFailure("--grid must be at least 3: a fit needs three samples")
     param, fit = _fit_family(load_map(args.map), args.grid, None, tol)
     out = {
         "p": param.p,

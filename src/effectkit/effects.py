@@ -8,11 +8,24 @@ range projections, scalar detection, and the rank-one dominance fact
 
 Every Effect carries its spectral decomposition, computed once at
 construction, so downstream functional calculus never re-diagonalizes.
+
+An EffectStack holds T effects of one dimension as (T, n, n) matrices,
+(T, n) eigenvalues and (T, n, n) eigenvectors, so the verification suites
+can run each LAPACK and matmul step once for all their trials.  It is
+validated by the same rules as a lone Effect (``make_effect`` and
+``make_effect_stack`` share one implementation), ``stack[k]`` is member k
+as an Effect, and ``leq``, ``zero_product`` and ``orthocomplement`` take
+stacks as well as effects, deciding each member on its own.  Every member
+equals, bit for bit, the Effect built from the same matrix alone.  A
+stacked sampler draws member k from the k-th generator, so each trial
+keeps its own random stream and a report does not depend on how trials
+are grouped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,15 +41,20 @@ from .numkern import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "Effect",
+    "EffectStack",
     "RayProjection",
     "WeakAtom",
     "make_effect",
+    "make_effect_stack",
+    "stack_effects",
     "identity_effect",
     "zero_effect",
     "scalar_effect",
     "make_ray",
     "sample_effect",
+    "sample_effect_stack",
     "sample_ray",
+    "sample_ray_stack",
     "leq",
     "effects_equal",
     "orthocomplement",
@@ -76,13 +94,39 @@ class Effect:
         return float(np.trace(self.matrix).real)
 
 
-def _effect(matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Effect:
-    """Assemble an Effect from parts that are already known to be valid."""
-    return Effect(
+@dataclass(frozen=True, eq=False)
+class EffectStack:
+    """T effects of one dimension: (T, n, n) matrices, (T, n) eigenvalues
+    and (T, n, n) eigenvectors, each member as in an Effect."""
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[-1]
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __getitem__(self, k: int | slice) -> Effect | EffectStack:
+        return _effect(self.matrix[k], self.eigenvalues[k], self.eigenvectors[k])
+
+
+def _effect(matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Effect | EffectStack:
+    """Assemble an Effect (or a stack, from stacked parts) known to be valid."""
+    kind = Effect if matrix.ndim == 2 else EffectStack
+    return kind(
         matrix=_locked(matrix),
         eigenvalues=_locked(np.real(eigenvalues)),
         eigenvectors=_locked(eigenvectors),
     )
+
+
+def _decision(ok: np.ndarray) -> bool | np.ndarray:
+    """A decision about two effects as a bool; about two stacks, one per member."""
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def make_effect(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
@@ -93,19 +137,45 @@ def make_effect(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     matrix is rebuilt from the clamped spectrum.  Anything further out
     raises SpectrumOutOfRange.
     """
-    dec = numkern.eig_hermitian(M, tol)
-    w = dec.eigenvalues
-    if not (w[0] >= -tol.eps_psd and w[-1] <= 1.0 + tol.eps_psd):
+    return _validated(numkern.as_complex_matrix(M), tol)
+
+
+def make_effect_stack(Ms: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> EffectStack:
+    """Validate each matrix of a (T, n, n) stack as ``make_effect`` does.
+
+    A member that ``make_effect`` rejects raises the error it raises there.
+    The checks run in ``make_effect``'s order (finite entries, hermiticity,
+    spectrum), each over the whole stack, so with several bad members the
+    error names the first member failing the earliest check.
+    """
+    return _validated(numkern.as_complex_stack(Ms), tol)
+
+
+def _validated(A: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
+    """The rules of ``make_effect``, for a complex matrix or stack."""
+    H = numkern.require_hermitian(A, tol)
+    w, V = np.linalg.eigh(H)
+    lo, hi = w[..., 0], w[..., -1]
+    ok = (lo >= -tol.eps_psd) & (hi <= 1.0 + tol.eps_psd)
+    if not numkern._holds(ok):
         raise SpectrumOutOfRange(
-            f"spectrum [{w[0]:.12g}, {w[-1]:.12g}] not within [0, 1] plus eps_psd"
+            f"spectrum [{numkern._first(lo, ~ok):.12g}, {numkern._first(hi, ~ok):.12g}]"
+            " not within [0, 1] plus eps_psd"
         )
     clamped = np.clip(w, 0.0, 1.0)
-    if np.array_equal(clamped, w):
-        matrix = numkern.hermitize(numkern.as_complex_matrix(M))
-    else:
-        V = dec.eigenvectors
-        matrix = numkern.hermitize((V * clamped) @ V.conj().T)
-    return _effect(matrix, clamped, dec.eigenvectors)
+    kept = (clamped == w).all(axis=-1)
+    if not numkern._holds(kept):
+        H = np.where(kept[..., None, None], H, numkern.from_spectrum(V, clamped))
+    return _effect(H, clamped, V)
+
+
+def stack_effects(effects: Sequence[Effect]) -> EffectStack:
+    """The EffectStack of a sequence of effects of one dimension."""
+    return _effect(
+        np.stack([E.matrix for E in effects]),
+        np.stack([E.eigenvalues for E in effects]),
+        np.stack([E.eigenvectors for E in effects]),
+    )
 
 
 def identity_effect(n: int) -> Effect:
@@ -143,19 +213,24 @@ def make_ray(v: np.ndarray) -> RayProjection:
     vec = np.asarray(v, dtype=np.complex128).reshape(-1)
     if vec.shape[0] < 1:
         raise DimensionError("ray vector must have positive length")
-    norm = np.linalg.norm(vec)
-    if norm < 1e-300:
+    vec, projection = _ray(vec)
+    return RayProjection(vector=_locked(vec), projection=projection)
+
+
+def _ray(vec: np.ndarray) -> tuple[np.ndarray, Effect | EffectStack]:
+    """Normalized vector and its projection, for a vector or a (T, n) stack."""
+    norm = np.asarray(numkern.vector_norm(vec))
+    if (norm < 1e-300).any():
         raise DomainError("cannot build a ray from the zero vector")
-    vec = vec / norm
-    n = vec.shape[0]
+    vec = vec / norm[..., None]
     # Complete to an orthonormal basis: QR puts the ray (up to phase) in
     # the first column, so the remaining columns span its orthocomplement.
-    Q = np.linalg.qr(vec.reshape(n, 1), mode="complete")[0]
-    basis = np.column_stack([Q[:, 1:], vec]) if n > 1 else vec.reshape(1, 1)
-    w = np.zeros(n)
-    w[-1] = 1.0
-    P = np.outer(vec, vec.conj())
-    return RayProjection(vector=_locked(vec), projection=_effect(numkern.hermitize(P), w, basis))
+    Q = np.linalg.qr(vec[..., None], mode="complete")[0]
+    basis = np.concatenate([Q[..., 1:], vec[..., None]], axis=-1)
+    w = np.zeros(vec.shape)
+    w[..., -1] = 1.0
+    P = vec[..., :, None] * vec.conj()[..., None, :]
+    return vec, _effect(numkern.hermitize(P), w, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +255,21 @@ def sample_effect(n: int, seed: int | np.random.Generator, tol: ToleranceConfig 
     return make_effect(numkern.random_effect(n, seed), tol)
 
 
+def sample_effect_stack(
+    n: int, rngs: Sequence[np.random.Generator], tol: ToleranceConfig = DEFAULT_TOL
+) -> EffectStack:
+    """Stack of ``sample_effect(n, rng, tol)`` for each generator, drawn as it draws."""
+    return make_effect_stack(numkern.random_effect_stack(n, rngs), tol)
+
+
 def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
     """Seeded random RayProjection, uniform on the unit sphere."""
     return make_ray(numkern.random_ray(n, seed))
+
+
+def sample_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> EffectStack:
+    """Stack of the projections ``sample_ray(n, rng).projection`` for each generator."""
+    return _ray(numkern.random_ray_stack(n, rngs))[1]
 
 
 def _same_dim(A: Effect, B: Effect) -> None:
@@ -194,10 +281,11 @@ def leq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Loewner order on effects: True iff B - A is PSD within tolerance.
 
     Effect matrices are exactly Hermitian, so they are compared without
-    validating them again.
+    validating them again.  For two stacks, a bool array with one
+    decision per member pair.
     """
     _same_dim(A, B)
-    return numkern._psd_leq_hermitian(A.matrix, B.matrix, tol)
+    return _decision(numkern._psd_leq_hermitian(A.matrix, B.matrix, tol))
 
 
 def effects_equal(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -207,11 +295,11 @@ def effects_equal(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> b
 
 
 def orthocomplement(A: Effect) -> Effect:
-    """The complementary effect I - A."""
+    """The complementary effect I - A (of each member, for a stack)."""
     n = A.dim
     matrix = np.eye(n, dtype=np.complex128) - A.matrix
-    w = (1.0 - A.eigenvalues)[::-1].copy()
-    V = A.eigenvectors[:, ::-1].copy()
+    w = (1.0 - A.eigenvalues)[..., ::-1].copy()
+    V = A.eigenvectors[..., ::-1].copy()
     return _effect(matrix, w, V)
 
 
@@ -219,12 +307,13 @@ def zero_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     """True iff the operator product AB vanishes within tolerance.
 
     For effects this is symmetric in A and B and equivalent to the range
-    projections being orthogonal.
+    projections being orthogonal.  For two stacks, a bool array with one
+    decision per member pair.
     """
     _same_dim(A, B)
     norm = numkern.frobenius(A.matrix @ B.matrix)
-    scale = max(1.0, numkern.frobenius(A.matrix) * numkern.frobenius(B.matrix))
-    return norm <= tol.eps_eq * scale
+    scale = np.maximum(1.0, numkern.frobenius(A.matrix) * numkern.frobenius(B.matrix))
+    return _decision(norm <= tol.eps_eq * scale)
 
 
 def is_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
-from .numkern import hermitize
+from .numkern import from_spectrum
 
 __all__ = [
     "FracParams",
@@ -146,7 +146,8 @@ def inverse_param(p: FpParam | float) -> FpParam:
 
 
 def fp_apply(p: FpParam | float, A: Effect) -> Effect:
-    """Apply f_p to an effect through the spectral calculus.
+    """Apply f_p to an effect (or each member of an EffectStack) through
+    the spectral calculus.
 
     f_p is increasing, so the stored ascending eigenvalue order (and the
     eigenvector pairing) survives untouched.
@@ -155,8 +156,7 @@ def fp_apply(p: FpParam | float, A: Effect) -> Effect:
     w = A.eigenvalues
     fw = np.clip(w / (w * pv + (1.0 - pv)), 0.0, 1.0)
     V = A.eigenvectors
-    matrix = hermitize((V * fw) @ V.conj().T)
-    return _effect(matrix, fw, V)
+    return _effect(from_spectrum(V, fw), fw, V)
 
 
 def interior_grid(grid: int) -> np.ndarray:

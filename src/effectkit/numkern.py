@@ -10,12 +10,20 @@ All randomness flows through numpy's PCG64 generator
 integer seed.  Samplers also accept an already-constructed
 ``numpy.random.Generator`` so that composite experiments can derive
 per-trial streams.
+
+The validation, norm and sampling rules also work on stacks: (T, n, n)
+arrays of T matrices.  A stacked sampler draws one sample from each of T
+generators, in the order the single sampler draws it, and then runs each
+LAPACK and matmul step once for the whole stack.  numpy applies these
+steps to each matrix of a stack exactly as to a lone matrix, so a stacked
+result equals the per-matrix results bit for bit; the Frobenius norm is
+summed as ``np.linalg.norm`` sums it for the same reason.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -30,16 +38,22 @@ __all__ = [
     "DEFAULT_TOL",
     "EigenDecomp",
     "as_complex_matrix",
+    "as_complex_stack",
     "frobenius",
+    "vector_norm",
     "hermitize",
+    "from_spectrum",
     "require_hermitian",
     "eig_hermitian",
     "psd_leq",
     "mat_sqrt",
     "pinv_sqrt",
     "haar_unitary",
+    "haar_unitary_stack",
     "random_effect",
+    "random_effect_stack",
     "random_ray",
+    "random_ray_stack",
 ]
 
 
@@ -96,35 +110,90 @@ def as_complex_matrix(M: np.ndarray) -> np.ndarray:
     return A
 
 
-def frobenius(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M))
+def as_complex_stack(M: np.ndarray) -> np.ndarray:
+    """Coerce to a (T, n, n) complex128 stack with T, n >= 1, raising DimensionError otherwise."""
+    A = np.asarray(M, dtype=np.complex128)
+    if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
+        raise DimensionError(f"expected a stack of square matrices, got shape {A.shape}")
+    return A
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """2-norm along the last axis, summed as ``np.linalg.norm`` sums one vector.
+
+    numpy takes that norm as the real dot product plus the imaginary one;
+    ``vecdot`` runs the same dot kernel on each row, so the result equals
+    the per-row ``np.linalg.norm`` bit for bit.  A plain sum or einsum adds
+    in another order and does not.
+    """
+    xr, xi = x.real, x.imag
+    return np.sqrt(np.vecdot(xr, xr) + np.vecdot(xi, xi))
+
+
+def frobenius(M: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of a matrix, or the array of norms of a (T, n, n) stack."""
+    M = np.asarray(M)
+    norms = _norms(M.reshape(M.shape[:-2] + (-1,)))
+    return float(norms) if M.ndim <= 2 else norms
+
+
+def vector_norm(v: np.ndarray) -> float | np.ndarray:
+    """2-norm of a vector, or the array of norms of the rows of a (T, n) stack."""
+    v = np.asarray(v)
+    norms = _norms(v)
+    return float(norms) if v.ndim == 1 else norms
 
 
 def hermitize(M: np.ndarray) -> np.ndarray:
-    """Symmetrize round-off: return (M + M*)/2."""
-    return 0.5 * (M + M.conj().T)
+    """Symmetrize round-off: return (M + M*)/2, for a matrix or each matrix of a stack."""
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+
+def from_spectrum(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix V diag(w) V*, hermitized, for orthonormal columns V.
+
+    V is n x k with k values w, or a (T, n, k) stack with (T, k) values.
+    """
+    return hermitize((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
+
+
+def _holds(ok: np.ndarray) -> bool:
+    """True iff a check holds for a matrix (``ok`` a numpy bool) or for
+    every member of a stack.  A lone bool skips ``all()``, which costs a
+    reduction even on a numpy scalar."""
+    return bool(ok) if ok.ndim == 0 else bool(ok.all())
+
+
+def _first(values, bad: np.ndarray):
+    """The entry of ``values`` at the first True of ``bad`` (both scalars or stacks)."""
+    return np.ravel(values)[np.argmax(np.ravel(bad))]
 
 
 def require_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate hermiticity of ``M`` and return the hermitized copy.
 
-    The defect ||M - M*|| is measured relative to max(1, ||M||) so the
-    check is scale-aware without going vacuous near zero.  A matrix whose
-    norm is not finite (a NaN or inf entry) is rejected first: an inf
-    entry would otherwise meet the infinite bound.
+    ``M`` is a matrix or a (T, n, n) stack.  Every member is checked for
+    finite entries before any for hermiticity, and the error names the
+    first member failing the earlier check.  The defect ||M - M*|| is
+    measured relative to max(1, ||M||) so the check is scale-aware without
+    going vacuous near zero.  A matrix whose norm is not finite (a NaN or
+    inf entry) is rejected first: an inf entry would otherwise meet the
+    infinite bound.
     """
-    A = as_complex_matrix(M)
+    A = as_complex_stack(M) if np.ndim(M) == 3 else as_complex_matrix(M)
     scale = frobenius(A)
-    if not math.isfinite(scale):
-        raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
-    defect = frobenius(A - A.conj().T)
-    if not (defect <= tol.eps_herm * max(1.0, scale)):
-        raise HermiticityViolation(f"matrix is not Hermitian: defect {defect:.3e}")
+    finite = np.isfinite(scale)
+    if not _holds(finite):
+        raise HermiticityViolation(f"matrix norm is {_first(scale, ~finite)}: non-finite entries or overflow")
+    defect = frobenius(A - A.conj().swapaxes(-1, -2))
+    ok = defect <= tol.eps_herm * np.maximum(1.0, scale)
+    if not _holds(ok):
+        raise HermiticityViolation(f"matrix is not Hermitian: defect {_first(defect, ~ok):.3e}")
     return hermitize(A)
 
 
 def eig_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomp:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending.
 
     Backed by LAPACK via numpy.linalg.eigh; the returned eigenvector
     columns are orthonormal and V diag(w) V* reconstructs the input to
@@ -145,19 +214,20 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     B = require_hermitian(N, tol)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return _psd_leq_hermitian(A, B, tol)
+    return bool(_psd_leq_hermitian(A, B, tol))
 
 
-def _psd_leq_hermitian(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> bool:
-    """The comparison of ``psd_leq`` without validation.
+def _psd_leq_hermitian(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The comparison of ``psd_leq`` without validation, as a bool array.
 
-    ``A`` and ``B`` must be complex matrices of one shape that are exactly
-    Hermitian, such as Effect matrices or real multiples of one: hermitize
-    then returns them bit for bit, so the result equals ``psd_leq``'s.
+    ``A`` and ``B`` must be complex matrices or stacks of one shape that
+    are exactly Hermitian, such as Effect matrices or real multiples of
+    one: hermitize then returns them bit for bit, so the result equals
+    ``psd_leq``'s.  A stack gives one decision per member.
     """
     D = hermitize(B - A)
     w = np.linalg.eigvalsh(D)
-    return bool(w[0] >= -tol.eps_psd * max(1.0, frobenius(D)))
+    return w[..., 0] >= -tol.eps_psd * np.maximum(1.0, frobenius(D))
 
 
 def _clamped_psd_eigenvalues(M: np.ndarray, tol: ToleranceConfig) -> EigenDecomp:
@@ -172,7 +242,7 @@ def mat_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix via its spectral decomposition."""
     dec = _clamped_psd_eigenvalues(M, tol)
     V = dec.eigenvectors
-    return hermitize((V * np.sqrt(dec.eigenvalues)) @ V.conj().T)
+    return from_spectrum(V, np.sqrt(dec.eigenvalues))
 
 
 def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -188,7 +258,7 @@ def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     kept = w > cutoff
     inv[kept] = 1.0 / np.sqrt(w[kept])
     V = dec.eigenvectors
-    return hermitize((V * inv) @ V.conj().T)
+    return from_spectrum(V, inv)
 
 
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
@@ -202,34 +272,58 @@ def _require_dim(n: int) -> None:
         raise DimensionError(f"dimension must be a positive integer, got {n!r}")
 
 
+def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _phase_fixed_qr(Z: np.ndarray) -> np.ndarray:
+    """Q of Z = QR with each column rescaled by the phase of R's diagonal
+    entry, so the factorization is the canonical one with positive
+    diagonal (Mezzadri, Notices AMS 54, 2007).  Z is a matrix or a stack."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1).copy()
+    d[d == 0] = 1.0
+    return Q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary, deterministic for a fixed seed.
 
-    Complex Gaussian matrix, QR orthonormalization, then each column is
-    rescaled by the phase of the corresponding diagonal entry of R so the
-    factorization is the canonical one with positive diagonal.
+    Complex Gaussian matrix, then QR orthonormalization with the phase
+    fix of ``_phase_fixed_qr``.
     """
     _require_dim(n)
-    rng = _as_generator(seed)
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(Z)
-    d = np.diagonal(R).copy()
-    d[d == 0] = 1.0
-    return Q * (d / np.abs(d))
+    return _phase_fixed_qr(_complex_gaussian(_as_generator(seed), (n, n)))
+
+
+def haar_unitary_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(T, n, n) stack of ``haar_unitary(n, rng)`` for each of the T generators."""
+    _require_dim(n)
+    return _phase_fixed_qr(np.stack([_complex_gaussian(rng, (n, n)) for rng in rngs]))
 
 
 def random_effect(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Random effect matrix: Haar eigenbasis with iid uniform [0,1] eigenvalues."""
-    _require_dim(n)
     rng = _as_generator(seed)
     Q = haar_unitary(n, rng)
-    d = rng.uniform(0.0, 1.0, size=n)
-    return hermitize((Q * d) @ Q.conj().T)
+    return from_spectrum(Q, rng.uniform(0.0, 1.0, size=n))
+
+
+def random_effect_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(T, n, n) stack of ``random_effect(n, rng)`` for each of the T generators."""
+    Q = haar_unitary_stack(n, rngs)
+    return from_spectrum(Q, np.stack([rng.uniform(0.0, 1.0, size=n) for rng in rngs]))
 
 
 def random_ray(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Unit vector drawn uniformly from the sphere in C^n."""
     _require_dim(n)
-    rng = _as_generator(seed)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    v = _complex_gaussian(_as_generator(seed), n)
+    return v / vector_norm(v)
+
+
+def random_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(T, n) stack of ``random_ray(n, rng)`` for each of the T generators."""
+    _require_dim(n)
+    v = np.stack([_complex_gaussian(rng, n) for rng in rngs])
+    return v / vector_norm(v)[:, None]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, _effect, leq, make_effect, zero_product
+from .effects import Effect, _effect, _validated, leq, zero_product
 from .errors import DimensionError, OrderViolation, QuotientFailure
 from .numkern import DEFAULT_TOL, ToleranceConfig
 
@@ -36,15 +36,18 @@ class SeqQuotient:
 
 def _sqrt_matrix(A: Effect) -> np.ndarray:
     V = A.eigenvectors
-    return (V * np.sqrt(A.eigenvalues)) @ V.conj().T
+    return (V * np.sqrt(A.eigenvalues)[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def seq_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
-    """The sequential product sqrt(A) B sqrt(A), validated as an effect."""
+    """The sequential product sqrt(A) B sqrt(A), validated as an effect.
+
+    For two EffectStacks, the stack of the member products.
+    """
     if A.dim != B.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
     S = _sqrt_matrix(A)
-    return make_effect(numkern.hermitize(S @ B.matrix @ S), tol)
+    return _validated(numkern.hermitize(S @ B.matrix @ S), tol)
 
 
 def seq_zero_iff_zero(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, bool]:
@@ -84,8 +87,7 @@ def douglas_quotient(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -
             f"quotient spectrum [{w[0]:.12g}, {w[-1]:.12g}] needs clamping beyond eps_psd"
         )
     clamped = np.clip(w, 0.0, 1.0)
-    matrix = numkern.hermitize((V * clamped) @ V.conj().T)
-    C = _effect(matrix, clamped, V)
+    C = _effect(numkern.from_spectrum(V, clamped), clamped, V)
     residual = numkern.frobenius(sqrtB @ C.matrix @ sqrtB - A.matrix)
     if residual > tol.eps_eq:
         raise QuotientFailure(f"reconstruction residual {residual:.3e} exceeds eps_eq")
@@ -104,6 +106,6 @@ def order_via_seq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> b
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
     w, V, sqrtB = _quotient_candidate(A, B, tol)
     clamped = np.clip(w, 0.0, 1.0)
-    best = numkern.hermitize((V * clamped) @ V.conj().T)
+    best = numkern.from_spectrum(V, clamped)
     residual = numkern.frobenius(sqrtB @ best @ sqrtB - A.matrix)
     return residual <= tol.eps_eq * max(1.0, numkern.frobenius(A.matrix))

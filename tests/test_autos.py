@@ -43,7 +43,6 @@ def test_constructor_rejects_non_unitary():
         EffectAutomorphism(U=np.eye(2) * 2.0, conjugate=False, p=FpParam(0.0))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_constructor_rejects_non_finite_unitary(bad):
     U = np.eye(2, dtype=complex)

@@ -172,6 +172,10 @@ def test_exit_two_on_bad_flags(docs, capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
     assert main(["nonsense"]) == 2
     assert main(["verify", "--p", "1.5"]) == 2
+    capsys.readouterr()
+    for grid in ("0", "1", "2"):
+        assert main(["fit", "--map", docs["map"], "--grid", grid]) == 2
+        assert capsys.readouterr().err.startswith("error: --grid")
 
 
 def test_exit_two_on_bad_env_seed(docs, capsys, monkeypatch):
