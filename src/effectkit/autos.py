@@ -288,6 +288,17 @@ class _SuiteState:
                 if self.counterexample is None:
                     self.counterexample = example(i)
 
+    def pair_checks(self, check: str, pairs, ok: list[np.ndarray]) -> None:
+        """Boolean checks ``ok[j]`` of each stack pair ``pairs[j]``, taken in
+        trial order and, within a trial, pair by pair."""
+
+        def example(i: int) -> dict:
+            L, R = pairs[i % len(pairs)]
+            k = i // len(pairs)
+            return _example(check, A=L.matrix[k], B=R.matrix[k])
+
+        self.boolean(np.stack(ok, axis=-1).ravel(), example)
+
 
 # Trials are stacked this many at a time, so memory does not grow with the
 # trial count; the reports do not depend on it.
@@ -311,17 +322,6 @@ def _image(phi: EffectMap, S: EffectStack) -> EffectStack:
     if isinstance(phi, EffectAutomorphism):
         return apply(phi, S)
     return stack_effects([phi(S[k]) for k in range(len(S))])
-
-
-def _pairs_example(check: str, pairs) -> Callable[[int], dict]:
-    """Counterexample of check i, the checks running pair by pair within each trial."""
-
-    def example(i: int) -> dict:
-        L, R = pairs[i % len(pairs)]
-        k = i // len(pairs)
-        return _example(check, A=L.matrix[k], B=R.matrix[k])
-
-    return example
 
 
 def verify_order(
@@ -350,7 +350,7 @@ def verify_order(
         for L, R in pairs:
             iL, iR = _image(phi, L), _image(phi, R)
             ok.append((leq(L, R, tol) == leq(iL, iR, tol)) & (leq(R, L, tol) == leq(iR, iL, tol)))
-        state.boolean(np.stack(ok, axis=-1).ravel(), _pairs_example("order-biconditional", pairs))
+        state.pair_checks("order-biconditional", pairs, ok)
     return VerificationReport("order", trials, state.failures, state.worst, state.counterexample, seed)
 
 
@@ -388,7 +388,7 @@ def verify_zero_product(
         Y = sample_effect_stack(n, rngs, tol)
         pairs = ((A, B), (X, Y))
         ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
-        state.boolean(np.stack(ok, axis=-1).ravel(), _pairs_example("zero-product-biconditional", pairs))
+        state.pair_checks("zero-product-biconditional", pairs, ok)
     return VerificationReport("zero-product", trials, state.failures, state.worst, state.counterexample, seed)
 
 

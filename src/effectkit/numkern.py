@@ -210,8 +210,8 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     The slack is eps_psd * max(1, ||N - M||_F), so the test is reflexive
     and tolerant of round-off on the scale of the difference itself.
     """
-    A = require_hermitian(M, tol)
-    B = require_hermitian(N, tol)
+    A = require_hermitian(as_complex_matrix(M), tol)
+    B = require_hermitian(as_complex_matrix(N), tol)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
     return bool(_psd_leq_hermitian(A, B, tol))
@@ -231,7 +231,7 @@ def _psd_leq_hermitian(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np
 
 
 def _clamped_psd_eigenvalues(M: np.ndarray, tol: ToleranceConfig) -> EigenDecomp:
-    dec = eig_hermitian(M, tol)
+    dec = eig_hermitian(as_complex_matrix(M), tol)
     w = dec.eigenvalues
     if w[0] < -tol.eps_psd:
         raise NotPositiveSemidefinite(f"minimum eigenvalue {w[0]:.3e} below -eps_psd")

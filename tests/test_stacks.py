@@ -30,6 +30,9 @@ from effectkit.numkern import (
     haar_unitary,
     haar_unitary_stack,
     hermitize,
+    mat_sqrt,
+    pinv_sqrt,
+    psd_leq,
     random_effect,
     random_effect_stack,
     random_ray,
@@ -139,13 +142,15 @@ def test_a_bad_member_raises_what_make_effect_raises(n, spoil, error):
     assert str(stacked.value) == str(alone.value)
 
 
-def test_stack_constructor_wants_a_stack():
+def test_stack_and_matrix_inputs_are_not_mixed_up():
+    stack = np.zeros((2, 2, 2))
     with pytest.raises(DimensionError):
         make_effect_stack(np.eye(2))
     with pytest.raises(DimensionError):
         make_effect_stack(np.zeros((0, 2, 2)))
-    with pytest.raises(DimensionError):
-        make_effect(np.zeros((2, 2, 2)))
+    for matrix_only in (make_effect, mat_sqrt, pinv_sqrt, lambda M: psd_leq(M, M)):
+        with pytest.raises(DimensionError):
+            matrix_only(stack)
 
 
 @pytest.mark.parametrize("n", DIMS)
