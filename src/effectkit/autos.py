@@ -18,10 +18,10 @@ return a VerificationReport.  They accept either an EffectAutomorphism
 or any callable Effect -> Effect (pass ``dim=`` for the latter), so a
 harness can feed deliberately broken maps as negative controls.
 
-The suites run their trials as EffectStacks, up to ``_TRIAL_BLOCK`` at a
-time: each sampling, validation, map and decision step is one stacked
-LAPACK or matmul call for the whole block, and a family member maps a
-stack in one pass.  A black-box map is applied to each member as an
+The suites run their trials as EffectStacks, in blocks of at most
+``_BLOCK_ENTRIES`` matrix entries: each sampling, validation, map and
+decision step is one stacked LAPACK or matmul call for the whole block,
+and a family member maps a stack in one pass.  A black-box map is applied to each member as an
 Effect.  Trial k still draws from its own generator (seed, k), in the
 order a lone trial draws, so every member is the effect the trial would
 have built alone, bit for bit: reports depend neither on evaluation
@@ -44,15 +44,15 @@ from .effects import (
     RayProjection,
     WeakAtom,
     _effect,
+    _make_effect_stack,
+    _sample_effect_stack,
+    _sample_ray_stack,
+    _stack_effects,
     is_scalar,
     leq,
-    make_effect_stack,
     make_ray,
     orthocomplement,
-    sample_effect_stack,
-    sample_ray_stack,
     scalar_effect,
-    stack_effects,
     zero_product,
 )
 from .errors import (
@@ -300,20 +300,25 @@ class _SuiteState:
         self.boolean(np.stack(ok, axis=-1).ravel(), example)
 
 
-# Trials are stacked this many at a time, so memory does not grow with the
-# trial count; the reports do not depend on it.
-_TRIAL_BLOCK = 32
+# A block of stacked trials holds at most this many matrix entries per
+# stacked array (and at least one trial), so memory grows neither with the
+# trial count nor, at large dimensions, by more than one trial's
+# temporaries: 32 trials at n = 8, one at n = 64.  Reports do not depend
+# on the block size.
+_BLOCK_ENTRIES = 2048
 
 
-def _trial_blocks(seed: int, trials: int) -> Iterator[list[np.random.Generator]]:
-    """The generators of trials 0..trials-1, ``_TRIAL_BLOCK`` at a time.
+def _trial_blocks(seed: int, trials: int, n: int) -> Iterator[list[np.random.Generator]]:
+    """The generators of trials 0..trials-1, in blocks whose n x n
+    matrices hold at most ``_BLOCK_ENTRIES`` entries (at least one trial).
 
     Trial k draws from its own stream ``default_rng([seed, k])`` in the
     order a lone trial would, so a report depends neither on the order of
     evaluation nor on how trials are grouped.
     """
-    for start in range(0, trials, _TRIAL_BLOCK):
-        stop = min(trials, start + _TRIAL_BLOCK)
+    block = max(1, _BLOCK_ENTRIES // (n * n))
+    for start in range(0, trials, block):
+        stop = min(trials, start + block)
         yield [np.random.default_rng([seed, k]) for k in range(start, stop)]
 
 
@@ -321,7 +326,7 @@ def _image(phi: EffectMap, S: EffectStack) -> EffectStack:
     """phi of each member: one stacked pass for a family member, else per item."""
     if isinstance(phi, EffectAutomorphism):
         return apply(phi, S)
-    return stack_effects([phi(S[k]) for k in range(len(S))])
+    return _stack_effects([phi(S[k]) for k in range(len(S))])
 
 
 def verify_order(
@@ -340,11 +345,11 @@ def verify_order(
     """
     n = _map_dim(phi, dim)
     state = _SuiteState()
-    for rngs in _trial_blocks(seed, trials):
-        B = sample_effect_stack(n, rngs, tol)
-        A = seq_product(B, sample_effect_stack(n, rngs, tol), tol)
-        X = sample_effect_stack(n, rngs, tol)
-        Y = sample_effect_stack(n, rngs, tol)
+    for rngs in _trial_blocks(seed, trials, n):
+        B = _sample_effect_stack(n, rngs, tol)
+        A = seq_product(B, _sample_effect_stack(n, rngs, tol), tol)
+        X = _sample_effect_stack(n, rngs, tol)
+        Y = _sample_effect_stack(n, rngs, tol)
         pairs = ((A, B), (X, Y))
         ok = []
         for L, R in pairs:
@@ -371,8 +376,8 @@ def verify_zero_product(
     if n < 2:
         raise DimensionError("zero-product suite needs dimension at least 2")
     state = _SuiteState()
-    for rngs in _trial_blocks(seed, trials):
-        V = numkern.haar_unitary_stack(n, rngs)
+    for rngs in _trial_blocks(seed, trials, n):
+        V = numkern._haar_unitary_stack(n, rngs)
         splits = np.array([int(rng.integers(1, n)) for rng in rngs])
         weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
         A = np.empty_like(V)
@@ -381,11 +386,11 @@ def verify_zero_product(
         # weights would change the matmul's inner dimension and its bits.
         for split in np.unique(splits):
             group = np.flatnonzero(splits == split)
-            A[group] = numkern.from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
-            B[group] = numkern.from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
-        A, B = make_effect_stack(A), make_effect_stack(B)
-        X = sample_effect_stack(n, rngs, tol)
-        Y = sample_effect_stack(n, rngs, tol)
+            A[group] = numkern._from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
+            B[group] = numkern._from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
+        A, B = _make_effect_stack(A), _make_effect_stack(B)
+        X = _sample_effect_stack(n, rngs, tol)
+        Y = _sample_effect_stack(n, rngs, tol)
         pairs = ((A, B), (X, Y))
         ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
         state.pair_checks("zero-product-biconditional", pairs, ok)
@@ -410,8 +415,8 @@ def verify_ortho(
     half = scalar_effect(n, 0.5)
     res0 = numkern.frobenius(phi(half).matrix - half.matrix)
     state.analog([res0], tol.eps_eq, lambda i: _example("half-identity-fixed-point", A=half.matrix))
-    for rngs in _trial_blocks(seed, trials):
-        A = sample_effect_stack(n, rngs, tol)
+    for rngs in _trial_blocks(seed, trials, n):
+        A = _sample_effect_stack(n, rngs, tol)
         residuals = numkern.frobenius(
             _image(phi, orthocomplement(A)).matrix - orthocomplement(_image(phi, A)).matrix
         )
@@ -441,9 +446,9 @@ def verify_sequential(
     state.analog(
         [res0], tol.eps_eq, lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix)
     )
-    for rngs in _trial_blocks(seed, trials):
-        A = sample_effect_stack(n, rngs, tol)
-        B = sample_effect_stack(n, rngs, tol)
+    for rngs in _trial_blocks(seed, trials, n):
+        A = _sample_effect_stack(n, rngs, tol)
+        B = _sample_effect_stack(n, rngs, tol)
         residuals = numkern.frobenius(
             _image(phi, seq_product(A, B, tol)).matrix
             - seq_product(_image(phi, A), _image(phi, B), tol).matrix
@@ -474,9 +479,9 @@ def verify_transition(
     """
     n = _map_dim(phi, dim)
     state = _SuiteState()
-    for rngs in _trial_blocks(seed, trials):
-        P = sample_ray_stack(n, rngs)
-        Q = sample_ray_stack(n, rngs)
+    for rngs in _trial_blocks(seed, trials, n):
+        P = _sample_ray_stack(n, rngs)
+        Q = _sample_ray_stack(n, rngs)
         residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
         state.analog(
             residuals, tol.eps_eq, lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k])

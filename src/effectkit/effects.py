@@ -13,7 +13,7 @@ An EffectStack holds T effects of one dimension as (T, n, n) matrices,
 (T, n) eigenvalues and (T, n, n) eigenvectors, so the verification suites
 can run each LAPACK and matmul step once for all their trials.  It is
 validated by the same rules as a lone Effect (``make_effect`` and
-``make_effect_stack`` share one implementation), ``stack[k]`` is member k
+``_make_effect_stack`` share one implementation), ``stack[k]`` is member k
 as an Effect, and ``leq``, ``zero_product`` and ``orthocomplement`` take
 stacks as well as effects, deciding each member on its own.  Every member
 equals, bit for bit, the Effect built from the same matrix alone.  A
@@ -45,16 +45,12 @@ __all__ = [
     "RayProjection",
     "WeakAtom",
     "make_effect",
-    "make_effect_stack",
-    "stack_effects",
     "identity_effect",
     "zero_effect",
     "scalar_effect",
     "make_ray",
     "sample_effect",
-    "sample_effect_stack",
     "sample_ray",
-    "sample_ray_stack",
     "leq",
     "effects_equal",
     "orthocomplement",
@@ -140,7 +136,7 @@ def make_effect(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     return _validated(numkern.as_complex_matrix(M), tol)
 
 
-def make_effect_stack(Ms: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> EffectStack:
+def _make_effect_stack(Ms: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> EffectStack:
     """Validate each matrix of a (T, n, n) stack as ``make_effect`` does.
 
     A member that ``make_effect`` rejects raises the error it raises there.
@@ -148,7 +144,7 @@ def make_effect_stack(Ms: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Eff
     spectrum), each over the whole stack, so with several bad members the
     error names the first member failing the earliest check.
     """
-    return _validated(numkern.as_complex_stack(Ms), tol)
+    return _validated(numkern._as_complex_stack(Ms), tol)
 
 
 def _validated(A: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
@@ -165,11 +161,11 @@ def _validated(A: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
     clamped = np.clip(w, 0.0, 1.0)
     kept = (clamped == w).all(axis=-1)
     if not numkern._holds(kept):
-        H = np.where(kept[..., None, None], H, numkern.from_spectrum(V, clamped))
+        H = np.where(kept[..., None, None], H, numkern._from_spectrum(V, clamped))
     return _effect(H, clamped, V)
 
 
-def stack_effects(effects: Sequence[Effect]) -> EffectStack:
+def _stack_effects(effects: Sequence[Effect]) -> EffectStack:
     """The EffectStack of a sequence of effects of one dimension."""
     return _effect(
         np.stack([E.matrix for E in effects]),
@@ -219,7 +215,7 @@ def make_ray(v: np.ndarray) -> RayProjection:
 
 def _ray(vec: np.ndarray) -> tuple[np.ndarray, Effect | EffectStack]:
     """Normalized vector and its projection, for a vector or a (T, n) stack."""
-    norm = np.asarray(numkern.vector_norm(vec))
+    norm = np.asarray(numkern._vector_norm(vec))
     if (norm < 1e-300).any():
         raise DomainError("cannot build a ray from the zero vector")
     vec = vec / norm[..., None]
@@ -255,11 +251,11 @@ def sample_effect(n: int, seed: int | np.random.Generator, tol: ToleranceConfig 
     return make_effect(numkern.random_effect(n, seed), tol)
 
 
-def sample_effect_stack(
+def _sample_effect_stack(
     n: int, rngs: Sequence[np.random.Generator], tol: ToleranceConfig = DEFAULT_TOL
 ) -> EffectStack:
     """Stack of ``sample_effect(n, rng, tol)`` for each generator, drawn as it draws."""
-    return make_effect_stack(numkern.random_effect_stack(n, rngs), tol)
+    return _make_effect_stack(numkern._random_effect_stack(n, rngs), tol)
 
 
 def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
@@ -267,9 +263,9 @@ def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
     return make_ray(numkern.random_ray(n, seed))
 
 
-def sample_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> EffectStack:
+def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> EffectStack:
     """Stack of the projections ``sample_ray(n, rng).projection`` for each generator."""
-    return _ray(numkern.random_ray_stack(n, rngs))[1]
+    return _ray(numkern._random_ray_stack(n, rngs))[1]
 
 
 def _same_dim(A: Effect, B: Effect) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
-from .numkern import from_spectrum
+from .numkern import _from_spectrum
 
 __all__ = [
     "FracParams",
@@ -156,7 +156,7 @@ def fp_apply(p: FpParam | float, A: Effect) -> Effect:
     w = A.eigenvalues
     fw = np.clip(w / (w * pv + (1.0 - pv)), 0.0, 1.0)
     V = A.eigenvectors
-    return _effect(from_spectrum(V, fw), fw, V)
+    return _effect(_from_spectrum(V, fw), fw, V)
 
 
 def interior_grid(grid: int) -> np.ndarray:

@@ -38,22 +38,16 @@ __all__ = [
     "DEFAULT_TOL",
     "EigenDecomp",
     "as_complex_matrix",
-    "as_complex_stack",
     "frobenius",
-    "vector_norm",
     "hermitize",
-    "from_spectrum",
     "require_hermitian",
     "eig_hermitian",
     "psd_leq",
     "mat_sqrt",
     "pinv_sqrt",
     "haar_unitary",
-    "haar_unitary_stack",
     "random_effect",
-    "random_effect_stack",
     "random_ray",
-    "random_ray_stack",
 ]
 
 
@@ -110,7 +104,7 @@ def as_complex_matrix(M: np.ndarray) -> np.ndarray:
     return A
 
 
-def as_complex_stack(M: np.ndarray) -> np.ndarray:
+def _as_complex_stack(M: np.ndarray) -> np.ndarray:
     """Coerce to a (T, n, n) complex128 stack with T, n >= 1, raising DimensionError otherwise."""
     A = np.asarray(M, dtype=np.complex128)
     if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
@@ -121,23 +115,34 @@ def as_complex_stack(M: np.ndarray) -> np.ndarray:
 def _norms(x: np.ndarray) -> np.ndarray:
     """2-norm along the last axis, summed as ``np.linalg.norm`` sums one vector.
 
-    numpy takes that norm as the real dot product plus the imaginary one;
-    ``vecdot`` runs the same dot kernel on each row, so the result equals
-    the per-row ``np.linalg.norm`` bit for bit.  A plain sum or einsum adds
-    in another order and does not.
+    numpy takes that norm as the real dot product plus the imaginary one.
+    A lone vector takes the same ``dot``; a stack takes it as a (1, k) by
+    (k, 1) matmul per row, which runs the same dot kernel, so the result
+    equals the per-row ``np.linalg.norm`` bit for bit.  A plain sum or
+    einsum adds in another order and does not.
     """
     xr, xi = x.real, x.imag
-    return np.sqrt(np.vecdot(xr, xr) + np.vecdot(xi, xi))
+    if x.ndim == 1:
+        return np.sqrt(xr.dot(xr) + xi.dot(xi))
+    rows = xr[..., None, :] @ xr[..., :, None] + xi[..., None, :] @ xi[..., :, None]
+    return np.sqrt(rows[..., 0, 0])
 
 
 def frobenius(M: np.ndarray) -> float | np.ndarray:
-    """Frobenius norm of a matrix, or the array of norms of a (T, n, n) stack."""
+    """Frobenius norm of a matrix, or the array of norms of a (T, n, n) stack.
+
+    A matrix is flattened in memory order, as ``np.linalg.norm`` does, so
+    a transposed or Fortran-ordered matrix gets its exact norm too; the
+    members of a stack are summed in row order, which is memory order for
+    the C-ordered stacks the suites build.
+    """
     M = np.asarray(M)
-    norms = _norms(M.reshape(M.shape[:-2] + (-1,)))
-    return float(norms) if M.ndim <= 2 else norms
+    if M.ndim <= 2:
+        return float(_norms(M.ravel(order="K")))
+    return _norms(M.reshape(M.shape[:-2] + (-1,)))
 
 
-def vector_norm(v: np.ndarray) -> float | np.ndarray:
+def _vector_norm(v: np.ndarray) -> float | np.ndarray:
     """2-norm of a vector, or the array of norms of the rows of a (T, n) stack."""
     v = np.asarray(v)
     norms = _norms(v)
@@ -149,7 +154,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.conj().swapaxes(-1, -2))
 
 
-def from_spectrum(V: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _from_spectrum(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The Hermitian matrix V diag(w) V*, hermitized, for orthonormal columns V.
 
     V is n x k with k values w, or a (T, n, k) stack with (T, k) values.
@@ -180,7 +185,7 @@ def require_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     inf entry) is rejected first: an inf entry would otherwise meet the
     infinite bound.
     """
-    A = as_complex_stack(M) if np.ndim(M) == 3 else as_complex_matrix(M)
+    A = _as_complex_stack(M) if np.ndim(M) == 3 else as_complex_matrix(M)
     scale = frobenius(A)
     finite = np.isfinite(scale)
     if not _holds(finite):
@@ -242,7 +247,7 @@ def mat_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix via its spectral decomposition."""
     dec = _clamped_psd_eigenvalues(M, tol)
     V = dec.eigenvectors
-    return from_spectrum(V, np.sqrt(dec.eigenvalues))
+    return _from_spectrum(V, np.sqrt(dec.eigenvalues))
 
 
 def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -258,7 +263,7 @@ def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     kept = w > cutoff
     inv[kept] = 1.0 / np.sqrt(w[kept])
     V = dec.eigenvectors
-    return from_spectrum(V, inv)
+    return _from_spectrum(V, inv)
 
 
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
@@ -296,7 +301,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
     return _phase_fixed_qr(_complex_gaussian(_as_generator(seed), (n, n)))
 
 
-def haar_unitary_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def _haar_unitary_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """(T, n, n) stack of ``haar_unitary(n, rng)`` for each of the T generators."""
     _require_dim(n)
     return _phase_fixed_qr(np.stack([_complex_gaussian(rng, (n, n)) for rng in rngs]))
@@ -306,24 +311,24 @@ def random_effect(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Random effect matrix: Haar eigenbasis with iid uniform [0,1] eigenvalues."""
     rng = _as_generator(seed)
     Q = haar_unitary(n, rng)
-    return from_spectrum(Q, rng.uniform(0.0, 1.0, size=n))
+    return _from_spectrum(Q, rng.uniform(0.0, 1.0, size=n))
 
 
-def random_effect_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def _random_effect_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """(T, n, n) stack of ``random_effect(n, rng)`` for each of the T generators."""
-    Q = haar_unitary_stack(n, rngs)
-    return from_spectrum(Q, np.stack([rng.uniform(0.0, 1.0, size=n) for rng in rngs]))
+    Q = _haar_unitary_stack(n, rngs)
+    return _from_spectrum(Q, np.stack([rng.uniform(0.0, 1.0, size=n) for rng in rngs]))
 
 
 def random_ray(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Unit vector drawn uniformly from the sphere in C^n."""
     _require_dim(n)
     v = _complex_gaussian(_as_generator(seed), n)
-    return v / vector_norm(v)
+    return v / _vector_norm(v)
 
 
-def random_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+def _random_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """(T, n) stack of ``random_ray(n, rng)`` for each of the T generators."""
     _require_dim(n)
     v = np.stack([_complex_gaussian(rng, n) for rng in rngs])
-    return v / vector_norm(v)[:, None]
+    return v / _vector_norm(v)[:, None]

@@ -87,7 +87,7 @@ def douglas_quotient(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -
             f"quotient spectrum [{w[0]:.12g}, {w[-1]:.12g}] needs clamping beyond eps_psd"
         )
     clamped = np.clip(w, 0.0, 1.0)
-    C = _effect(numkern.from_spectrum(V, clamped), clamped, V)
+    C = _effect(numkern._from_spectrum(V, clamped), clamped, V)
     residual = numkern.frobenius(sqrtB @ C.matrix @ sqrtB - A.matrix)
     if residual > tol.eps_eq:
         raise QuotientFailure(f"reconstruction residual {residual:.3e} exceeds eps_eq")
@@ -106,6 +106,6 @@ def order_via_seq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> b
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
     w, V, sqrtB = _quotient_candidate(A, B, tol)
     clamped = np.clip(w, 0.0, 1.0)
-    best = numkern.from_spectrum(V, clamped)
+    best = numkern._from_spectrum(V, clamped)
     residual = numkern.frobenius(sqrtB @ best @ sqrtB - A.matrix)
     return residual <= tol.eps_eq * max(1.0, numkern.frobenius(A.matrix))

@@ -11,33 +11,33 @@ import pytest
 from effectkit.autos import apply, random_automorphism
 from effectkit.effects import (
     EffectStack,
+    _make_effect_stack,
+    _sample_effect_stack,
+    _sample_ray_stack,
+    _stack_effects,
     leq,
     make_effect,
-    make_effect_stack,
     orthocomplement,
     sample_effect,
-    sample_effect_stack,
     sample_ray,
-    sample_ray_stack,
-    stack_effects,
     zero_product,
 )
 from effectkit.errors import DimensionError, HermiticityViolation, SpectrumOutOfRange
 from effectkit.fracfun import fp_apply
 from effectkit.numkern import (
     DEFAULT_TOL,
+    _haar_unitary_stack,
+    _random_effect_stack,
+    _random_ray_stack,
+    _vector_norm,
     frobenius,
     haar_unitary,
-    haar_unitary_stack,
     hermitize,
     mat_sqrt,
     pinv_sqrt,
     psd_leq,
     random_effect,
-    random_effect_stack,
     random_ray,
-    random_ray_stack,
-    vector_norm,
 )
 from effectkit.sequential import seq_product
 
@@ -60,7 +60,7 @@ def rngs(seed: int):
 
 def effect_pairs(n: int, seed: int):
     """Two stacks of sampled effects and the same effects sampled one by one."""
-    A, B = sample_effect_stack(n, rngs(seed)), sample_effect_stack(n, rngs(seed + 1))
+    A, B = _sample_effect_stack(n, rngs(seed)), _sample_effect_stack(n, rngs(seed + 1))
     singles = [(sample_effect(n, np.random.default_rng([seed, k])), sample_effect(n, np.random.default_rng([seed + 1, k])))
                for k in range(T)]
     return A, B, singles
@@ -68,9 +68,9 @@ def effect_pairs(n: int, seed: int):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_samplers_draw_each_trial_as_alone(n):
-    U = haar_unitary_stack(n, rngs(1))
-    M = random_effect_stack(n, rngs(2))
-    v = random_ray_stack(n, rngs(3))
+    U = _haar_unitary_stack(n, rngs(1))
+    M = _random_effect_stack(n, rngs(2))
+    v = _random_ray_stack(n, rngs(3))
     for k in range(T):
         assert same(U[k], haar_unitary(n, np.random.default_rng([1, k])))
         assert same(M[k], random_effect(n, np.random.default_rng([2, k])))
@@ -83,18 +83,21 @@ def test_norms_and_hermitize_match_numpy(n):
     scale = 10.0 ** rng.uniform(-6, 6, (T, n, n))
     M = scale * (rng.standard_normal((T, n, n)) + 1j * rng.standard_normal((T, n, n)))
     norms = frobenius(M)
-    rows = vector_norm(M[:, 0, :])
+    rows = _vector_norm(M[:, 0, :])
     H = hermitize(M)
     for k in range(T):
         assert norms[k] == np.linalg.norm(M[k]) == frobenius(M[k])
-        assert rows[k] == np.linalg.norm(M[k, 0, :]) == vector_norm(M[k, 0, :])
+        assert rows[k] == np.linalg.norm(M[k, 0, :]) == _vector_norm(M[k, 0, :])
         assert same(H[k], 0.5 * (M[k] + M[k].conj().T))
+    # A lone matrix is summed in memory order, as np.linalg.norm sums it.
+    for F in (np.asfortranarray(M[0]), M[0].T, M[0].conj().T):
+        assert frobenius(F) == np.linalg.norm(F)
 
 
 @pytest.mark.parametrize("n", DIMS)
 def test_sampled_stacks_match_sampled_effects_and_rays(n):
-    E = sample_effect_stack(n, rngs(4))
-    P = sample_ray_stack(n, rngs(5))
+    E = _sample_effect_stack(n, rngs(4))
+    P = _sample_ray_stack(n, rngs(5))
     assert isinstance(E, EffectStack) and len(E) == T and E.dim == n
     for k in range(T):
         assert same_effect(E[k], sample_effect(n, np.random.default_rng([4, k])))
@@ -104,14 +107,14 @@ def test_sampled_stacks_match_sampled_effects_and_rays(n):
 @pytest.mark.parametrize("n", DIMS)
 def test_validation_takes_the_rebuild_branch_per_member(n):
     rng = np.random.default_rng(10 + n)
-    Ms = random_effect_stack(n, rngs(6))
+    Ms = _random_effect_stack(n, rngs(6))
     # Member 1 sticks out of [0, 1] by less than eps_psd on both sides,
     # member 3 below 0 only: both are clamped and rebuilt, the rest not.
     Q = haar_unitary(n, rng)
     w = np.linspace(-0.5 * DEFAULT_TOL.eps_psd, 1.0 + 0.5 * DEFAULT_TOL.eps_psd, n)
     Ms[1] = hermitize((Q * w) @ Q.conj().T)
     Ms[3] = hermitize((Q * np.full(n, -0.5 * DEFAULT_TOL.eps_psd)) @ Q.conj().T)
-    S = make_effect_stack(Ms)
+    S = _make_effect_stack(Ms)
     for k in range(T):
         alone = make_effect(Ms[k])
         assert same_effect(S[k], alone)
@@ -131,23 +134,23 @@ def test_validation_takes_the_rebuild_branch_per_member(n):
     ids=["non-hermitian", "nan", "inf", "spectrum"],
 )
 def test_a_bad_member_raises_what_make_effect_raises(n, spoil, error):
-    Ms = random_effect_stack(n, rngs(7))
+    Ms = _random_effect_stack(n, rngs(7))
     bad = Ms[2].copy()
     spoil(bad)
     Ms[2] = bad
     with pytest.raises(error) as alone:
         make_effect(bad)
     with pytest.raises(error) as stacked:
-        make_effect_stack(Ms)
+        _make_effect_stack(Ms)
     assert str(stacked.value) == str(alone.value)
 
 
 def test_stack_and_matrix_inputs_are_not_mixed_up():
     stack = np.zeros((2, 2, 2))
     with pytest.raises(DimensionError):
-        make_effect_stack(np.eye(2))
+        _make_effect_stack(np.eye(2))
     with pytest.raises(DimensionError):
-        make_effect_stack(np.zeros((0, 2, 2)))
+        _make_effect_stack(np.zeros((0, 2, 2)))
     for matrix_only in (make_effect, mat_sqrt, pinv_sqrt, lambda M: psd_leq(M, M)):
         with pytest.raises(DimensionError):
             matrix_only(stack)
@@ -160,7 +163,7 @@ def test_decisions_match_per_pair(n):
     # complement, so both outcomes of each decision appear.
     C = seq_product(B, A)
     below, above = leq(C, B), leq(B, C)
-    P = sample_ray_stack(n, rngs(13))
+    P = _sample_ray_stack(n, rngs(13))
     apart, orthogonal = zero_product(A, B), zero_product(P, orthocomplement(P))
     assert below.shape == (T,) and below.dtype == bool
     assert below.all() and not above.any()
@@ -190,8 +193,8 @@ def test_map_application_matches_per_effect(n, conjugate, p):
 
 @pytest.mark.parametrize("n", DIMS)
 def test_stack_effects_round_trip(n):
-    A = sample_effect_stack(n, rngs(12))
-    again = stack_effects([A[k] for k in range(len(A))])
+    A = _sample_effect_stack(n, rngs(12))
+    again = _stack_effects([A[k] for k in range(len(A))])
     assert same(again.matrix, A.matrix)
     assert same(again.eigenvalues, A.eigenvalues)
     assert same(again.eigenvectors, A.eigenvectors)
@@ -215,5 +218,5 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
         lambda: autos.verify_scalar_pair(phi, 0.3, 10, 19),
     ]
     default = [run().to_dict() for run in runs]
-    monkeypatch.setattr(autos, "_TRIAL_BLOCK", block)
+    monkeypatch.setattr(autos, "_BLOCK_ENTRIES", block * 3 * 3)
     assert [run().to_dict() for run in runs] == default
