@@ -260,7 +260,7 @@ def _example(check: str, **mats: np.ndarray) -> dict:
 
 
 class _SuiteState:
-    """Failure bookkeeping shared by the verify_* drivers.
+    """Failure bookkeeping shared by the verify_* suites.
 
     Checks arrive as sequences in trial order; ``example(i)`` builds the
     counterexample of the i-th check of the sequence.
