@@ -53,7 +53,43 @@ WIDE_REPORTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,exit_code,size,digest", WIDE_REPORTS, ids=["p-sweep-n8", "n64"])
+# One report per suite that does not sweep p, crossing a trial-block
+# boundary at n = 8 (32 trials a block); the last one fails most trials,
+# since at --tol 1e3 the bisection's slack exceeds the oracle gap limit.
+SUITE_REPORTS = [
+    (
+        ["verify", "--suite", "coexist", "--dims", "2,3,8", "--trials", "70", "--seed", "7"],
+        0,
+        750,
+        "3d54867b81eff82b2e3d2ada1665264dc633daa842ca804e2a1f4e8a7aacb094",
+    ),
+    (
+        ["verify", "--suite", "strength-oracle", "--dims", "1,2,3,8", "--trials", "70", "--seed", "7"],
+        0,
+        1089,
+        "15cfc92c3e6226de11f873e91cfd90eaa3ffe5cc0c531ea9a76ab6ebcaccc135",
+    ),
+    (
+        ["verify", "--suite", "pexider", "--trials", "70", "--seed", "7"],
+        0,
+        321,
+        "0a6ca933533cbf1fbdb9dc38563d98bcd1659a39b8c221ca848d5d327d09e960",
+    ),
+    (
+        ["verify", "--suite", "strength-oracle", "--dims", "2,3,8", "--trials", "70", "--seed", "7",
+         "--tol", "1e3"],
+        1,
+        9640,
+        "48d67a3790fd761e55ed434bbbe7bf326968c138fc8bfcfe2d7f02f2e797dd19",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,size,digest",
+    WIDE_REPORTS + SUITE_REPORTS,
+    ids=["p-sweep-n8", "n64", "coexist", "strength-oracle", "pexider", "strength-oracle-failing"],
+)
 def test_wide_reports_unchanged(capsys, argv, exit_code, size, digest):
     code, report = _run(capsys, argv)
     assert code == exit_code

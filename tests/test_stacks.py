@@ -220,3 +220,17 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
     default = [run().to_dict() for run in runs]
     monkeypatch.setattr(autos, "_BLOCK_ENTRIES", block * 3 * 3)
     assert [run().to_dict() for run in runs] == default
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("suite", ["coexist", "strength-oracle", "pexider"])
+def test_suite_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, block, suite):
+    from effectkit import autos
+    from effectkit.cli import main
+
+    argv = ["verify", "--suite", suite, "--dims", "2,3", "--trials", "10", "--seed", "19"]
+    main(argv)
+    default = capsys.readouterr().out
+    monkeypatch.setattr(autos, "_BLOCK_ENTRIES", block * 3 * 3)
+    main(argv)
+    assert capsys.readouterr().out == default
