@@ -4,217 +4,23 @@ Effects (Hermitian matrices with spectrum in [0, 1]), the Loewner order,
 sequential products, strengths along rays, coexistence checks, and the
 fractional family of order automorphisms, plus seeded verification
 suites and a small CLI (``effectkit``).
+
+The package exports the ``__all__`` of each of its modules below, except
+the names in ``_MODULE_ONLY``, which stay reachable through their module.
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateRanges,
-    DimensionError,
-    DomainError,
-    EffectKitError,
-    FitError,
-    HermiticityViolation,
-    NotInFamily,
-    NotPositiveSemidefinite,
-    NotScalarAction,
-    OrderViolation,
-    OrthogonalityError,
-    ParamError,
-    QuotientFailure,
-    RankError,
-    SpanError,
-    SpectrumOutOfRange,
-    UnitarityViolation,
-)
-from .numkern import (
-    DEFAULT_TOL,
-    EigenDecomp,
-    ToleranceConfig,
-    eig_hermitian,
-    frobenius,
-    haar_unitary,
-    hermitize,
-    mat_sqrt,
-    pinv_sqrt,
-    psd_leq,
-    require_hermitian,
-)
-from .effects import (
-    Effect,
-    RayProjection,
-    WeakAtom,
-    effects_equal,
-    identity_effect,
-    is_projection,
-    is_scalar,
-    leq,
-    make_effect,
-    make_ray,
-    orthocomplement,
-    range_projection,
-    rank_of,
-    sample_effect,
-    sample_ray,
-    scalar_effect,
-    scalar_multiple_of_rank_one,
-    zero_effect,
-    zero_product,
-)
-from .strength import (
-    BISECT_ITERATIONS,
-    StrengthValue,
-    strength_bisect,
-    strength_closed,
-    strength_two_block,
-)
-from .sequential import (
-    SeqQuotient,
-    douglas_quotient,
-    order_via_seq,
-    seq_product,
-    seq_zero_iff_zero,
-)
-from .coexist import (
-    CoexistenceWitness,
-    coexist_rank_one,
-    coexist_trivial_witness,
-    coexists_with_all_probe,
-    coexists_with_weak_atom,
-)
-from .fracfun import (
-    RIGIDITY_KINDS,
-    FpParam,
-    FracFit,
-    FracParams,
-    PexiderDecomposition,
-    f_eval,
-    f_inverse,
-    fit_frac,
-    fp_apply,
-    fp_eval,
-    g_symmetry_check,
-    interior_grid,
-    inverse_param,
-    pexider_decomposition,
-    rigidity_probe,
-    verify_pexider,
-)
-from .autos import (
-    EffectAutomorphism,
-    VerificationReport,
-    apply_to_ray,
-    extract_scalar_action,
-    fit_p,
-    inverse,
-    random_automorphism,
-    verify_order,
-    verify_ortho,
-    verify_scalar_pair,
-    verify_sequential,
-    verify_transition,
-    verify_zero_product,
-)
+from . import autos, coexist, effects, errors, fracfun, numkern, sequential, strength
 
-__all__ = [
-    "__version__",
-    # errors
-    "EffectKitError",
-    "DimensionError",
-    "HermiticityViolation",
-    "NotPositiveSemidefinite",
-    "SpectrumOutOfRange",
-    "RankError",
-    "OrderViolation",
-    "OrthogonalityError",
-    "SpanError",
-    "DegenerateRanges",
-    "QuotientFailure",
-    "DomainError",
-    "ParamError",
-    "FitError",
-    "NotScalarAction",
-    "NotInFamily",
-    "UnitarityViolation",
-    # numeric kernel
-    "ToleranceConfig",
-    "DEFAULT_TOL",
-    "EigenDecomp",
-    "frobenius",
-    "hermitize",
-    "require_hermitian",
-    "eig_hermitian",
-    "psd_leq",
-    "mat_sqrt",
-    "pinv_sqrt",
-    "haar_unitary",
-    # effects
-    "Effect",
-    "RayProjection",
-    "WeakAtom",
-    "make_effect",
-    "make_ray",
-    "identity_effect",
-    "zero_effect",
-    "scalar_effect",
-    "sample_effect",
-    "sample_ray",
-    "leq",
-    "effects_equal",
-    "orthocomplement",
-    "zero_product",
-    "is_projection",
-    "rank_of",
-    "range_projection",
-    "is_scalar",
-    "scalar_multiple_of_rank_one",
-    # strength
-    "StrengthValue",
-    "BISECT_ITERATIONS",
-    "strength_closed",
-    "strength_bisect",
-    "strength_two_block",
-    # sequential structure
-    "SeqQuotient",
-    "seq_product",
-    "seq_zero_iff_zero",
-    "douglas_quotient",
-    "order_via_seq",
-    # coexistence
-    "CoexistenceWitness",
-    "coexist_trivial_witness",
-    "coexist_rank_one",
-    "coexists_with_weak_atom",
-    "coexists_with_all_probe",
-    # fractional family
-    "FracParams",
-    "FpParam",
-    "FracFit",
-    "f_eval",
-    "f_inverse",
-    "fp_eval",
-    "fp_apply",
-    "inverse_param",
-    "interior_grid",
-    "verify_pexider",
-    "fit_frac",
-    "g_symmetry_check",
-    "rigidity_probe",
-    "RIGIDITY_KINDS",
-    "PexiderDecomposition",
-    "pexider_decomposition",
-    # automorphisms and suites
-    "EffectAutomorphism",
-    "VerificationReport",
-    "random_automorphism",
-    "apply_to_ray",
-    "inverse",
-    "extract_scalar_action",
-    "fit_p",
-    "verify_order",
-    "verify_zero_product",
-    "verify_ortho",
-    "verify_sequential",
-    "verify_transition",
-    "verify_scalar_pair",
-]
+# Kept to their modules: ``apply`` reads as a generic verb at package level,
+# the samplers return raw matrices, and EffectStack serves the suites.
+_MODULE_ONLY = {"apply", "as_complex_matrix", "random_effect", "random_ray", "EffectStack"}
+
+__all__ = ["__version__"]
+for _module in (errors, numkern, effects, strength, sequential, coexist, fracfun, autos):
+    for _name in _module.__all__:
+        if _name not in _MODULE_ONLY:
+            globals()[_name] = getattr(_module, _name)
+            __all__.append(_name)
+del _module, _name

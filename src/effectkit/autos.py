@@ -18,22 +18,19 @@ return a VerificationReport.  They accept either an EffectAutomorphism
 or any callable Effect -> Effect (pass ``dim=`` for the latter), so a
 harness can feed deliberately broken maps as negative controls.
 
-The suites run their trials as EffectStacks, in blocks of at most
-``_BLOCK_ENTRIES`` matrix entries: each sampling, validation, map and
-decision step is one stacked LAPACK or matmul call for the whole block,
-and a family member maps a stack in one pass.  A black-box map is applied to each member as an
-Effect.  Trial k still draws from its own generator (seed, k), in the
-order a lone trial draws, so every member is the effect the trial would
-have built alone, bit for bit: reports depend neither on evaluation
-order nor on the block size, and equal those of running trials one by
-one.  Failures are then counted, and the first counterexample taken, in
-trial order.
+The suites follow the protocol of ``effectkit.suites``: they run their
+trials as EffectStacks, in blocks, and each sampling, validation, map
+and decision step is one stacked LAPACK or matmul call for the whole
+block; a family member maps a stack in one pass, and a black-box map is
+applied to each member as an Effect.  Every member is the effect the
+trial would have built alone, bit for bit, so reports equal those of
+running trials one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -65,6 +62,7 @@ from .errors import (
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
+from .suites import VerificationReport, _analog, _boolean, _example, _SuiteState, _trial_blocks
 
 __all__ = [
     "EffectAutomorphism",
@@ -130,8 +128,8 @@ def apply(phi: EffectAutomorphism, A: Effect) -> Effect:
     """
     if A.dim != phi.dim:
         raise DimensionError(f"dimension mismatch: effect {A.dim}, map {phi.dim}")
-    if phi.conjugate:
-        A = _effect(np.conj(A.matrix), A.eigenvalues, np.conj(A.eigenvectors))
+    if phi.conjugate:  # f_p reads only the eigensystem, so only that is conjugated
+        A = numkern.EigenDecomp(A.eigenvalues, np.conj(A.eigenvectors))
     mapped = fp_apply(phi.p, A)
     U = phi.U
     matrix = hermitize(U @ mapped.matrix @ U.conj().T)
@@ -223,103 +221,15 @@ def _fit_family(
     return FpParam(1.0 - fit.a), fit
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one suite: failure count, worst violation, evidence.
-
-    worst_violation is the largest residual for analog checks and 1.0
-    for a boolean mismatch; counterexample is present iff failures > 0
-    and serializes the first failing input.
-    """
-
-    suite: str
-    trials: int
-    failures: int
-    worst_violation: float
-    counterexample: dict | None
-    seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_violation": self.worst_violation,
-            "counterexample": self.counterexample,
-            "seed": self.seed,
-        }
-
-
-def _matrix_rows(M: np.ndarray) -> list:
-    """Rows of [re, im] pairs: the one serialization of a matrix's entries."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
-
-
-def _example(check: str, **mats: np.ndarray) -> dict:
-    return {"check": check, "inputs": {k: _matrix_rows(v) for k, v in mats.items()}}
-
-
-class _SuiteState:
-    """Failure bookkeeping shared by the verify_* suites.
-
-    Checks arrive as sequences in trial order; ``example(i)`` builds the
-    counterexample of the i-th check of the sequence.
-    """
-
-    def __init__(self) -> None:
-        self.failures = 0
-        self.worst = 0.0
-        self.counterexample: dict | None = None
-
-    def boolean(self, ok: Sequence[bool], example: Callable[[int], dict]) -> None:
-        for i, passed in enumerate(ok):
-            if not passed:
-                self.failures += 1
-                self.worst = max(self.worst, 1.0)
-                if self.counterexample is None:
-                    self.counterexample = example(i)
-
-    def analog(self, residuals: Sequence[float], limit: float, example: Callable[[int], dict]) -> None:
-        for i, residual in enumerate(residuals):
-            residual = float(residual)
-            self.worst = max(self.worst, residual)
-            if residual > limit:
-                self.failures += 1
-                if self.counterexample is None:
-                    self.counterexample = example(i)
-
-    def pair_checks(self, check: str, pairs, ok: list[np.ndarray]) -> None:
-        """Boolean checks ``ok[j]`` of each stack pair ``pairs[j]``, taken in
-        trial order and, within a trial, pair by pair."""
-
-        def example(i: int) -> dict:
-            L, R = pairs[i % len(pairs)]
-            k = i // len(pairs)
-            return _example(check, A=L.matrix[k], B=R.matrix[k])
-
-        self.boolean(np.stack(ok, axis=-1).ravel(), example)
-
-
-# A block of stacked trials holds at most this many matrix entries per
-# stacked array (and at least one trial), so memory grows neither with the
-# trial count nor, at large dimensions, by more than one trial's
-# temporaries: 32 trials at n = 8, one at n = 64.  Reports do not depend
-# on the block size.
-_BLOCK_ENTRIES = 2048
-
-
-def _trial_blocks(seed: int, trials: int, n: int) -> Iterator[list[np.random.Generator]]:
-    """The generators of trials 0..trials-1, in blocks whose n x n
-    matrices hold at most ``_BLOCK_ENTRIES`` entries (at least one trial).
-
-    Trial k draws from its own stream ``default_rng([seed, k])`` in the
-    order a lone trial would, so a report depends neither on the order of
-    evaluation nor on how trials are grouped.
-    """
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, trials, block):
-        stop = min(trials, start + block)
-        yield [np.random.default_rng([seed, k]) for k in range(start, stop)]
+def _record_pairs(state: _SuiteState, check: str, pairs, ok: list[np.ndarray]) -> None:
+    """Boolean checks ``ok[j]`` of each stack pair ``pairs[j]``, taken in
+    trial order and, within a trial, pair by pair."""
+    state.trials_of(
+        *[
+            (_boolean(o), lambda k, L=L, R=R: _example(check, A=L.matrix[k], B=R.matrix[k]))
+            for (L, R), o in zip(pairs, ok)
+        ]
+    )
 
 
 def _image(phi: EffectMap, S: EffectStack) -> EffectStack:
@@ -344,8 +254,8 @@ def verify_order(
     then demands leq agree with leq-of-images in both directions.
     """
     n = _map_dim(phi, dim)
-    state = _SuiteState()
-    for rngs in _trial_blocks(seed, trials, n):
+    state = _SuiteState("order", trials, seed)
+    for rngs in _trial_blocks(seed, range(trials), n):
         B = _sample_effect_stack(n, rngs, tol)
         A = seq_product(B, _sample_effect_stack(n, rngs, tol), tol)
         X = _sample_effect_stack(n, rngs, tol)
@@ -355,8 +265,8 @@ def verify_order(
         for L, R in pairs:
             iL, iR = _image(phi, L), _image(phi, R)
             ok.append((leq(L, R, tol) == leq(iL, iR, tol)) & (leq(R, L, tol) == leq(iR, iL, tol)))
-        state.pair_checks("order-biconditional", pairs, ok)
-    return VerificationReport("order", trials, state.failures, state.worst, state.counterexample, seed)
+        _record_pairs(state, "order-biconditional", pairs, ok)
+    return state.report()
 
 
 def verify_zero_product(
@@ -375,8 +285,8 @@ def verify_zero_product(
     n = _map_dim(phi, dim)
     if n < 2:
         raise DimensionError("zero-product suite needs dimension at least 2")
-    state = _SuiteState()
-    for rngs in _trial_blocks(seed, trials, n):
+    state = _SuiteState("zero-product", trials, seed)
+    for rngs in _trial_blocks(seed, range(trials), n):
         V = numkern._haar_unitary_stack(n, rngs)
         splits = np.array([int(rng.integers(1, n)) for rng in rngs])
         weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
@@ -388,13 +298,13 @@ def verify_zero_product(
             group = np.flatnonzero(splits == split)
             A[group] = numkern._from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
             B[group] = numkern._from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
-        A, B = _make_effect_stack(A), _make_effect_stack(B)
+        A, B = _make_effect_stack(A, tol), _make_effect_stack(B, tol)
         X = _sample_effect_stack(n, rngs, tol)
         Y = _sample_effect_stack(n, rngs, tol)
         pairs = ((A, B), (X, Y))
         ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
-        state.pair_checks("zero-product-biconditional", pairs, ok)
-    return VerificationReport("zero-product", trials, state.failures, state.worst, state.counterexample, seed)
+        _record_pairs(state, "zero-product-biconditional", pairs, ok)
+    return state.report()
 
 
 def verify_ortho(
@@ -411,17 +321,17 @@ def verify_ortho(
     point phi(I/2) = I/2 that any complement-preserving member must have.
     """
     n = _map_dim(phi, dim)
-    state = _SuiteState()
+    state = _SuiteState("ortho", trials, seed)
     half = scalar_effect(n, 0.5)
     res0 = numkern.frobenius(phi(half).matrix - half.matrix)
-    state.analog([res0], tol.eps_eq, lambda i: _example("half-identity-fixed-point", A=half.matrix))
-    for rngs in _trial_blocks(seed, trials, n):
+    state.record(_analog([res0], tol.eps_eq), lambda i: _example("half-identity-fixed-point", A=half.matrix))
+    for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         residuals = numkern.frobenius(
             _image(phi, orthocomplement(A)).matrix - orthocomplement(_image(phi, A)).matrix
         )
-        state.analog(residuals, tol.eps_eq, lambda k: _example("orthocomplement", A=A.matrix[k]))
-    return VerificationReport("ortho", trials, state.failures, state.worst, state.counterexample, seed)
+        state.record(_analog(residuals, tol.eps_eq), lambda k: _example("orthocomplement", A=A.matrix[k]))
+    return state.report()
 
 
 def verify_sequential(
@@ -438,25 +348,25 @@ def verify_sequential(
     witnesses failure for every p != 0; random pairs follow.
     """
     n = _map_dim(phi, dim)
-    state = _SuiteState()
+    state = _SuiteState("sequential", trials, seed)
     half = scalar_effect(n, 0.5)
     res0 = numkern.frobenius(
         phi(seq_product(half, half, tol)).matrix - seq_product(phi(half), phi(half), tol).matrix
     )
-    state.analog(
-        [res0], tol.eps_eq, lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix)
+    state.record(
+        _analog([res0], tol.eps_eq), lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix)
     )
-    for rngs in _trial_blocks(seed, trials, n):
+    for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         B = _sample_effect_stack(n, rngs, tol)
         residuals = numkern.frobenius(
             _image(phi, seq_product(A, B, tol)).matrix
             - seq_product(_image(phi, A), _image(phi, B), tol).matrix
         )
-        state.analog(
-            residuals, tol.eps_eq, lambda k: _example("sequential", A=A.matrix[k], B=B.matrix[k])
+        state.record(
+            _analog(residuals, tol.eps_eq), lambda k: _example("sequential", A=A.matrix[k], B=B.matrix[k])
         )
-    return VerificationReport("sequential", trials, state.failures, state.worst, state.counterexample, seed)
+    return state.report()
 
 
 def _transition(P: EffectStack, Q: EffectStack) -> np.ndarray:
@@ -478,15 +388,15 @@ def verify_transition(
     antiunitary alike.
     """
     n = _map_dim(phi, dim)
-    state = _SuiteState()
-    for rngs in _trial_blocks(seed, trials, n):
+    state = _SuiteState("transition", trials, seed)
+    for rngs in _trial_blocks(seed, range(trials), n):
         P = _sample_ray_stack(n, rngs)
         Q = _sample_ray_stack(n, rngs)
         residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
-        state.analog(
-            residuals, tol.eps_eq, lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k])
+        state.record(
+            _analog(residuals, tol.eps_eq), lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k])
         )
-    return VerificationReport("transition", trials, state.failures, state.worst, state.counterexample, seed)
+    return state.report()
 
 
 def verify_scalar_pair(
@@ -507,14 +417,14 @@ def verify_scalar_pair(
     if not (0.0 <= lam <= 1.0):
         raise DomainError(f"lam must lie in [0, 1], got {lam!r}")
     n = _map_dim(phi, dim)
-    state = _SuiteState()
+    state = _SuiteState("scalar-pair", trials, seed)
     image = phi(scalar_effect(n, lam))
     ok, mu = is_scalar(image, tol)
     if ok and isinstance(phi, EffectAutomorphism):
         expected = fp_eval(phi.p, lam)
-        state.analog([abs(mu - expected)], tol.eps_eq, lambda i: _example("scalar-image-value", A=image.matrix))
+        state.record(_analog([abs(mu - expected)], tol.eps_eq), lambda i: _example("scalar-image-value", A=image.matrix))
     else:
-        state.boolean([ok], lambda i: _example("scalar-image", A=image.matrix))
+        state.record(_boolean([ok]), lambda i: _example("scalar-image", A=image.matrix))
     zp = verify_zero_product(phi, trials, seed, dim=n, tol=tol)
     failures = state.failures + zp.failures
     worst = max(state.worst, zp.worst_violation)

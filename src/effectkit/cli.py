@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -52,12 +53,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, numkern
+from . import __version__
 from .autos import (
     EffectAutomorphism,
-    VerificationReport,
     _fit_family,
-    _matrix_rows,
     apply as apply_map,
     random_automorphism,
     verify_ortho,
@@ -67,66 +66,19 @@ from .autos import (
     verify_transition,
     verify_zero_product,
 )
-from .coexist import (
-    coexist_rank_one,
-    coexist_trivial_witness,
-    coexists_with_all_probe,
-)
-from .effects import (
-    Effect,
-    make_effect,
-    make_ray,
-    sample_effect,
-    sample_ray,
-    scalar_effect,
-)
-from .errors import (
-    DegenerateRanges,
-    DimensionError,
-    DomainError,
-    FitError,
-    HermiticityViolation,
-    NotInFamily,
-    NotPositiveSemidefinite,
-    NotScalarAction,
-    OrderViolation,
-    OrthogonalityError,
-    ParamError,
-    QuotientFailure,
-    RankError,
-    SpanError,
-    SpectrumOutOfRange,
-    UnitarityViolation,
-)
-from .fracfun import FracParams, FpParam, fit_frac, f_eval, g_symmetry_check, interior_grid, verify_pexider
+from .coexist import _coexist_suite
+from .effects import Effect, make_effect, make_ray
+from .errors import CheckFailed, InputError
+from .fracfun import FpParam, _pexider_suite
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import strength_bisect, strength_closed, strength_two_block
+from .strength import ORACLE_GAP_LIMIT, _strength_oracle_suite, strength_bisect, strength_closed
+from .suites import Suite, _matrix_rows, _suite_seed
 
-AUTO_SUITES = ("order", "zero-product", "ortho", "sequential", "transition", "scalar-pair")
-OTHER_SUITES = ("coexist", "strength-oracle", "pexider")
-ALL_SUITES = AUTO_SUITES + OTHER_SUITES
 RIGIDITY_SUITES = ("ortho", "sequential")
 SCALAR_PAIR_LAMBDA = 0.3
-ORACLE_GAP_LIMIT = 1e-6
-
-# Input-shaped problems exit 2; failed mathematical checks exit 1.
-_USAGE_ERRORS = (
-    DimensionError,
-    HermiticityViolation,
-    SpectrumOutOfRange,
-    NotPositiveSemidefinite,
-    UnitarityViolation,
-    ParamError,
-    DomainError,
-    RankError,
-    OrthogonalityError,
-    SpanError,
-    DegenerateRanges,
-)
-_CHECK_ERRORS = (NotInFamily, NotScalarAction, QuotientFailure, OrderViolation, FitError)
 
 
-class ParseFailure(Exception):
+class ParseFailure(InputError):
     """Malformed document or flag value."""
 
 
@@ -285,140 +237,36 @@ def map_to_doc(phi: EffectAutomorphism) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# extra suites wired only through the CLI
+# the suites of ``verify``
 
 
-def _suite_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+def _family_suite(verify):
+    """Run ``verify`` on the family member (n, p, conj) drawn from the suite seed."""
+
+    def run(trials: int, seed: int, tol: ToleranceConfig, n: int, p: float, conjugate: bool):
+        return verify(random_automorphism(n, p, conjugate, seed), trials, seed, tol=tol)
+
+    return run
 
 
-def _coexist_suite(n: int, trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Witness validity, the rank-one criterion, and the scalar probe."""
-    failures = 0
-    worst = 0.0
-    counterexample = None
-
-    def fail(note: str, amount: float = 1.0) -> None:
-        nonlocal failures, worst, counterexample
-        failures += 1
-        worst = max(worst, amount)
-        if counterexample is None:
-            counterexample = {"check": note, "inputs": {}}
-
-    # Fixed controls: a pair known to coexist nowhere near trivially, and
-    # the overlapping weighted pair known not to coexist.
-    rng = np.random.default_rng([seed, 0])
-    p_vec = numkern.random_ray(n, rng)
-    basis = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0]
-    perp = basis[:, 1]
-    overlap_vec = math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp
-    P0 = make_ray(p_vec)
-    Q0 = make_ray(overlap_vec)
-    if coexist_rank_one(0.9, P0, 0.9, Q0, tol):
-        fail("overlapping-0.9-pair-reported-coexistent")
-    if not coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol):
-        fail("scalar-probe-returned-false")
-    atom = make_effect(0.9 * P0.projection.matrix, tol)
-    if n >= 2 and coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol):
-        fail("rank-one-probe-found-no-counterexample")
-
-    for k in range(trials):
-        rng = np.random.default_rng([seed, 3 + k])
-        A = sample_effect(n, rng, tol)
-        B = sample_effect(n, rng, tol)
-        top = float(np.linalg.eigvalsh(A.matrix + B.matrix)[-1])
-        if top > 1.0:
-            scale = (1.0 - 1e-12) / top
-            A = make_effect(A.matrix * scale, tol)
-            B = make_effect(B.matrix * scale, tol)
-        witness = coexist_trivial_witness(A, B, tol)
-        if witness is None:
-            fail("trivial-witness-missing-for-substochastic-pair")
-            continue
-        residual = witness.residual_for(A, B)
-        worst = max(worst, residual)
-        if not witness.is_valid_for(A, B, tol):
-            fail("trivial-witness-invalid", residual)
-        lam = float(rng.uniform(0.02, 0.98))
-        P = sample_ray(n, rng)
-        Q = sample_ray(n, rng)
-        if float(np.abs(np.vdot(P.vector, Q.vector)) ** 2) < 1.0 - tol.eps_rank:
-            if not coexist_rank_one(lam, P, 1.0 - lam, Q, tol):
-                fail("convex-split-pair-reported-incompatible")
-    return VerificationReport("coexist", trials, failures, worst, counterexample, seed)
+def _verify_scalar_pair(phi, trials, seed, tol):
+    return verify_scalar_pair(phi, SCALAR_PAIR_LAMBDA, trials, seed, tol=tol)
 
 
-def _strength_oracle_suite(n: int, trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Closed form against bisection, and the two-block reduction."""
-    failures = 0
-    worst = 0.0
-    counterexample = None
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        A = sample_effect(n, rng, tol)
-        ray = sample_ray(n, rng)
-        closed = strength_closed(A, ray, tol)
-        gap = abs(closed.value - strength_bisect(A, ray, tol))
-        worst = max(worst, gap)
-        if gap > ORACLE_GAP_LIMIT:
-            failures += 1
-            if counterexample is None:
-                counterexample = {"check": "closed-vs-bisect", "inputs": {"A": matrix_to_doc(A.matrix)["rows"]}}
-        if n >= 2:
-            V = numkern.haar_unitary(n, rng)
-            P = make_ray(V[:, 0])
-            Q = make_ray(V[:, 1])
-            theta = float(rng.uniform(0.15, math.pi / 2 - 0.15))
-            phase = float(rng.uniform(0.0, 2.0 * math.pi))
-            R = make_ray(math.cos(theta) * V[:, 0] + math.sin(theta) * np.exp(1j * phase) * V[:, 1])
-            mu = float(rng.uniform(0.05, 0.95))
-            E = make_effect(mu * P.projection.matrix + Q.projection.matrix, tol)
-            two_block_gap = abs(
-                strength_closed(E, R, tol).value - strength_two_block(mu, P, Q, R, tol)
-            )
-            worst = max(worst, two_block_gap)
-            if two_block_gap > 1e-8:
-                failures += 1
-                if counterexample is None:
-                    counterexample = {"check": "two-block", "inputs": {"E": matrix_to_doc(E.matrix)["rows"]}}
-    return VerificationReport("strength-oracle", trials, failures, worst, counterexample, seed)
-
-
-def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Functional equation residuals, fit recovery, and the symmetry pin."""
-    failures = 0
-    worst = 0.0
-    counterexample = None
-
-    def fail(note: str, amount: float = 1.0) -> None:
-        nonlocal failures, worst, counterexample
-        failures += 1
-        worst = max(worst, amount)
-        if counterexample is None:
-            counterexample = {"check": note, "inputs": {}}
-
-    if not g_symmetry_check(1.0, 1.0, 50):
-        fail("symmetry-rejects-identity-pair")
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        a = float(np.exp(rng.uniform(-1.6, 1.6)))
-        c = float(np.exp(rng.uniform(-0.9, 0.9)))
-        params = FracParams(a=a, b=1.0, c=c)
-        residual = verify_pexider(params, 1.0, c, 20)
-        worst = max(worst, residual)
-        if residual > 1e-10:
-            fail("functional-equation-residual", residual)
-        samples = [(float(x), f_eval(params, float(x))) for x in interior_grid(12)]
-        fit = fit_frac(samples)
-        err = max(abs(fit.a - a), abs(fit.c - c))
-        worst = max(worst, err)
-        if err > 1e-6:
-            fail("fit-recovery", err)
-        sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-        sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-        if g_symmetry_check(sb, sc, 40):
-            fail("symmetry-accepts-off-family-pair")
-    return VerificationReport("pexider", trials, failures, worst, counterexample, seed)
+_FAMILY = ("n", "p", "conj")
+# In report order; each entry of a suite draws the next child seed.
+SUITES = (
+    Suite("order", _FAMILY, _family_suite(verify_order)),
+    Suite("zero-product", _FAMILY, _family_suite(verify_zero_product)),
+    Suite("ortho", _FAMILY, _family_suite(verify_ortho)),
+    Suite("sequential", _FAMILY, _family_suite(verify_sequential)),
+    Suite("transition", _FAMILY, _family_suite(verify_transition)),
+    Suite("scalar-pair", _FAMILY, _family_suite(_verify_scalar_pair)),
+    Suite("coexist", ("n",), _coexist_suite),
+    Suite("strength-oracle", ("n",), _strength_oracle_suite),
+    Suite("pexider", (), _pexider_suite),
+)
+_AXIS_LABELS = {"n": "n={}".format, "p": "p={:g}".format, "conj": lambda c: f"conj={int(c)}"}
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +325,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _expected_for(suite: str, p: float, expect: str) -> str:
+def _expected_for(suite: str, p: float | None, expect: str) -> str:
     if suite not in RIGIDITY_SUITES:
         return "preserve"
     if expect != "auto":
@@ -490,66 +338,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ParseFailure("--trials must be a positive integer")
     seed = _resolve_seed(args.seed)
-    dims = _parse_int_list(args.dims, "dims")
-    ps = _parse_float_list(args.p, "p")
-    for p in ps:
+    sweep = {"n": _parse_int_list(args.dims, "dims"), "p": _parse_float_list(args.p, "p"), "conj": (False, True)}
+    for p in sweep["p"]:
         FpParam(p)  # validates p < 1 up front
-    suites = ALL_SUITES if args.suite == "all" else (args.suite,)
-
-    runners = {
-        "order": verify_order,
-        "zero-product": verify_zero_product,
-        "ortho": verify_ortho,
-        "sequential": verify_sequential,
-        "transition": verify_transition,
-    }
 
     entries = []
     overall = True
     counter = 0
-    for suite in suites:
-        if suite in AUTO_SUITES:
-            for n in dims:
-                for p in ps:
-                    for conjugate in (False, True):
-                        child = _suite_seed(seed, counter)
-                        counter += 1
-                        phi = random_automorphism(n, p, conjugate, child)
-                        if suite == "scalar-pair":
-                            report = verify_scalar_pair(
-                                phi, SCALAR_PAIR_LAMBDA, args.trials, child, tol=tol
-                            )
-                        else:
-                            report = runners[suite](phi, args.trials, child, tol=tol)
-                        expected = _expected_for(suite, p, args.expect)
-                        satisfied = (report.failures == 0) == (expected == "preserve")
-                        overall = overall and satisfied
-                        entry = report.to_dict()
-                        entry["suite"] = f"{suite}[n={n},p={p:g},conj={int(conjugate)}]"
-                        entry["expected"] = expected
-                        entry["satisfied"] = satisfied
-                        entries.append(entry)
-        elif suite in ("coexist", "strength-oracle"):
-            runner = _coexist_suite if suite == "coexist" else _strength_oracle_suite
-            for n in dims:
-                child = _suite_seed(seed, counter)
-                counter += 1
-                report = runner(n, args.trials, child, tol)
-                satisfied = report.failures == 0
-                overall = overall and satisfied
-                entry = report.to_dict()
-                entry["suite"] = f"{suite}[n={n}]"
-                entry["expected"] = "preserve"
-                entry["satisfied"] = satisfied
-                entries.append(entry)
-        else:  # pexider
-            child = _suite_seed(seed, counter)
+    for suite in SUITES:
+        if args.suite not in ("all", suite.name):
+            continue
+        for case in itertools.product(*(sweep[axis] for axis in suite.axes)):
+            report = suite.run(args.trials, _suite_seed(seed, counter), tol, *case)
             counter += 1
-            report = _pexider_suite(args.trials, child, tol)
-            satisfied = report.failures == 0
+            labels = [_AXIS_LABELS[axis](value) for axis, value in zip(suite.axes, case)]
+            expected = _expected_for(suite.name, dict(zip(suite.axes, case)).get("p"), args.expect)
+            satisfied = (report.failures == 0) == (expected == "preserve")
             overall = overall and satisfied
             entry = report.to_dict()
-            entry["expected"] = "preserve"
+            entry["suite"] = suite.name + (f"[{','.join(labels)}]" if labels else "")
+            entry["expected"] = expected
             entry["satisfied"] = satisfied
             entries.append(entry)
 
@@ -603,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_strength)
 
     v = sub.add_parser("verify", help="seeded verification suites")
-    v.add_argument("--suite", default="all", choices=ALL_SUITES + ("all",))
+    v.add_argument("--suite", default="all", choices=tuple(s.name for s in SUITES) + ("all",))
     v.add_argument("--dims", default="2,3", help="comma-separated dimensions")
     v.add_argument("--p", default="0,0.5", help="comma-separated order parameters (each < 1)")
     v.add_argument("--trials", type=int, default=50)
@@ -659,16 +467,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # per request, so a command replaced here (a test double, a tracing
         # wrapper) is the one that runs.
         return globals()[args.func.__name__](args)
-    except ParseFailure as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except _CHECK_ERRORS as exc:
+    except CheckFailed as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
-    except _USAGE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -12,10 +12,13 @@ here; the module provides the decidable pieces:
   dominance applied to the shared part G;
 * a randomized probe for "coexists with everything", which can refute
   but never prove (only scalars survive it).
+
+It also owns the coexist suite of ``effectkit verify``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +26,24 @@ import numpy as np
 from . import numkern
 from .effects import (
     Effect,
+    EffectStack,
     RayProjection,
     WeakAtom,
-    leq,
+    _make_effect_stack,
+    _ray,
+    _sample_effect_stack,
+    _stack_effects,
+    make_effect,
     make_ray,
     orthocomplement,
     rank_of,
-    sample_effect,
-    sample_ray,
+    scalar_effect,
     zero_effect,
 )
 from .errors import DegenerateRanges, DimensionError, DomainError
-from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import strength_closed
+from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
+from .strength import _closed, strength_closed
+from .suites import VerificationReport, _boolean, _no_inputs, _SuiteState, _suite_seed, _take, _trial_blocks
 
 __all__ = [
     "CoexistenceWitness",
@@ -130,34 +138,116 @@ def coexists_with_weak_atom(
 def coexists_with_all_probe(
     A: Effect, trials: int, seed: int, tol: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    """PROBE, not proof: search for an effect that fails to coexist with A.
+    """PROBE, not proof: search for a weak atom that fails to coexist with A.
 
-    Alternates between generic random effects (which can only confirm
-    coexistence through the trivial witness, never refute it) and weak
-    atoms, where coexistence is decided exactly.  Returns False on the
-    first refutation, True if none turned up.  Scalars always return True;
-    for a generic non-scalar a refuting weak atom appears quickly.
+    Probe k of 0..trials-1 draws from ``default_rng([seed, k])``; an odd
+    probe draws a ray and a weight t, and coexistence of A with that weak
+    atom is decided exactly (by the rank-one criterion when A has rank
+    one).  Even probe numbers are left unused.  The probes run in stacked
+    blocks; returns False if one refutes, True if none does.  Scalars
+    always return True; for a generic non-scalar a refuting weak atom
+    appears quickly.
     """
     n = A.dim
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        if k % 2 == 0:
-            B = sample_effect(n, rng, tol)
-            coexist_trivial_witness(A, B, tol)  # may confirm; cannot refute
-            continue
-        ray = sample_ray(n, rng)
-        t = float(rng.uniform(0.0, 1.0))
-        if t <= 0.0:
-            continue
-        if rank_of(A, tol) == 1:
-            # Dispatch rank-one pairs to the sum criterion.
-            s = float(A.eigenvalues[-1])
-            P = make_ray(A.eigenvectors[:, -1])
-            overlap = float(np.abs(np.vdot(P.vector, ray.vector)) ** 2)
-            if overlap >= 1.0 - tol.eps_rank:
-                continue
-            if not coexist_rank_one(s, P, t, ray, tol):
-                return False
-        elif not coexists_with_weak_atom(A, WeakAtom(t, ray), tol):
+    eye = np.eye(n, dtype=np.complex128)
+    rank_one = rank_of(A, tol) == 1
+    if rank_one:
+        # Dispatch rank-one pairs to the sum criterion.
+        P = make_ray(A.eigenvectors[:, -1])
+        sP = float(A.eigenvalues[-1]) * P.projection.matrix
+    else:
+        complement = orthocomplement(A)
+    for rngs in _trial_blocks(seed, range(1, trials, 2), n):
+        vec, ray = _ray(numkern._random_ray_stack(n, rngs))
+        t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
+        if rank_one:
+            overlap = _overlaps(P.vector[None], vec)
+            fits = numkern._psd_leq_hermitian(hermitize(sP + t[:, None, None] * ray.matrix), eye, tol)
+            refuted = (overlap < 1.0 - tol.eps_rank) & ~fits
+        else:
+            budget = _closed_along(A, vec, tol) + _closed_along(complement, vec, tol)
+            refuted = ~(t <= budget + tol.eps_psd)
+        if (refuted & (t > 0.0)).any():
             return False
     return True
+
+
+def _closed_along(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Closed-form strength of A along each unit vector of the stack vec."""
+    T = len(vec)
+    w = np.broadcast_to(A.eigenvalues, (T,) + A.eigenvalues.shape)
+    V = np.broadcast_to(A.eigenvectors, (T,) + A.eigenvectors.shape)
+    return _closed(w, V, vec, tol)[0]
+
+
+def _overlaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|<p_k, q_k>|^2 for stacks of unit vectors, each as a lone pair gives it."""
+    inner = (p.conj()[..., None, :] @ q[..., :, None])[..., 0, 0]  # vdot of each pair
+    return np.array([float(np.abs(c) ** 2) for c in inner])
+
+
+def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
+    """Witness validity, the rank-one criterion, and the scalar probe."""
+    if n < 2:
+        raise DimensionError("coexist suite needs dimension at least 2")
+    state = _SuiteState("coexist", trials, seed)
+    # Fixed controls: the overlapping weighted pair known not to coexist,
+    # a scalar (coexists with everything) and a weak atom (does not).
+    rng = np.random.default_rng([seed, 0])
+    p_vec = numkern.random_ray(n, rng)
+    perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
+    P0 = make_ray(p_vec)
+    Q0 = make_ray(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
+    state.record(_boolean([not coexist_rank_one(0.9, P0, 0.9, Q0, tol)]), _no_inputs("overlapping-0.9-pair-reported-coexistent"))
+    scalar_ok = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
+    state.record(_boolean([scalar_ok]), _no_inputs("scalar-probe-returned-false"))
+    atom = make_effect(0.9 * P0.projection.matrix, tol)
+    atom_ok = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
+    state.record(_boolean([atom_ok]), _no_inputs("rank-one-probe-found-no-counterexample"))
+
+    eye = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
+        A = _sample_effect_stack(n, rngs, tol)
+        B = _sample_effect_stack(n, rngs, tol)
+        top = np.linalg.eigvalsh(A.matrix + B.matrix)[:, -1]
+        over = np.flatnonzero(top > 1.0)
+        scale = ((1.0 - 1e-12) / top[over])[:, None, None]
+        A, B = _rescaled(A, over, scale, tol), _rescaled(B, over, scale, tol)
+        # The trivial witness (A, B, 0), present iff A + B <= I, and its checks.
+        witness = numkern._psd_leq_hermitian(hermitize(A.matrix + B.matrix), eye, tol)
+        residual = np.maximum(
+            numkern.frobenius(A.matrix + zero - A.matrix), numkern.frobenius(B.matrix + zero - B.matrix)
+        )
+        total = hermitize(A.matrix + B.matrix + zero)
+        valid = ~(residual > tol.eps_eq) & numkern._psd_leq_hermitian(zero, total, tol)
+        valid &= numkern._psd_leq_hermitian(total, eye, tol)
+        # A trial without a witness stops there and draws nothing more.
+        split = np.ones(len(rngs), dtype=bool)
+        rest = _take(rngs, witness)
+        if rest:
+            lam = np.array([rng.uniform(0.02, 0.98) for rng in rest])[:, None, None]
+            p, P = _ray(numkern._random_ray_stack(n, rest))
+            q, Q = _ray(numkern._random_ray_stack(n, rest))
+            mixed = hermitize(lam * P.matrix + (1.0 - lam) * Q.matrix)
+            distinct = _overlaps(p, q) < 1.0 - tol.eps_rank
+            split[witness] = ~distinct | numkern._psd_leq_hermitian(mixed, eye, tol)
+        state.trials_of(
+            (_boolean(witness), _no_inputs("trivial-witness-missing-for-substochastic-pair")),
+            ((valid | ~witness, np.where(witness, residual, 0.0)), _no_inputs("trivial-witness-invalid")),
+            (_boolean(split), _no_inputs("convex-split-pair-reported-incompatible")),
+        )
+    return state.report()
+
+
+def _rescaled(S: EffectStack, members: np.ndarray, scale: np.ndarray, tol: ToleranceConfig) -> EffectStack:
+    """S with its given members scaled, each validated as ``make_effect`` validates it."""
+    if not members.size:
+        return S
+    scaled = _make_effect_stack(S.matrix[members] * scale, tol)
+    if members.size == len(S):
+        return scaled
+    out = [S[k] for k in range(len(S))]
+    for j, k in enumerate(members.tolist()):
+        out[k] = scaled[j]
+    return _stack_effects(out)

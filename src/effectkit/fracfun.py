@@ -17,7 +17,8 @@ alpha(t) = 1/(1 + e^t), beta(x) = ln((1-x)/x), gamma(y) = ln y.
 
 Rigidity probes search small grids for witnesses that a given f_p fails
 the fixed-point, symmetry, or multiplicativity identities; only p = 0
-passes all of them.
+passes all of them.  The module also owns the pexider suite of
+``effectkit verify``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
-from .numkern import _from_spectrum
+from .numkern import ToleranceConfig, _from_spectrum
+from .suites import VerificationReport, _analog, _boolean, _no_inputs, _SuiteState
 
 __all__ = [
     "FracParams",
@@ -115,6 +117,24 @@ def f_eval(params: FracParams, x: float) -> float:
     return xc / (xc + params.a * (1.0 - x) ** params.c)
 
 
+def _f_values(params: FracParams, x: np.ndarray) -> np.ndarray:
+    """f_eval at each point of the array x, bit for bit.
+
+    The arithmetic runs on arrays, but each power is a Python float power:
+    numpy's array ``**`` need not round as ``pow`` does.
+    """
+    inside = np.isfinite(x) & (x >= -1e-12) & (x <= 1.0 + 1e-12)
+    if not inside.all():
+        raise DomainError(f"argument {x[~inside][0]!r} outside [0, 1]")
+    x = np.minimum(1.0, np.maximum(0.0, x))
+    xc = _powers(x, params.c)
+    return xc / (xc + params.a * _powers(1.0 - x, params.c))
+
+
+def _powers(x: np.ndarray, e: float) -> np.ndarray:
+    return np.array([t**e for t in x.ravel().tolist()]).reshape(x.shape)
+
+
 def f_inverse(params: FracParams, y: float) -> float:
     """Inverse of f_eval, in closed form through logit coordinates."""
     y = _check_unit_interval(y)
@@ -149,7 +169,9 @@ def fp_apply(p: FpParam | float, A: Effect) -> Effect:
     """Apply f_p to an effect (or each member of an EffectStack) through
     the spectral calculus.
 
-    f_p is increasing, so the stored ascending eigenvalue order (and the
+    Only the eigensystem is read, so ``A`` may also be any value with
+    ``eigenvalues`` and ``eigenvectors``, such as an EigenDecomp.  f_p is
+    increasing, so the stored ascending eigenvalue order (and the
     eigenvector pairing) survives untouched.
     """
     pv = _coerce_p(p)
@@ -170,20 +192,18 @@ def verify_pexider(f: FracParams, g_scale: float, g_exponent: float, grid: int) 
     """Worst residual of the multiplicative functional equation on a lattice.
 
     Evaluates |f(x/(x + (1-x)y)) - f(x) / (f(x) + (1 - f(x)) b y^c)| on
-    the endpoint-free grid x grid lattice and returns the maximum.  No
-    consistency between f and (b, c) is enforced; mismatched pairs simply
-    produce a large residual, which is exactly what negative controls need.
+    the endpoint-free grid x grid lattice and returns the maximum, where a
+    NaN residual counts for nothing.  No consistency between f and (b, c)
+    is enforced; mismatched pairs simply produce a large residual, which
+    is exactly what negative controls need.
     """
     xs = interior_grid(grid)
-    worst = 0.0
-    for x in xs:
-        fx = f_eval(f, float(x))
-        for y in xs:
-            lhs = f_eval(f, x / (x + (1.0 - x) * y))
-            gy = g_scale * float(y) ** g_exponent
-            rhs = fx / (fx + (1.0 - fx) * gy)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    x = xs[:, None]
+    fx = _f_values(f, x)
+    lhs = _f_values(f, x / (x + (1.0 - x) * xs))
+    gy = g_scale * _powers(xs, g_exponent)
+    rhs = fx / (fx + (1.0 - fx) * gy)
+    return float(np.fmax.reduce(np.abs(lhs - rhs), axis=None, initial=0.0))
 
 
 def fit_frac(samples: Iterable[tuple[float, float]]) -> FracFit:
@@ -309,3 +329,28 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
 
 def _inv_beta(u: float) -> float:
     return 1.0 / (1.0 + math.exp(u))
+
+
+def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
+    """Functional equation residuals, fit recovery, and the symmetry pin."""
+    state = _SuiteState("pexider", trials, seed)
+    state.record(_boolean([g_symmetry_check(1.0, 1.0, 50)]), _no_inputs("symmetry-rejects-identity-pair"))
+    xs = interior_grid(12)
+    residuals, errors, pinned = [], [], []
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        a = float(np.exp(rng.uniform(-1.6, 1.6)))
+        c = float(np.exp(rng.uniform(-0.9, 0.9)))
+        params = FracParams(a=a, b=1.0, c=c)
+        residuals.append(verify_pexider(params, 1.0, c, 20))
+        fit = fit_frac(zip(xs.tolist(), _f_values(params, xs).tolist()))
+        errors.append(max(abs(fit.a - a), abs(fit.c - c)))
+        sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
+        sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
+        pinned.append(g_symmetry_check(sb, sc, 40))
+    state.trials_of(
+        (_analog(residuals, 1e-10), _no_inputs("functional-equation-residual")),
+        (_analog(errors, 1e-6), _no_inputs("fit-recovery")),
+        (_boolean(np.logical_not(pinned)), _no_inputs("symmetry-accepts-off-family-pair")),
+    )
+    return state.report()

@@ -13,17 +13,21 @@ Two independent routes are provided and kept separate on purpose:
 ``strength_two_block`` covers the special two-dimensional configuration
 mu * P + Q with orthogonal rank-one P and Q, where the value along a ray
 R inside the span reduces to mu / (mu + (1 - mu) tr(PR)).
+
+Each route is computed for a stack of effects and rays at once, and the
+functions above are its one-member case; the strength-oracle suite runs
+its trials through the stacked routes, bit for bit as one by one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import ceil, log2
 
 import numpy as np
 
 from . import numkern
-from .effects import Effect, RayProjection, zero_product
+from .effects import Effect, RayProjection, _make_effect_stack, _ray, _sample_effect_stack, zero_product
 from .errors import (
     DimensionError,
     DomainError,
@@ -31,6 +35,7 @@ from .errors import (
     SpanError,
 )
 from .numkern import DEFAULT_TOL, ToleranceConfig
+from .suites import VerificationReport, _analog, _example, _SuiteState, _trial_blocks
 
 __all__ = [
     "StrengthValue",
@@ -41,7 +46,10 @@ __all__ = [
 ]
 
 # Fixed iteration count bringing the bracket width below 1e-8.
-BISECT_ITERATIONS = ceil(log2(1e8))
+BISECT_ITERATIONS = math.ceil(math.log2(1e8))
+# The largest gap between the closed form and bisection that passes.
+ORACLE_GAP_LIMIT = 1e-6
+_TWO_BLOCK_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,27 +89,33 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     1 / sum(|c_i|^2 / lambda_i) over the range eigenvalues.
     """
     _check_dims(A, ray)
-    w = A.eigenvalues
-    coeff = A.eigenvectors.conj().T @ ray.vector
-    mags = np.abs(coeff)
-    cutoff = tol.eps_rank * float(w[-1])
-    kernel = w <= cutoff
+    value, in_range, near = _closed(A.eigenvalues[None], A.eigenvectors[None], ray.vector[None], tol)
+    return StrengthValue(float(value[0]), bool(in_range[0]), bool(near[0]))
 
-    near = False
-    if np.any(kernel):
-        kmax = float(mags[kernel].max())
-        near = tol.eps_rank / 10.0 <= kmax <= tol.eps_rank * 10.0
-        if kmax > tol.eps_rank:
-            return StrengthValue(0.0, False, near)
-    kept = ~kernel
+
+def _closed(w: np.ndarray, V: np.ndarray, vec: np.ndarray, tol: ToleranceConfig):
+    """``strength_closed`` of each effect of a stack, given by its ascending
+    eigenvalues w (T, n) and eigenvectors V, along the unit vector vec (T, n)
+    of the same member: arrays (value, in_range, near)."""
+    mags = np.abs((V.conj().swapaxes(-1, -2) @ vec[..., None])[..., 0])
+    cutoff = tol.eps_rank * w[:, -1:]
+    kernel = w <= cutoff  # a prefix of each row, the eigenvalues ascending
+    kmax = np.where(kernel, mags, 0.0).max(axis=-1)
+    near = kernel.any(axis=-1) & (tol.eps_rank / 10.0 <= kmax) & (kmax <= tol.eps_rank * 10.0)
+    in_range = ~(kmax > tol.eps_rank)
     # An eigenvalue barely above the cutoff with real weight on it makes
     # 1/lambda blow up unstably; flag that situation as well.
-    shaky = kept & (w <= 10.0 * cutoff) & (mags > tol.eps_rank)
-    near = near or bool(np.any(shaky))
-
-    total = float(np.sum(mags[kept] ** 2 / w[kept]))
-    value = min(1.0, max(0.0, 1.0 / total))
-    return StrengthValue(value, True, near)
+    shaky = ~kernel & (w <= 10.0 * cutoff) & (mags > tol.eps_rank)
+    near |= in_range & shaky.any(axis=-1)
+    value = np.zeros(len(w))
+    # Summed over the range eigenvalues only, per kernel size, so each sum
+    # adds the terms a lone effect adds, in the same order.
+    sizes = np.count_nonzero(kernel, axis=-1)
+    for size in np.unique(sizes[in_range]).tolist():
+        rows = np.flatnonzero(in_range & (sizes == size))
+        total = np.sum(mags[rows, size:] ** 2 / w[rows, size:], axis=-1)
+        value[rows] = np.minimum(1.0, np.maximum(0.0, 1.0 / total))
+    return value, in_range, near
 
 
 def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -112,21 +126,28 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     construction: only the raw Loewner comparison is consulted.
     """
     _check_dims(A, ray)
-    P = ray.projection.matrix
+    return float(_bisect(ray.projection.matrix[None], A.matrix[None], tol)[0])
 
-    def fits(t: float) -> bool:
-        return numkern._psd_leq_hermitian(t * P, A.matrix, tol)
 
-    if fits(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _bisect(P: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """``strength_bisect`` of each member of the stacks P (ray projections)
+    and A (effect matrices): each step is one stacked Loewner test of
+    t_k P_k against A_k, for the members that t = 1 does not fit."""
+
+    def fits(t: np.ndarray, P: np.ndarray, A: np.ndarray) -> np.ndarray:
+        return numkern._psd_leq_hermitian(t[:, None, None] * P, A, tol)
+
+    value = np.ones(len(P))
+    todo = np.flatnonzero(~fits(value, P, A))
+    if todo.size:
+        P, A = P[todo], A[todo]
+        lo, hi = np.zeros(todo.size), np.ones(todo.size)
+        for _ in range(BISECT_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            ok = fits(mid, P, A)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        value[todo] = lo
+    return value
 
 
 def strength_two_block(
@@ -147,17 +168,47 @@ def strength_two_block(
         raise DomainError(f"weight mu must lie strictly between 0 and 1, got {mu!r}")
     if P.dim != Q.dim or P.dim != R.dim:
         raise DimensionError("rays must share one dimension")
-    if not zero_product(P.projection, Q.projection, tol):
+    vectors = (P.vector[None], Q.vector[None], R.vector[None])
+    return float(_two_block(np.array([mu]), *vectors, P.projection, Q.projection, tol)[0])
+
+
+def _two_block(mu: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray, P, Q, tol: ToleranceConfig) -> np.ndarray:
+    """``strength_two_block`` of each member: weights mu (T,), unit vectors
+    p, q, r (T, n), and P, Q the projections onto p and q."""
+    if not np.all(zero_product(P, Q, tol)):
         raise OrthogonalityError("P and Q must be orthogonal rank-one projections")
-
-    p, q, r = P.vector, Q.vector, R.vector
-    cp = np.vdot(p, r)
-    cq = np.vdot(q, r)
-    residual = r - cp * p - cq * q
-    if float(np.linalg.norm(residual)) > tol.eps_rank:
+    cp = (p.conj()[:, None, :] @ r[:, :, None])[:, 0, 0]  # vdot(p, r) of each member
+    cq = (q.conj()[:, None, :] @ r[:, :, None])[:, 0, 0]
+    residual = r - cp[:, None] * p - cq[:, None] * q
+    if (numkern._vector_norm(residual) > tol.eps_rank).any():
         raise SpanError("R lies outside the span of P and Q")
-
-    overlap = float(np.abs(cp) ** 2)
-    if overlap <= tol.eps_rank or overlap >= 1.0 - tol.eps_rank:
+    overlap = np.array([float(np.abs(c) ** 2) for c in cp])
+    if ((overlap <= tol.eps_rank) | (overlap >= 1.0 - tol.eps_rank)).any():
         raise DomainError("R coincides with or is orthogonal to P; two-block form needs a mixed ray")
     return mu / (mu + (1.0 - mu) * overlap)
+
+
+def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
+    """Closed form against bisection, and the two-block reduction."""
+    state = _SuiteState("strength-oracle", trials, seed)
+    for rngs in _trial_blocks(seed, range(trials), n):
+        A = _sample_effect_stack(n, rngs, tol)
+        vec, ray = _ray(numkern._random_ray_stack(n, rngs))
+        gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - _bisect(ray.matrix, A.matrix, tol))
+        checks = [(_analog(gap, ORACLE_GAP_LIMIT), lambda k: _example("closed-vs-bisect", A=A.matrix[k]))]
+        if n >= 2:
+            V = numkern._haar_unitary_stack(n, rngs)
+            theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
+            phase = [rng.uniform(0.0, 2.0 * math.pi) for rng in rngs]
+            mu = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
+            p, P = _ray(V[..., 0])
+            q, Q = _ray(V[..., 1])
+            cos = np.array([math.cos(t) for t in theta])[:, None]
+            sin = np.array([math.sin(t) * np.exp(1j * f) for t, f in zip(theta, phase)])[:, None]
+            r, _ = _ray(cos * V[..., 0] + sin * V[..., 1])
+            E = _make_effect_stack(mu[:, None, None] * P.matrix + Q.matrix, tol)
+            closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
+            two_block_gap = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
+            checks.append((_analog(two_block_gap, _TWO_BLOCK_LIMIT), lambda k: _example("two-block", E=E.matrix[k])))
+        state.trials_of(*checks)
+    return state.report()

@@ -35,7 +35,7 @@ from effectkit.errors import (
     UnitarityViolation,
 )
 from effectkit.fracfun import FpParam, fp_eval
-from effectkit.numkern import frobenius, haar_unitary
+from effectkit.numkern import DEFAULT_TOL, frobenius, haar_unitary
 
 
 def test_constructor_rejects_non_unitary():
@@ -245,3 +245,24 @@ def test_scalar_effect_maps_to_scalar():
     image = apply(phi, scalar_effect(3, 0.4))
     expected = fp_eval(0.6, 0.4)
     assert frobenius(image.matrix - expected * np.eye(3)) < 1e-12
+
+
+def test_zero_product_suite_validates_its_orthogonal_pair_with_tol(monkeypatch):
+    from effectkit import autos
+
+    seen = []
+    real = autos._make_effect_stack
+
+    def spy(Ms, tol=DEFAULT_TOL):
+        seen.append(tol)
+        return real(Ms, tol)
+
+    monkeypatch.setattr(autos, "_make_effect_stack", spy)
+    tol = DEFAULT_TOL.scaled(3.0)
+    phi = random_automorphism(3, 0.5, False, 1)
+    default = verify_zero_product(phi, 4, 2)
+    assert seen == [DEFAULT_TOL, DEFAULT_TOL]
+    seen.clear()
+    verify_zero_product(phi, 4, 2, tol=tol)
+    assert seen == [tol, tol]
+    assert default.failures == 0

@@ -16,6 +16,7 @@ from effectkit.effects import (
     make_effect,
     make_ray,
     orthocomplement,
+    rank_of,
     sample_effect,
     sample_ray,
     scalar_effect,
@@ -144,3 +145,58 @@ def test_probe_deterministic():
     r1 = coexists_with_all_probe(A, 60, 13)
     r2 = coexists_with_all_probe(A, 60, 13)
     assert r1 == r2
+
+
+def _probe_reference(A, trials, seed):
+    """coexists_with_all_probe as first written: one probe at a time, the
+    even ones sampling an effect whose trivial witness is thrown away."""
+    n = A.dim
+    for k in range(trials):
+        rng = np.random.default_rng([seed, k])
+        if k % 2 == 0:
+            coexist_trivial_witness(A, sample_effect(n, rng))
+            continue
+        ray = sample_ray(n, rng)
+        t = float(rng.uniform(0.0, 1.0))
+        if t <= 0.0:
+            continue
+        if rank_of(A) == 1:
+            s = float(A.eigenvalues[-1])
+            P = make_ray(A.eigenvectors[:, -1])
+            if float(np.abs(np.vdot(P.vector, ray.vector)) ** 2) >= 1.0 - 1e-8:
+                continue
+            if not coexist_rank_one(s, P, t, ray):
+                return False
+        elif not coexists_with_weak_atom(A, WeakAtom(t, ray)):
+            return False
+    return True
+
+
+def _probe_cases():
+    atom = make_effect(0.9 * make_ray(np.array([1.0, 0.0])).projection.matrix)
+    cases = [
+        (scalar_effect(2, 0.37), 40, 5),
+        (identity_effect(3), 40, 5),
+        (zero_effect(3), 40, 5),
+        (atom, 200, 5),
+        (make_effect(np.diag([1.0, 0.0])), 200, 11),
+        (sample_effect(2, np.random.default_rng(31)), 60, 13),
+    ]
+    for k in range(16):
+        rng = np.random.default_rng([53, k])
+        n = int(rng.integers(2, 9))
+        weight = float(rng.uniform(0.05, 1.0))
+        cases.append((make_effect(weight * sample_ray(n, rng).projection.matrix), 200, k))
+        cases.append((scalar_effect(n, float(rng.uniform(0.0, 1.0))), 60, k))
+        cases.append((sample_effect(n, rng), 60, k))
+        # Close to a scalar: refuting atoms are rare, so many probes run.
+        near = 0.5 * np.eye(n) + 10.0 ** rng.uniform(-4.0, -1.0) * (sample_effect(n, rng).matrix - 0.5 * np.eye(n))
+        cases.append((make_effect(near), 120, k))
+    return cases
+
+
+def test_probe_equals_its_first_definition():
+    outcomes = [(coexists_with_all_probe(A, trials, seed), _probe_reference(A, trials, seed))
+                for A, trials, seed in _probe_cases()]
+    assert all(got == want for got, want in outcomes)
+    assert {want for _, want in outcomes} == {True, False}

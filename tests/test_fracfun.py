@@ -190,3 +190,30 @@ def test_pexider_decomposition_affine():
     # H is linear with slope c and offset log b = 0
     assert deco.H(0.0) == pytest.approx(0.0, abs=1e-12)
     assert deco.H(2.0) == pytest.approx(2.8, abs=1e-12)
+
+
+def _pexider_reference(f, g_scale, g_exponent, grid):
+    """verify_pexider as a scalar loop over the lattice, folded with max."""
+    xs = interior_grid(grid)
+    worst = 0.0
+    for x in xs:
+        fx = f_eval(f, float(x))
+        for y in xs:
+            lhs = f_eval(f, x / (x + (1.0 - x) * y))
+            gy = g_scale * float(y) ** g_exponent
+            rhs = fx / (fx + (1.0 - fx) * gy)
+            worst = max(worst, abs(lhs - rhs))
+    return float(worst)
+
+
+def test_verify_pexider_equals_the_scalar_loop_bit_for_bit():
+    # Every other draw is a solution pair (b, c) = (1, c); the rest are
+    # mismatched pairs with residuals far from zero.
+    for k in range(400):
+        rng = np.random.default_rng([41, k])
+        a = float(np.exp(rng.uniform(-3.0, 3.0)))
+        c = float(np.exp(rng.uniform(-1.5, 1.5)))
+        b, e = (1.0, c) if k % 2 == 0 else (float(np.exp(rng.uniform(-2.0, 2.0))), float(np.exp(rng.uniform(-1.5, 1.5))))
+        grid = int(rng.integers(1, 30))
+        got = verify_pexider(FracParams(a, b, c), b, e, grid)
+        assert got.hex() == _pexider_reference(FracParams(a, b, c), b, e, grid).hex()

@@ -202,7 +202,7 @@ def test_stack_effects_round_trip(n):
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
-    from effectkit import autos
+    from effectkit import autos, suites
 
     def shrink(A):
         return make_effect(0.5 * A.matrix + 0.25 * np.eye(A.dim))
@@ -218,19 +218,19 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
         lambda: autos.verify_scalar_pair(phi, 0.3, 10, 19),
     ]
     default = [run().to_dict() for run in runs]
-    monkeypatch.setattr(autos, "_BLOCK_ENTRIES", block * 3 * 3)
+    monkeypatch.setattr(suites, "_BLOCK_ENTRIES", block * 3 * 3)
     assert [run().to_dict() for run in runs] == default
 
 
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("suite", ["coexist", "strength-oracle", "pexider"])
 def test_suite_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, block, suite):
-    from effectkit import autos
+    from effectkit import suites
     from effectkit.cli import main
 
     argv = ["verify", "--suite", suite, "--dims", "2,3", "--trials", "10", "--seed", "19"]
     main(argv)
     default = capsys.readouterr().out
-    monkeypatch.setattr(autos, "_BLOCK_ENTRIES", block * 3 * 3)
+    monkeypatch.setattr(suites, "_BLOCK_ENTRIES", block * 3 * 3)
     main(argv)
     assert capsys.readouterr().out == default
