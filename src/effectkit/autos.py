@@ -354,7 +354,8 @@ def verify_sequential(
         phi(seq_product(half, half, tol)).matrix - seq_product(phi(half), phi(half), tol).matrix
     )
     state.record(
-        _analog([res0], tol.eps_eq), lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix)
+        _analog([res0], tol.eps_eq),
+        lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix),
     )
     for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
@@ -422,7 +423,8 @@ def verify_scalar_pair(
     ok, mu = is_scalar(image, tol)
     if ok and isinstance(phi, EffectAutomorphism):
         expected = fp_eval(phi.p, lam)
-        state.record(_analog([abs(mu - expected)], tol.eps_eq), lambda i: _example("scalar-image-value", A=image.matrix))
+        check = _analog([abs(mu - expected)], tol.eps_eq)
+        state.record(check, lambda i: _example("scalar-image-value", A=image.matrix))
     else:
         state.record(_boolean([ok]), lambda i: _example("scalar-image", A=image.matrix))
     zp = verify_zero_product(phi, trials, seed, dim=n, tol=tol)

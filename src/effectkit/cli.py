@@ -8,13 +8,15 @@ strength   --effect FILE --ray FILE [--oracle]
            more than 1e-6.
 verify     --suite NAME --dims LIST --p LIST [--trials N] [--seed S]
            [--expect MODE] [--json FILE]
-           Seeded verification suites over a grid of dimensions and
-           parameters, both conjugation flags.  Suites: order,
-           zero-product, ortho, sequential, transition, scalar-pair,
-           coexist, strength-oracle, pexider, all.  The rigidity suites
-           (ortho, sequential) hold only at p = 0; with --expect auto a
-           parameter p != 0 is required to produce a counterexample and
-           the suite entry is annotated accordingly.
+           Seeded verification suites, one report entry per point of the
+           axes each sweeps (``SUITES``): order, zero-product, ortho,
+           sequential, transition and scalar-pair (effectkit.autos) over
+           dimensions x parameters x both conjugation flags; coexist
+           (effectkit.coexist) and strength-oracle (effectkit.strength)
+           over dimensions; pexider (effectkit.fracfun) once; or all.
+           The rigidity suites (ortho, sequential) hold only at p = 0;
+           with --expect auto a parameter p != 0 is required to produce a
+           counterexample and the suite entry is annotated accordingly.
 apply      --map FILE --effect FILE
            Image of the effect under the map, printed as a matrix
            document.
@@ -338,7 +340,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ParseFailure("--trials must be a positive integer")
     seed = _resolve_seed(args.seed)
-    sweep = {"n": _parse_int_list(args.dims, "dims"), "p": _parse_float_list(args.p, "p"), "conj": (False, True)}
+    sweep = {
+        "n": _parse_int_list(args.dims, "dims"),
+        "p": _parse_float_list(args.p, "p"),
+        "conj": (False, True),
+    }
     for p in sweep["p"]:
         FpParam(p)  # validates p < 1 up front
 

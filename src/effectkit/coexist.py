@@ -43,7 +43,7 @@ from .effects import (
 from .errors import DegenerateRanges, DimensionError, DomainError
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .strength import _closed, strength_closed
-from .suites import VerificationReport, _boolean, _no_inputs, _SuiteState, _suite_seed, _take, _trial_blocks
+from .suites import VerificationReport, _boolean, _no_inputs, _SuiteState, _suite_seed, _trial_blocks
 
 __all__ = [
     "CoexistenceWitness",
@@ -161,7 +161,7 @@ def coexists_with_all_probe(
         vec, ray = _ray(numkern._random_ray_stack(n, rngs))
         t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
         if rank_one:
-            overlap = _overlaps(P.vector[None], vec)
+            overlap = _overlaps(P.vector, vec)
             fits = numkern._psd_leq_hermitian(hermitize(sP + t[:, None, None] * ray.matrix), eye, tol)
             refuted = (overlap < 1.0 - tol.eps_rank) & ~fits
         else:
@@ -182,8 +182,7 @@ def _closed_along(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> np.ndarra
 
 def _overlaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """|<p_k, q_k>|^2 for stacks of unit vectors, each as a lone pair gives it."""
-    inner = (p.conj()[..., None, :] @ q[..., :, None])[..., 0, 0]  # vdot of each pair
-    return np.array([float(np.abs(c) ** 2) for c in inner])
+    return np.array([float(np.abs(c) ** 2) for c in numkern._vdot(p, q)])
 
 
 def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
@@ -198,12 +197,13 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
     P0 = make_ray(p_vec)
     Q0 = make_ray(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
-    state.record(_boolean([not coexist_rank_one(0.9, P0, 0.9, Q0, tol)]), _no_inputs("overlapping-0.9-pair-reported-coexistent"))
-    scalar_ok = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
-    state.record(_boolean([scalar_ok]), _no_inputs("scalar-probe-returned-false"))
+    apart = not coexist_rank_one(0.9, P0, 0.9, Q0, tol)
+    state.record(_boolean([apart]), _no_inputs("overlapping-0.9-pair-reported-coexistent"))
+    scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
+    state.record(_boolean([scalar]), _no_inputs("scalar-probe-returned-false"))
     atom = make_effect(0.9 * P0.projection.matrix, tol)
-    atom_ok = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
-    state.record(_boolean([atom_ok]), _no_inputs("rank-one-probe-found-no-counterexample"))
+    refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
+    state.record(_boolean([refuted]), _no_inputs("rank-one-probe-found-no-counterexample"))
 
     eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
@@ -224,7 +224,7 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         valid &= numkern._psd_leq_hermitian(total, eye, tol)
         # A trial without a witness stops there and draws nothing more.
         split = np.ones(len(rngs), dtype=bool)
-        rest = _take(rngs, witness)
+        rest = [rng for rng, kept in zip(rngs, witness.tolist()) if kept]
         if rest:
             lam = np.array([rng.uniform(0.02, 0.98) for rng in rest])[:, None, None]
             p, P = _ray(numkern._random_ray_stack(n, rest))

@@ -149,6 +149,13 @@ def _vector_norm(v: np.ndarray) -> float | np.ndarray:
     return float(norms) if v.ndim == 1 else norms
 
 
+def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vdot`` of each pair of rows of two (T, n) stacks, either of
+    which may be one vector: a (1, n) by (n, 1) matmul per pair runs the
+    dot kernel ``np.vdot`` runs, so each result equals it bit for bit."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Symmetrize round-off: return (M + M*)/2, for a matrix or each matrix of a stack."""
     return 0.5 * (M + M.conj().swapaxes(-1, -2))

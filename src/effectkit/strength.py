@@ -89,33 +89,39 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     1 / sum(|c_i|^2 / lambda_i) over the range eigenvalues.
     """
     _check_dims(A, ray)
-    value, in_range, near = _closed(A.eigenvalues[None], A.eigenvectors[None], ray.vector[None], tol)
-    return StrengthValue(float(value[0]), bool(in_range[0]), bool(near[0]))
+    value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, ray.vector, tol)
+    return StrengthValue(float(value), bool(in_range), bool(near))
 
 
 def _closed(w: np.ndarray, V: np.ndarray, vec: np.ndarray, tol: ToleranceConfig):
-    """``strength_closed`` of each effect of a stack, given by its ascending
-    eigenvalues w (T, n) and eigenvectors V, along the unit vector vec (T, n)
-    of the same member: arrays (value, in_range, near)."""
-    mags = np.abs((V.conj().swapaxes(-1, -2) @ vec[..., None])[..., 0])
-    cutoff = tol.eps_rank * w[:, -1:]
+    """``strength_closed`` of the effect with ascending eigenvalues w and
+    eigenvectors V along the unit vector vec, as (value, in_range, near);
+    for stacks of them, arrays with one entry per member."""
+    mags = np.abs(V.conj().swapaxes(-1, -2) @ vec[..., None])[..., 0]
+    cutoff = tol.eps_rank * w[..., -1:]
     kernel = w <= cutoff  # a prefix of each row, the eigenvalues ascending
-    kmax = np.where(kernel, mags, 0.0).max(axis=-1)
-    near = kernel.any(axis=-1) & (tol.eps_rank / 10.0 <= kmax) & (kmax <= tol.eps_rank * 10.0)
-    in_range = ~(kmax > tol.eps_rank)
     # An eigenvalue barely above the cutoff with real weight on it makes
     # 1/lambda blow up unstably; flag that situation as well.
-    shaky = ~kernel & (w <= 10.0 * cutoff) & (mags > tol.eps_rank)
-    near |= in_range & shaky.any(axis=-1)
-    value = np.zeros(len(w))
-    # Summed over the range eigenvalues only, per kernel size, so each sum
-    # adds the terms a lone effect adds, in the same order.
+    near = (~kernel & (w <= 10.0 * cutoff) & (mags > tol.eps_rank)).any(axis=-1)
+    if not kernel.any():
+        return _inverse_sum(mags, w), np.ones_like(near), near
+    kmax = np.where(kernel, mags, 0.0).max(axis=-1)
+    in_range = ~(kmax > tol.eps_rank)
+    near_kernel = kernel.any(axis=-1) & (tol.eps_rank / 10.0 <= kmax) & (kmax <= tol.eps_rank * 10.0)
+    near = near_kernel | (in_range & near)
+    # Summed over the range eigenvalues, per kernel size, so that each sum
+    # adds the terms of a lone effect in the same order.
     sizes = np.count_nonzero(kernel, axis=-1)
-    for size in np.unique(sizes[in_range]).tolist():
-        rows = np.flatnonzero(in_range & (sizes == size))
-        total = np.sum(mags[rows, size:] ** 2 / w[rows, size:], axis=-1)
-        value[rows] = np.minimum(1.0, np.maximum(0.0, 1.0 / total))
+    value = np.zeros(np.shape(sizes))
+    for size in set(np.ravel(sizes).tolist()):
+        rows = (sizes == size) & in_range
+        value[rows] = _inverse_sum(mags[..., size:][rows], w[..., size:][rows])
     return value, in_range, near
+
+
+def _inverse_sum(mags: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """1 / sum(mags^2 / w) along the last axis, clamped to [0, 1]."""
+    return np.minimum(1.0, np.maximum(0.0, 1.0 / np.sum(mags**2 / w, axis=-1)))
 
 
 def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -126,28 +132,31 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     construction: only the raw Loewner comparison is consulted.
     """
     _check_dims(A, ray)
-    return float(_bisect(ray.projection.matrix[None], A.matrix[None], tol)[0])
+    return float(_bisect(ray.projection.matrix, A.matrix, tol))
 
 
-def _bisect(P: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """``strength_bisect`` of each member of the stacks P (ray projections)
-    and A (effect matrices): each step is one stacked Loewner test of
-    t_k P_k against A_k, for the members that t = 1 does not fit."""
+def _bisect(P: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
+    """``strength_bisect`` of the ray projection P against the effect matrix
+    A, or of each member of stacks of them, each step one stacked Loewner
+    test of t_k P_k against A_k.
 
-    def fits(t: np.ndarray, P: np.ndarray, A: np.ndarray) -> np.ndarray:
-        return numkern._psd_leq_hermitian(t[:, None, None] * P, A, tol)
+    The bracket [lo, lo + step] halves exactly, its ends being multiples of
+    step, so lo + step is its midpoint bit for bit.
+    """
+    stacked = P.ndim == 3
 
-    value = np.ones(len(P))
-    todo = np.flatnonzero(~fits(value, P, A))
-    if todo.size:
-        P, A = P[todo], A[todo]
-        lo, hi = np.zeros(todo.size), np.ones(todo.size)
-        for _ in range(BISECT_ITERATIONS):
-            mid = 0.5 * (lo + hi)
-            ok = fits(mid, P, A)
-            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
-        value[todo] = lo
-    return value
+    def fits(t):
+        return numkern._psd_leq_hermitian((t[:, None, None] if stacked else t) * P, A, tol)
+
+    top = fits(np.ones(len(P)) if stacked else 1.0)
+    if np.all(top):
+        return top * 1.0
+    # A NumPy float step multiplies the NumPy bool of a lone test quickly.
+    lo, step = np.zeros(len(P)) if stacked else 0.0, np.float64(1.0)
+    for _ in range(BISECT_ITERATIONS):
+        step *= 0.5
+        lo = lo + step * fits(lo + step)
+    return np.where(top, 1.0, lo)
 
 
 def strength_two_block(
@@ -172,13 +181,14 @@ def strength_two_block(
     return float(_two_block(np.array([mu]), *vectors, P.projection, Q.projection, tol)[0])
 
 
-def _two_block(mu: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray, P, Q, tol: ToleranceConfig) -> np.ndarray:
+def _two_block(
+    mu: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray, P, Q, tol: ToleranceConfig
+) -> np.ndarray:
     """``strength_two_block`` of each member: weights mu (T,), unit vectors
     p, q, r (T, n), and P, Q the projections onto p and q."""
     if not np.all(zero_product(P, Q, tol)):
         raise OrthogonalityError("P and Q must be orthogonal rank-one projections")
-    cp = (p.conj()[:, None, :] @ r[:, :, None])[:, 0, 0]  # vdot(p, r) of each member
-    cq = (q.conj()[:, None, :] @ r[:, :, None])[:, 0, 0]
+    cp, cq = numkern._vdot(p, r), numkern._vdot(q, r)
     residual = r - cp[:, None] * p - cq[:, None] * q
     if (numkern._vector_norm(residual) > tol.eps_rank).any():
         raise SpanError("R lies outside the span of P and Q")
@@ -209,6 +219,7 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
             E = _make_effect_stack(mu[:, None, None] * P.matrix + Q.matrix, tol)
             closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
             two_block_gap = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
-            checks.append((_analog(two_block_gap, _TWO_BLOCK_LIMIT), lambda k: _example("two-block", E=E.matrix[k])))
+            check = _analog(two_block_gap, _TWO_BLOCK_LIMIT)
+            checks.append((check, lambda k: _example("two-block", E=E.matrix[k])))
         state.trials_of(*checks)
     return state.report()

@@ -1,9 +1,9 @@
 """The protocol of the verify suites.
 
 A suite samples seeded inputs, checks one claim of the paper, and returns
-a VerificationReport.  Trial k draws from its own generator
-``default_rng([seed, offset + k])`` in the order a lone trial draws, and
-the trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
+a VerificationReport.  Each trial draws from its own generator
+``default_rng([seed, k])``, in the order a lone trial draws, and the
+trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
 calls.  Checks are recorded through ``_SuiteState`` in trial order, so a
 report depends neither on the block size nor on the order of evaluation.
 ``Suite`` names a suite for ``effectkit verify`` and the axes it sweeps.
@@ -12,7 +12,7 @@ report depends neither on the block size nor on the order of evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -119,7 +119,9 @@ class _SuiteState:
         self.record((ok, amounts), lambda i: checks[i % c][1](i // c))
 
     def report(self) -> VerificationReport:
-        return VerificationReport(self.name, self.trials, self.failures, self.worst, self.counterexample, self.seed)
+        return VerificationReport(
+            self.name, self.trials, self.failures, self.worst, self.counterexample, self.seed
+        )
 
 
 # A block of stacked trials holds at most this many matrix entries per
@@ -142,8 +144,3 @@ def _trial_blocks(seed: int, streams: range, n: int) -> Iterator[list[np.random.
 def _suite_seed(seed: int, index: int) -> int:
     """Child seed ``index`` of ``seed``."""
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
-
-
-def _take(rngs: Sequence[np.random.Generator], mask: np.ndarray) -> list[np.random.Generator]:
-    """The generators of the trials where ``mask`` holds."""
-    return [rng for rng, keep in zip(rngs, mask.tolist()) if keep]

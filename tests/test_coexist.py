@@ -190,7 +190,8 @@ def _probe_cases():
         cases.append((scalar_effect(n, float(rng.uniform(0.0, 1.0))), 60, k))
         cases.append((sample_effect(n, rng), 60, k))
         # Close to a scalar: refuting atoms are rare, so many probes run.
-        near = 0.5 * np.eye(n) + 10.0 ** rng.uniform(-4.0, -1.0) * (sample_effect(n, rng).matrix - 0.5 * np.eye(n))
+        spread = 10.0 ** rng.uniform(-4.0, -1.0)
+        near = 0.5 * np.eye(n) + spread * (sample_effect(n, rng).matrix - 0.5 * np.eye(n))
         cases.append((make_effect(near), 120, k))
     return cases
 

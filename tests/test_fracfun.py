@@ -213,7 +213,9 @@ def test_verify_pexider_equals_the_scalar_loop_bit_for_bit():
         rng = np.random.default_rng([41, k])
         a = float(np.exp(rng.uniform(-3.0, 3.0)))
         c = float(np.exp(rng.uniform(-1.5, 1.5)))
-        b, e = (1.0, c) if k % 2 == 0 else (float(np.exp(rng.uniform(-2.0, 2.0))), float(np.exp(rng.uniform(-1.5, 1.5))))
+        b, e = 1.0, c
+        if k % 2:
+            b, e = float(np.exp(rng.uniform(-2.0, 2.0))), float(np.exp(rng.uniform(-1.5, 1.5)))
         grid = int(rng.integers(1, 30))
         got = verify_pexider(FracParams(a, b, c), b, e, grid)
         assert got.hex() == _pexider_reference(FracParams(a, b, c), b, e, grid).hex()

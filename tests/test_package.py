@@ -75,7 +75,7 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-ERRORS = sorted({c for c in _subclasses(EffectKitError) if c not in (InputError, CheckFailed)}, key=lambda c: c.__name__)
+ERRORS = sorted(set(_subclasses(EffectKitError)) - {InputError, CheckFailed}, key=lambda c: c.__name__)
 
 
 def test_every_error_is_listed():

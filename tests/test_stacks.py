@@ -234,3 +234,32 @@ def test_suite_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, bloc
     monkeypatch.setattr(suites, "_BLOCK_ENTRIES", block * 3 * 3)
     main(argv)
     assert capsys.readouterr().out == default
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_stacked_strength_routes_match_per_pair(n):
+    from effectkit.effects import _ray, make_ray
+    from effectkit.strength import _bisect, _closed, strength_bisect, strength_closed
+
+    # Members of every kernel size, rays in and out of the range, and a
+    # member whose projection fits below it at t = 1 (strength 1).
+    effects, vectors = [], []
+    for k in range(3 * n + 3):
+        rng = np.random.default_rng([14, n, k])
+        Q = haar_unitary(n, rng)
+        w = np.sort(rng.uniform(0.0, 1.0, n))
+        w[: k % (n + 1)] = 0.0
+        v = Q[:, -1] + (10.0 ** rng.uniform(-12, -2)) * Q[:, 0] if k % 3 else random_ray(n, rng)
+        if k == 0:
+            w[:], v = 1.0, Q[:, 0]
+        effects.append(make_effect(hermitize((Q * w) @ Q.conj().T)))
+        vectors.append(v)
+    A = _stack_effects(effects)
+    vec, rays = _ray(np.stack(vectors))
+    value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, vec, DEFAULT_TOL)
+    bisected = _bisect(rays.matrix, A.matrix, DEFAULT_TOL)
+    assert in_range.any() and not in_range.all() and bisected.max() == 1.0
+    for k, (a, v) in enumerate(zip(effects, vectors)):
+        alone = strength_closed(a, make_ray(v))
+        assert same(value[k], alone.value) and (in_range[k], near[k]) == (alone.in_range, alone.near_cutoff)
+        assert same(bisected[k], strength_bisect(a, make_ray(v)))
