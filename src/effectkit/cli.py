@@ -243,10 +243,13 @@ def map_to_doc(phi: EffectAutomorphism) -> dict:
 
 
 def _family_suite(verify):
-    """Run ``verify`` on the family member (n, p, conj) drawn from the suite seed."""
+    """Run ``verify`` on the family member (n, p, conj) drawn from the suite
+    seed.  It is looked up on this module per run, as ``main`` looks up a
+    command, so a replaced function (a test double, a tracing wrapper) runs."""
+    name = verify.__name__
 
     def run(trials: int, seed: int, tol: ToleranceConfig, n: int, p: float, conjugate: bool):
-        return verify(random_automorphism(n, p, conjugate, seed), trials, seed, tol=tol)
+        return globals()[name](random_automorphism(n, p, conjugate, seed), trials, seed, tol=tol)
 
     return run
 
