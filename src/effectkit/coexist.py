@@ -144,9 +144,9 @@ def coexists_with_all_probe(
     probe draws a ray and a weight t, and coexistence of A with that weak
     atom is decided exactly (by the rank-one criterion when A has rank
     one).  Even probe numbers are left unused.  The probes run in stacked
-    blocks; returns False if one refutes, True if none does.  Scalars
-    always return True; for a generic non-scalar a refuting weak atom
-    appears quickly.
+    blocks of doubling size; returns False after the first block with a
+    refutation, True if none turned up.  Scalars always return True; for a
+    generic non-scalar a refuting weak atom appears quickly.
     """
     n = A.dim
     eye = np.eye(n, dtype=np.complex128)
@@ -157,7 +157,7 @@ def coexists_with_all_probe(
         sP = float(A.eigenvalues[-1]) * P.projection.matrix
     else:
         complement = orthocomplement(A)
-    for rngs in _trial_blocks(seed, range(1, trials, 2), n):
+    for rngs in _trial_blocks(seed, range(1, trials, 2), n, first=1):
         vec, ray = _ray(numkern._random_ray_stack(n, rngs))
         t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
         if rank_one:

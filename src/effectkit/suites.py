@@ -132,13 +132,19 @@ class _SuiteState:
 _BLOCK_ENTRIES = 2048
 
 
-def _trial_blocks(seed: int, streams: range, n: int) -> Iterator[list[np.random.Generator]]:
+def _trial_blocks(
+    seed: int, streams: range, n: int, first: int | None = None
+) -> Iterator[list[np.random.Generator]]:
     """The generators ``default_rng([seed, k])`` for k in ``streams``, in
     blocks whose n x n matrices hold at most ``_BLOCK_ENTRIES`` entries (at
-    least one trial)."""
-    block = max(1, _BLOCK_ENTRIES // (n * n))
-    for start in range(0, len(streams), block):
+    least one trial).  With ``first``, the blocks start at that many trials
+    and double, for a search that stops at its first find."""
+    cap = max(1, _BLOCK_ENTRIES // (n * n))
+    block = cap if first is None else min(first, cap)
+    start = 0
+    while start < len(streams):
         yield [np.random.default_rng([seed, k]) for k in streams[start : start + block]]
+        start, block = start + block, min(cap, 2 * block)
 
 
 def _suite_seed(seed: int, index: int) -> int:
