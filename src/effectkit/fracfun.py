@@ -121,7 +121,8 @@ def _f_values(params: FracParams, x: np.ndarray) -> np.ndarray:
     """f_eval at each point of the array x, bit for bit.
 
     The arithmetic runs on arrays, but each power is a Python float power:
-    numpy's array ``**`` need not round as ``pow`` does.
+    numpy's array ``**`` need not round as ``pow`` does.  f(0) = 0 and
+    f(1) = 1 come out of the arithmetic exactly.
     """
     inside = np.isfinite(x) & (x >= -1e-12) & (x <= 1.0 + 1e-12)
     if not inside.all():

@@ -354,3 +354,12 @@ def test_negative_p_as_separate_token(capsys):
         outputs.append((code, capsys.readouterr().out))
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0][1])["suites"][0]["suite"].startswith("order[n=2,p=-1e+06")
+
+
+@pytest.mark.parametrize("suite", ["coexist", "zero-product"])
+def test_verify_exits_two_for_a_suite_that_needs_two_dimensions(capsys, suite):
+    code = main(["verify", "--suite", suite, "--dims", "1", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {suite} suite needs dimension at least 2\n"

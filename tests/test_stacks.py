@@ -236,20 +236,58 @@ def test_suite_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, bloc
     assert capsys.readouterr().out == default
 
 
-@pytest.mark.parametrize("n", DIMS)
-def test_stacked_strength_routes_match_per_pair(n):
+def _closed_reference(A, v, tol=DEFAULT_TOL):
+    """strength_closed as first written, one effect at a time."""
+    w = A.eigenvalues
+    mags = np.abs(A.eigenvectors.conj().T @ v)
+    cutoff = tol.eps_rank * float(w[-1])
+    kernel = w <= cutoff
+    near = False
+    if np.any(kernel):
+        kmax = float(mags[kernel].max())
+        near = tol.eps_rank / 10.0 <= kmax <= tol.eps_rank * 10.0
+        if kmax > tol.eps_rank:
+            return 0.0, False, near
+    kept = ~kernel
+    near = near or bool(np.any(kept & (w <= 10.0 * cutoff) & (mags > tol.eps_rank)))
+    return min(1.0, max(0.0, 1.0 / float(np.sum(mags[kept] ** 2 / w[kept])))), True, near
+
+
+def _bisect_reference(A, P, tol=DEFAULT_TOL):
+    """strength_bisect as first written: one Loewner test at a time."""
+    from effectkit.numkern import _psd_leq_hermitian
+    from effectkit.strength import BISECT_ITERATIONS
+
+    if _psd_leq_hermitian(1.0 * P, A.matrix, tol):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(BISECT_ITERATIONS):
+        mid = 0.5 * (lo + hi)
+        if _psd_leq_hermitian(mid * P, A.matrix, tol):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@pytest.mark.parametrize("n", DIMS + (16,))
+def test_strength_routes_match_their_first_form(n):
     from effectkit.effects import _ray, make_ray
     from effectkit.strength import _bisect, _closed, strength_bisect, strength_closed
 
-    # Members of every kernel size, rays in and out of the range, and a
-    # member whose projection fits below it at t = 1 (strength 1).
+    # Members of every kernel size, rays spread over the range with a leak
+    # into the kernel below or above eps_rank (in or out of the range), and
+    # a member whose projection fits below it at t = 1 (strength 1).
     effects, vectors = [], []
     for k in range(3 * n + 3):
         rng = np.random.default_rng([14, n, k])
         Q = haar_unitary(n, rng)
         w = np.sort(rng.uniform(0.0, 1.0, n))
-        w[: k % (n + 1)] = 0.0
-        v = Q[:, -1] + (10.0 ** rng.uniform(-12, -2)) * Q[:, 0] if k % 3 else random_ray(n, rng)
+        kernel = k % (n + 1)
+        w[:kernel] = 0.0
+        coefficients = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        coefficients[:kernel] *= 10.0 ** rng.uniform(-12, -4)
+        v = Q @ coefficients
         if k == 0:
             w[:], v = 1.0, Q[:, 0]
         effects.append(make_effect(hermitize((Q * w) @ Q.conj().T)))
@@ -260,6 +298,10 @@ def test_stacked_strength_routes_match_per_pair(n):
     bisected = _bisect(rays.matrix, A.matrix, DEFAULT_TOL)
     assert in_range.any() and not in_range.all() and bisected.max() == 1.0
     for k, (a, v) in enumerate(zip(effects, vectors)):
-        alone = strength_closed(a, make_ray(v))
-        assert same(value[k], alone.value) and (in_range[k], near[k]) == (alone.in_range, alone.near_cutoff)
-        assert same(bisected[k], strength_bisect(a, make_ray(v)))
+        ray = make_ray(v)
+        want = _closed_reference(a, ray.vector)
+        alone = strength_closed(a, ray)
+        assert same(value[k], want[0]) and (in_range[k], near[k]) == want[1:]
+        assert same(alone.value, want[0]) and (alone.in_range, alone.near_cutoff) == want[1:]
+        want = _bisect_reference(a, ray.projection.matrix)
+        assert same(bisected[k], want) and same(strength_bisect(a, ray), want)
