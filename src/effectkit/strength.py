@@ -107,8 +107,7 @@ def _closed(w: np.ndarray, V: np.ndarray, vec: np.ndarray, tol: ToleranceConfig)
         return _inverse_sum(mags, w), np.ones_like(near), near
     kmax = np.where(kernel, mags, 0.0).max(axis=-1)
     in_range = ~(kmax > tol.eps_rank)
-    near_kernel = kernel.any(axis=-1) & (tol.eps_rank / 10.0 <= kmax) & (kmax <= tol.eps_rank * 10.0)
-    near = near_kernel | (in_range & near)
+    near = ((tol.eps_rank / 10.0 <= kmax) & (kmax <= tol.eps_rank * 10.0)) | (in_range & near)
     # Summed over the range eigenvalues, per kernel size, so that each sum
     # adds the terms of a lone effect in the same order.
     sizes = np.count_nonzero(kernel, axis=-1)
