@@ -13,7 +13,9 @@ here; the module provides the decidable pieces:
 * a randomized probe for "coexists with everything", which can refute
   but never prove (only scalars survive it).
 
-It also owns the coexist suite of ``effectkit verify``.
+Each decision is computed for one pair or for stacks of them: the public
+functions are its lone case, and the probe and the coexist suite of
+``effectkit verify`` run it stacked.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .effects import (
 )
 from .errors import DegenerateRanges, DimensionError, DomainError
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
-from .strength import _closed, strength_closed
+from .strength import _closed
 from .suites import VerificationReport, _boolean, _no_inputs, _SuiteState, _suite_seed, _trial_blocks
 
 __all__ = [
@@ -64,19 +66,12 @@ class CoexistenceWitness:
 
     def residual_for(self, A: Effect, B: Effect) -> float:
         """Worst Frobenius defect of the witness equations for (A, B)."""
-        rA = numkern.frobenius(self.E.matrix + self.G.matrix - A.matrix)
-        rB = numkern.frobenius(self.F.matrix + self.G.matrix - B.matrix)
-        return max(rA, rB)
+        return float(_witness_residual(self.E.matrix, self.F.matrix, self.G.matrix, A.matrix, B.matrix))
 
     def is_valid_for(self, A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Check the splitting equations and that E + F + G is an effect."""
-        if self.residual_for(A, B) > tol.eps_eq:
-            return False
-        total = self.E.matrix + self.F.matrix + self.G.matrix
-        n = A.dim
-        return numkern.psd_leq(np.zeros((n, n)), total, tol) and numkern.psd_leq(
-            total, np.eye(n), tol
-        )
+        E, F, G = self.E.matrix, self.F.matrix, self.G.matrix
+        return bool(_witness_valid(E, F, G, _witness_residual(E, F, G, A.matrix, B.matrix), tol))
 
 
 def coexist_trivial_witness(
@@ -85,8 +80,7 @@ def coexist_trivial_witness(
     """Witness (A, B, 0) when A + B is itself an effect, else None."""
     if A.dim != B.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
-    total = A.matrix + B.matrix
-    if not numkern.psd_leq(total, np.eye(A.dim), tol):
+    if not _below_identity(A.matrix + B.matrix, tol):
         return None
     return CoexistenceWitness(E=A, F=B, G=zero_effect(A.dim))
 
@@ -109,11 +103,10 @@ def coexist_rank_one(
             raise DomainError(f"weight {name} must lie in (0, 1], got {value!r}")
     if P.dim != Q.dim:
         raise DimensionError(f"dimension mismatch: {P.dim} vs {Q.dim}")
-    overlap = float(np.abs(np.vdot(P.vector, Q.vector)) ** 2)
-    if overlap >= 1.0 - tol.eps_rank:
+    distinct, fits = _rank_one(s, P.vector, P.projection.matrix, t, Q.vector, Q.projection.matrix, tol)
+    if not distinct[0]:
         raise DegenerateRanges("rank-one criterion needs distinct ranges")
-    total = s * P.projection.matrix + t * Q.projection.matrix
-    return numkern.psd_leq(total, np.eye(P.dim), tol)
+    return bool(fits)
 
 
 def coexists_with_weak_atom(
@@ -128,11 +121,7 @@ def coexists_with_weak_atom(
     """
     if A.dim != atom.ray.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {atom.ray.dim}")
-    budget = (
-        strength_closed(A, atom.ray, tol).value
-        + strength_closed(orthocomplement(A), atom.ray, tol).value
-    )
-    return atom.weight <= budget + tol.eps_psd
+    return bool(_weak_atoms_fit(A, orthocomplement(A), atom.weight, atom.ray.vector, tol))
 
 
 def coexists_with_all_probe(
@@ -149,40 +138,73 @@ def coexists_with_all_probe(
     generic non-scalar a refuting weak atom appears quickly.
     """
     n = A.dim
-    eye = np.eye(n, dtype=np.complex128)
     rank_one = rank_of(A, tol) == 1
     if rank_one:
         # Dispatch rank-one pairs to the sum criterion.
         P = make_ray(A.eigenvectors[:, -1])
-        sP = float(A.eigenvalues[-1]) * P.projection.matrix
+        s = float(A.eigenvalues[-1])
     else:
         complement = orthocomplement(A)
     for rngs in _trial_blocks(seed, range(1, trials, 2), n, first=1):
         vec, ray = _ray(numkern._random_ray_stack(n, rngs))
         t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
         if rank_one:
-            overlap = _overlaps(P.vector, vec)
-            fits = numkern._psd_leq_hermitian(hermitize(sP + t[:, None, None] * ray.matrix), eye, tol)
-            refuted = (overlap < 1.0 - tol.eps_rank) & ~fits
+            distinct, fits = _rank_one(s, P.vector, P.projection.matrix, t[:, None, None], vec, ray.matrix, tol)
+            refuted = distinct & ~fits
         else:
-            budget = _closed_along(A, vec, tol) + _closed_along(complement, vec, tol)
-            refuted = ~(t <= budget + tol.eps_psd)
+            refuted = ~_weak_atoms_fit(A, complement, t, vec, tol)
         if (refuted & (t > 0.0)).any():
             return False
     return True
 
 
+# The matrices compared are exactly Hermitian (effect matrices, real
+# multiples and sums of them), so each comparison equals ``psd_leq``'s.
+
+
+def _below_identity(M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Whether M <= I, for a matrix or each member of a stack.  With M =
+    A + B this is the trivial witness's test: (A, B, 0) witnesses iff it holds."""
+    eye = np.eye(M.shape[-1], dtype=np.complex128)
+    return numkern._psd_leq_hermitian(hermitize(M), eye, tol)
+
+
+def _rank_one(s, p: np.ndarray, P: np.ndarray, t, q: np.ndarray, Q: np.ndarray, tol: ToleranceConfig):
+    """The rank-one criterion for s * P and t * Q, where P and Q project
+    onto the unit vectors p and q (or stacks, with weights shaped to
+    broadcast), as (distinct, fits): whether the rays differ, one entry per
+    pair, and whether the weighted sum is an effect."""
+    distinct = numkern._overlaps(p, q) < 1.0 - tol.eps_rank
+    return distinct, _below_identity(s * P + t * Q, tol)
+
+
+def _weak_atoms_fit(A: Effect, complement: Effect, t, vec: np.ndarray, tol: ToleranceConfig):
+    """Whether A, with orthocomplement ``complement``, coexists with the
+    weak atom t |vec><vec|: t within the strength budget of A and I - A
+    along vec.  For a (T, n) stack of vectors, t holds T weights."""
+    budget = _closed_along(A, vec, tol) + _closed_along(complement, vec, tol)
+    return t <= budget + tol.eps_psd
+
+
 def _closed_along(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Closed-form strength of A along each unit vector of the stack vec."""
-    T = len(vec)
-    w = np.broadcast_to(A.eigenvalues, (T,) + A.eigenvalues.shape)
-    V = np.broadcast_to(A.eigenvectors, (T,) + A.eigenvectors.shape)
+    """Closed-form strength of A along the unit vector vec, or each of a (T, n) stack."""
+    w, V = A.eigenvalues, A.eigenvectors
+    if vec.ndim == 2:
+        w = np.broadcast_to(w, (len(vec),) + w.shape)
+        V = np.broadcast_to(V, (len(vec),) + V.shape)
     return _closed(w, V, vec, tol)[0]
 
 
-def _overlaps(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """|<p_k, q_k>|^2 for stacks of unit vectors, each as a lone pair gives it."""
-    return np.array([float(np.abs(c) ** 2) for c in numkern._vdot(p, q)])
+def _witness_residual(E, F, G, A, B) -> np.ndarray:
+    """Worst Frobenius defect of E + G = A and F + G = B, for matrices or stacks."""
+    return np.maximum(numkern.frobenius(E + G - A), numkern.frobenius(F + G - B))
+
+
+def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
+    """Whether a witness with that residual holds and E + F + G is an effect."""
+    total = E + F + G
+    positive = numkern._psd_leq_hermitian(np.zeros_like(total), hermitize(total), tol)
+    return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)
 
 
 def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
@@ -205,7 +227,6 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
     state.record(_boolean([refuted]), _no_inputs("rank-one-probe-found-no-counterexample"))
 
-    eye = np.eye(n, dtype=np.complex128)
     zero = np.zeros((n, n), dtype=np.complex128)
     for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
         A = _sample_effect_stack(n, rngs, tol)
@@ -215,13 +236,9 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         scale = ((1.0 - 1e-12) / top[over])[:, None, None]
         A, B = _rescaled(A, over, scale, tol), _rescaled(B, over, scale, tol)
         # The trivial witness (A, B, 0), present iff A + B <= I, and its checks.
-        witness = numkern._psd_leq_hermitian(hermitize(A.matrix + B.matrix), eye, tol)
-        residual = np.maximum(
-            numkern.frobenius(A.matrix + zero - A.matrix), numkern.frobenius(B.matrix + zero - B.matrix)
-        )
-        total = hermitize(A.matrix + B.matrix + zero)
-        valid = ~(residual > tol.eps_eq) & numkern._psd_leq_hermitian(zero, total, tol)
-        valid &= numkern._psd_leq_hermitian(total, eye, tol)
+        witness = _below_identity(A.matrix + B.matrix, tol)
+        residual = _witness_residual(A.matrix, B.matrix, zero, A.matrix, B.matrix)
+        valid = _witness_valid(A.matrix, B.matrix, zero, residual, tol)
         # A trial without a witness stops there and draws nothing more.
         split = np.ones(len(rngs), dtype=bool)
         rest = [rng for rng, kept in zip(rngs, witness.tolist()) if kept]
@@ -229,9 +246,8 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
             lam = np.array([rng.uniform(0.02, 0.98) for rng in rest])[:, None, None]
             p, P = _ray(numkern._random_ray_stack(n, rest))
             q, Q = _ray(numkern._random_ray_stack(n, rest))
-            mixed = hermitize(lam * P.matrix + (1.0 - lam) * Q.matrix)
-            distinct = _overlaps(p, q) < 1.0 - tol.eps_rank
-            split[witness] = ~distinct | numkern._psd_leq_hermitian(mixed, eye, tol)
+            distinct, fits = _rank_one(lam, p, P.matrix, 1.0 - lam, q, Q.matrix, tol)
+            split[witness] = ~distinct | fits
         state.trials_of(
             (_boolean(witness), _no_inputs("trivial-witness-missing-for-substochastic-pair")),
             ((valid | ~witness, np.where(witness, residual, 0.0)), _no_inputs("trivial-witness-invalid")),

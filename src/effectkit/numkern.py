@@ -156,6 +156,12 @@ def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a_k, b_k>|^2 for the pairs of ``_vdot``, one entry per pair (one
+    for two lone vectors), each taken as a lone pair's scalar gives it."""
+    return np.array([float(np.abs(c) ** 2) for c in np.ravel(_vdot(a, b))])
+
+
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Symmetrize round-off: return (M + M*)/2, for a matrix or each matrix of a stack."""
     return 0.5 * (M + M.conj().swapaxes(-1, -2))

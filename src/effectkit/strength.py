@@ -191,7 +191,7 @@ def _two_block(
     residual = r - cp[:, None] * p - cq[:, None] * q
     if (numkern._vector_norm(residual) > tol.eps_rank).any():
         raise SpanError("R lies outside the span of P and Q")
-    overlap = np.array([float(np.abs(c) ** 2) for c in cp])
+    overlap = numkern._overlaps(p, r)
     if ((overlap <= tol.eps_rank) | (overlap >= 1.0 - tol.eps_rank)).any():
         raise DomainError("R coincides with or is orthogonal to P; two-block form needs a mixed ray")
     return mu / (mu + (1.0 - mu) * overlap)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from effectkit import coexist
 from effectkit.coexist import (
     CoexistenceWitness,
     coexist_rank_one,
@@ -23,6 +24,7 @@ from effectkit.effects import (
     zero_effect,
 )
 from effectkit.errors import DegenerateRanges, DomainError
+from effectkit.numkern import DEFAULT_TOL
 from effectkit.strength import strength_closed
 
 
@@ -201,3 +203,34 @@ def test_probe_equals_its_first_definition():
                 for A, trials, seed in _probe_cases()]
     assert all(got == want for got, want in outcomes)
     assert {want for _, want in outcomes} == {True, False}
+
+
+@pytest.mark.parametrize("core", ["_below_identity", "_rank_one", "_weak_atoms_fit", "_witness_valid"])
+def test_suite_runs_the_library_decisions(monkeypatch, core):
+    # The public functions and the coexist suite share one routine per
+    # decision: inverting it flips the function and fails the suite.
+    A, B = make_effect(np.diag([0.3, 0.2])), make_effect(np.diag([0.4, 0.1]))
+    P, Q = _overlapping_rays(0.96)
+
+    def answers():
+        witness = coexist_trivial_witness(A, B)
+        return (
+            witness is not None,
+            witness is not None and witness.is_valid_for(A, B),
+            coexist_rank_one(0.9, P, 0.9, Q),
+            coexists_with_weak_atom(scalar_effect(2, 0.5), WeakAtom(0.9, Q)),
+        )
+
+    before = answers()
+    assert coexist._coexist_suite(20, 1, DEFAULT_TOL, 3).failures == 0
+    real = getattr(coexist, core)
+    if core == "_rank_one":
+        def inverted(*args):
+            distinct, fits = real(*args)
+            return distinct, ~fits
+    else:
+        def inverted(*args):
+            return ~real(*args)
+    monkeypatch.setattr(coexist, core, inverted)
+    assert answers() != before
+    assert coexist._coexist_suite(20, 1, DEFAULT_TOL, 3).failures > 0
