@@ -95,7 +95,11 @@ def _format_float(x: float) -> str:
 
 
 def dump_json(obj, level: int = 0) -> str:
-    """Serialize dicts/lists/str/bool/int/float/None deterministically."""
+    """Serialize dicts/lists/str/bool/int/float/None deterministically.
+
+    A matrix of [re, im] pairs (``_matrix_text``) is written in one pass,
+    with the bytes the recursive rule below gives it.
+    """
     pad = "  " * level
     inner = "  " * (level + 1)
     if obj is None:
@@ -116,9 +120,41 @@ def dump_json(obj, level: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
+        text = _matrix_text(obj, level)
+        if text is not None:
+            return text
         parts = [f"{inner}{dump_json(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _matrix_text(rows, level: int) -> str | None:
+    """``dump_json(rows, level)`` in one pass when ``rows`` is a non-empty
+    list of equal-length, non-empty lists of [float, float] lists (the
+    shape of ``_matrix_rows``); None for any other value.
+
+    One "%.17g" template per row, repeated for every row and filled with
+    one ``%``, gives the bytes the recursive rule gives.  A non-finite
+    entry raises the ValueError of the first one in row-major order, as
+    the recursive rule does.
+    """
+    if type(rows) is not list or type(rows[0]) is not list or not rows[0]:
+        return None
+    width = len(rows[0])
+    if any(type(row) is not list or len(row) != width for row in rows):
+        return None
+    entries = list(itertools.chain.from_iterable(rows))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    values = list(itertools.chain.from_iterable(entries))
+    if set(map(type, values)) != {float}:
+        return None
+    if not all(map(math.isfinite, values)):
+        _format_float(next(x for x in values if not math.isfinite(x)))  # raises
+    pad, row_pad, entry_pad, value_pad = ("  " * (level + k) for k in range(4))
+    entry = f"{entry_pad}[\n{value_pad}%.17g,\n{value_pad}%.17g\n{entry_pad}]"
+    row = f"{row_pad}[\n" + ",\n".join([entry] * width) + f"\n{row_pad}]"
+    return ("[\n" + ",\n".join([row] * len(rows)) + f"\n{pad}]") % tuple(values)
 
 
 # ---------------------------------------------------------------------------

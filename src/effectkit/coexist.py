@@ -32,7 +32,7 @@ from .effects import (
     RayProjection,
     WeakAtom,
     _make_effect_stack,
-    _ray,
+    _ray_matrix,
     _sample_effect_stack,
     _stack_effects,
     make_effect,
@@ -141,15 +141,15 @@ def coexists_with_all_probe(
     rank_one = rank_of(A, tol) == 1
     if rank_one:
         # Dispatch rank-one pairs to the sum criterion.
-        P = make_ray(A.eigenvectors[:, -1])
+        p, P = _ray_matrix(A.eigenvectors[:, -1])
         s = float(A.eigenvalues[-1])
     else:
         complement = orthocomplement(A)
     for rngs in _trial_blocks(seed, range(1, trials, 2), n, first=1):
-        vec, ray = _ray(numkern._random_ray_stack(n, rngs))
+        vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
         t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
         if rank_one:
-            distinct, fits = _rank_one(s, P.vector, P.projection.matrix, t[:, None, None], vec, ray.matrix, tol)
+            distinct, fits = _rank_one(s, p, P, t[:, None, None], vec, ray, tol)
             refuted = distinct & ~fits
         else:
             refuted = ~_weak_atoms_fit(A, complement, t, vec, tol)
@@ -244,9 +244,9 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         rest = [rng for rng, kept in zip(rngs, witness.tolist()) if kept]
         if rest:
             lam = np.array([rng.uniform(0.02, 0.98) for rng in rest])[:, None, None]
-            p, P = _ray(numkern._random_ray_stack(n, rest))
-            q, Q = _ray(numkern._random_ray_stack(n, rest))
-            distinct, fits = _rank_one(lam, p, P.matrix, 1.0 - lam, q, Q.matrix, tol)
+            p, P = _ray_matrix(numkern._random_ray_stack(n, rest))
+            q, Q = _ray_matrix(numkern._random_ray_stack(n, rest))
+            distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
             split[witness] = ~distinct | fits
         state.trials_of(
             (_boolean(witness), _no_inputs("trivial-witness-missing-for-substochastic-pair")),

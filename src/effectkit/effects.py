@@ -215,18 +215,24 @@ def make_ray(v: np.ndarray) -> RayProjection:
 
 def _ray(vec: np.ndarray) -> tuple[np.ndarray, Effect | EffectStack]:
     """Normalized vector and its projection, for a vector or a (T, n) stack."""
-    norm = np.asarray(numkern._vector_norm(vec))
-    if (norm < 1e-300).any():
-        raise DomainError("cannot build a ray from the zero vector")
-    vec = vec / norm[..., None]
+    vec, P = _ray_matrix(vec)
     # Complete to an orthonormal basis: QR puts the ray (up to phase) in
     # the first column, so the remaining columns span its orthocomplement.
     Q = np.linalg.qr(vec[..., None], mode="complete")[0]
     basis = np.concatenate([Q[..., 1:], vec[..., None]], axis=-1)
     w = np.zeros(vec.shape)
     w[..., -1] = 1.0
-    P = vec[..., :, None] * vec.conj()[..., None, :]
-    return vec, _effect(numkern.hermitize(P), w, basis)
+    return vec, _effect(P, w, basis)
+
+
+def _ray_matrix(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized vector and its projection matrix, for a vector or a (T, n)
+    stack: ``_ray`` without the eigenbasis, for callers that read only these."""
+    norm = np.asarray(numkern._vector_norm(vec))
+    if (norm < 1e-300).any():
+        raise DomainError("cannot build a ray from the zero vector")
+    vec = vec / norm[..., None]
+    return vec, numkern.hermitize(vec[..., :, None] * vec.conj()[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +313,15 @@ def zero_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     decision per member pair.
     """
     _same_dim(A, B)
-    norm = numkern.frobenius(A.matrix @ B.matrix)
-    scale = np.maximum(1.0, numkern.frobenius(A.matrix) * numkern.frobenius(B.matrix))
-    return _decision(norm <= tol.eps_eq * scale)
+    return _decision(_zero_product(A.matrix, B.matrix, tol))
+
+
+def _zero_product(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The decision of ``zero_product`` on two matrices, or two stacks of
+    one shape, as a bool array."""
+    norm = numkern.frobenius(A @ B)
+    scale = np.maximum(1.0, numkern.frobenius(A) * numkern.frobenius(B))
+    return norm <= tol.eps_eq * scale
 
 
 def is_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

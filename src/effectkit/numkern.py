@@ -248,6 +248,22 @@ def _psd_leq_hermitian(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np
     return w[..., 0] >= -tol.eps_psd * np.maximum(1.0, frobenius(D))
 
 
+def _psd_leq_both(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(_psd_leq_hermitian(A, B, tol), _psd_leq_hermitian(B, A, tol))``
+    from one spectrum.
+
+    ``hermitize(A - B)`` equals ``-D`` for ``D = hermitize(B - A)`` (up to
+    the sign of zero entries) and has the same Frobenius norm, and LAPACK
+    gives its spectrum as that of D negated and reversed, bit for bit
+    (tests/test_numkern.py checks this on seeded stacks).  So B <= A is
+    decided by the negated top eigenvalue of the D that decides A <= B.
+    """
+    D = hermitize(B - A)
+    w = np.linalg.eigvalsh(D)
+    slack = -tol.eps_psd * np.maximum(1.0, frobenius(D))
+    return w[..., 0] >= slack, -w[..., -1] >= slack
+
+
 def _clamped_psd_eigenvalues(M: np.ndarray, tol: ToleranceConfig) -> EigenDecomp:
     dec = eig_hermitian(as_complex_matrix(M), tol)
     w = dec.eigenvalues

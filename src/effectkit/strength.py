@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, RayProjection, _make_effect_stack, _ray, _sample_effect_stack, zero_product
+from .effects import Effect, RayProjection, _make_effect_stack, _ray_matrix, _sample_effect_stack, _zero_product
 from .errors import (
     DimensionError,
     DomainError,
@@ -177,15 +177,15 @@ def strength_two_block(
     if P.dim != Q.dim or P.dim != R.dim:
         raise DimensionError("rays must share one dimension")
     vectors = (P.vector[None], Q.vector[None], R.vector[None])
-    return float(_two_block(np.array([mu]), *vectors, P.projection, Q.projection, tol)[0])
+    return float(_two_block(np.array([mu]), *vectors, P.projection.matrix, Q.projection.matrix, tol)[0])
 
 
 def _two_block(
     mu: np.ndarray, p: np.ndarray, q: np.ndarray, r: np.ndarray, P, Q, tol: ToleranceConfig
 ) -> np.ndarray:
     """``strength_two_block`` of each member: weights mu (T,), unit vectors
-    p, q, r (T, n), and P, Q the projections onto p and q."""
-    if not np.all(zero_product(P, Q, tol)):
+    p, q, r (T, n), and P, Q the projection matrices onto p and q."""
+    if not np.all(_zero_product(P, Q, tol)):
         raise OrthogonalityError("P and Q must be orthogonal rank-one projections")
     cp, cq = numkern._vdot(p, r), numkern._vdot(q, r)
     residual = r - cp[:, None] * p - cq[:, None] * q
@@ -202,20 +202,20 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
     state = _SuiteState("strength-oracle", trials, seed)
     for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
-        vec, ray = _ray(numkern._random_ray_stack(n, rngs))
-        gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - _bisect(ray.matrix, A.matrix, tol))
+        vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
+        gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - _bisect(ray, A.matrix, tol))
         checks = [(_analog(gap, ORACLE_GAP_LIMIT), lambda k: _example("closed-vs-bisect", A=A.matrix[k]))]
         if n >= 2:
             V = numkern._haar_unitary_stack(n, rngs)
             theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
             phase = [rng.uniform(0.0, 2.0 * math.pi) for rng in rngs]
             mu = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
-            p, P = _ray(V[..., 0])
-            q, Q = _ray(V[..., 1])
+            p, P = _ray_matrix(V[..., 0])
+            q, Q = _ray_matrix(V[..., 1])
             cos = np.array([math.cos(t) for t in theta])[:, None]
             sin = np.array([math.sin(t) * np.exp(1j * f) for t, f in zip(theta, phase)])[:, None]
-            r, _ = _ray(cos * V[..., 0] + sin * V[..., 1])
-            E = _make_effect_stack(mu[:, None, None] * P.matrix + Q.matrix, tol)
+            r, _ = _ray_matrix(cos * V[..., 0] + sin * V[..., 1])
+            E = _make_effect_stack(mu[:, None, None] * P + Q, tol)
             closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
             two_block_gap = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
             check = _analog(two_block_gap, _TWO_BLOCK_LIMIT)

@@ -57,8 +57,13 @@ class Suite:
 
 
 def _matrix_rows(M: np.ndarray) -> list:
-    """Rows of [re, im] pairs: the one serialization of a matrix's entries."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M)]
+    """Rows of [re, im] pairs: the one serialization of a matrix's entries.
+
+    Read as one ``tolist`` of the complex matrix's float64 view, which
+    holds each entry's real and imaginary parts side by side.
+    """
+    M = np.ascontiguousarray(M, dtype=np.complex128)
+    return M.view(np.float64).reshape(M.shape + (2,)).tolist()
 
 
 def _example(check: str, **mats: np.ndarray) -> dict:

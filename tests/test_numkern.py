@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from effectkit.effects import _stack_effects, leq, make_effect, sample_effect
 from effectkit.errors import DimensionError, HermiticityViolation, NotPositiveSemidefinite
 from effectkit.numkern import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _psd_leq_both,
+    _random_effect_stack,
     as_complex_matrix,
     eig_hermitian,
     frobenius,
@@ -154,3 +157,55 @@ def test_hermitize_idempotent():
     H = hermitize(G)
     assert frobenius(H - H.conj().T) == 0.0
     assert frobenius(hermitize(H) - H) == 0.0
+
+
+# (n, stack size): the dimensions of the verify workloads and beyond.
+SPECTRUM_STACKS = [(1, 5000), (2, 5000), (3, 5000), (8, 1000), (64, 40)]
+
+
+@pytest.mark.parametrize("n,count", SPECTRUM_STACKS)
+def test_reversed_difference_has_the_negated_spectrum(n, count):
+    # The assumption _psd_leq_both rests on: the difference taken the other
+    # way has the same Frobenius norm, and LAPACK returns its spectrum as
+    # the first one negated and reversed, bit for bit.
+    rngs = [np.random.default_rng([29, n, k]) for k in range(count)]
+    A, B = _random_effect_stack(n, rngs), _random_effect_stack(n, rngs)
+    D, E = hermitize(B - A), hermitize(A - B)
+    w = np.linalg.eigvalsh(D)
+    assert np.array_equal(np.linalg.eigvalsh(E).view(np.uint64), (-w[..., ::-1]).view(np.uint64))
+    assert np.array_equal(frobenius(E), frobenius(D))
+
+
+def _order_pairs():
+    """Equal, ordered, scalar-multiple, incomparable and boundary pairs."""
+    rng = np.random.default_rng(31)
+    pairs = []
+    for n in (1, 2, 3, 8):
+        A = sample_effect(n, rng)
+        inner = make_effect(0.9 * A.matrix)
+        nudged = make_effect(inner.matrix + 1e-12 * np.eye(n))
+        pairs += [
+            (A, A),
+            (A, make_effect(0.5 * A.matrix + 0.5 * np.eye(n))),
+            (A, make_effect(0.25 * A.matrix)),
+            (A, sample_effect(n, rng)),
+            (inner, nudged),
+            (inner, make_effect(inner.matrix + 2e-9 * np.eye(n))),
+        ]
+    return pairs
+
+
+def test_psd_leq_both_equals_leq_each_way():
+    decided = []
+    for A, B in _order_pairs():
+        for L, R in ((A, B), (B, A)):
+            want = (leq(L, R), leq(R, L))
+            got = _psd_leq_both(L.matrix, R.matrix, DEFAULT_TOL)
+            assert (bool(got[0]), bool(got[1])) == want
+            stacked = _psd_leq_both(
+                _stack_effects([L, R, L]).matrix, _stack_effects([R, L, R]).matrix, DEFAULT_TOL
+            )
+            assert stacked[0].tolist() == [want[0], want[1], want[0]]
+            assert stacked[1].tolist() == [want[1], want[0], want[1]]
+            decided.append(want)
+    assert {(True, True), (True, False), (False, True), (False, False)} <= set(decided)

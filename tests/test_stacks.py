@@ -305,3 +305,40 @@ def test_strength_routes_match_their_first_form(n):
         assert same(alone.value, want[0]) and (alone.in_range, alone.near_cutoff) == want[1:]
         want = _bisect_reference(a, ray.projection.matrix)
         assert same(bisected[k], want) and same(strength_bisect(a, ray), want)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_ray_matrix_is_the_ray_without_its_basis(n):
+    from effectkit.effects import _ray, _ray_matrix
+
+    for v in (random_ray(n, 41) * 3.0, _random_ray_stack(n, rngs(41))):
+        vec, projection = _ray(v)
+        got_vec, got_matrix = _ray_matrix(v)
+        assert same(got_vec, vec) and same(got_matrix, projection.matrix)
+
+
+def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch):
+    # Only make_ray and the transition suite's rays read the basis that a
+    # complete QR builds; the coexist suite's two fixed control rays and
+    # its orthogonal vector are its only complete QRs, whatever the trials.
+    from effectkit import coexist, strength
+
+    complete = []
+    real_qr = np.linalg.qr
+
+    def recording_qr(a, mode="reduced"):
+        complete.append(mode == "complete")
+        return real_qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+
+    def complete_qrs(run):
+        complete.clear()
+        run()
+        return sum(complete)
+
+    atom = make_effect(0.9 * sample_ray(3, 5).projection.matrix)
+    assert complete_qrs(lambda: coexist.coexists_with_all_probe(atom, 40, 3)) == 0
+    assert complete_qrs(lambda: coexist.coexists_with_all_probe(sample_effect(3, 5), 40, 3)) == 0
+    assert complete_qrs(lambda: strength._strength_oracle_suite(20, 3, DEFAULT_TOL, 3)) == 0
+    assert complete_qrs(lambda: coexist._coexist_suite(20, 3, DEFAULT_TOL, 3)) == 3
