@@ -151,21 +151,21 @@ def non_finite_matrices(draw):
 # dump_json against the recursive rule
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(matrix=pair_matrices(), wrap=wrappers, level=levels)
 def test_pair_matrices_match_recursive_rule(matrix, wrap, level):
     obj = _nested(matrix, wrap)
     assert dump_json(obj, level) == reference_dump_json(obj, level)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(matrix=fallback_matrices(), wrap=wrappers, level=levels)
 def test_other_shapes_match_recursive_rule(matrix, wrap, level):
     obj = _nested(matrix, wrap)
     assert _outcome(dump_json, obj, level) == _outcome(reference_dump_json, obj, level)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(matrix=non_finite_matrices(), wrap=wrappers, level=levels)
 def test_non_finite_entries_raise_as_recursive_rule(matrix, wrap, level):
     obj = _nested(matrix, wrap)
