@@ -131,10 +131,12 @@ def dump_json(obj, level: int = 0) -> str:
 def _matrix_text(rows, level: int) -> str | None:
     """``dump_json(rows, level)`` in one pass when ``rows`` is a non-empty
     list of equal-length, non-empty lists of [float, float] lists (the
-    shape of ``_matrix_rows``); None for any other value.
+    shape of ``_matrix_rows``, or JSON read back, where integral floats
+    become ints of magnitude at most 2**53); None for any other value.
 
     One "%.17g" template per row, repeated for every row and filled with
-    one ``%``, gives the bytes the recursive rule gives.  A non-finite
+    one ``%``, gives the bytes the recursive rule gives (such an int is
+    exact as a float, so "%.17g" prints it as ``str`` does).  A non-finite
     entry raises the ValueError of the first one in row-major order, as
     the recursive rule does.
     """
@@ -147,7 +149,8 @@ def _matrix_text(rows, level: int) -> str | None:
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         return None
     values = list(itertools.chain.from_iterable(entries))
-    if set(map(type, values)) != {float}:
+    kinds = set(map(type, values))
+    if not kinds <= {float, int} or (int in kinds and any(type(x) is int and abs(x) > 2**53 for x in values)):
         return None
     if not all(map(math.isfinite, values)):
         _format_float(next(x for x in values if not math.isfinite(x)))  # raises

@@ -36,7 +36,6 @@ from .effects import (
     _sample_effect_stack,
     _stack_effects,
     make_effect,
-    make_ray,
     orthocomplement,
     rank_of,
     scalar_effect,
@@ -121,7 +120,7 @@ def coexists_with_weak_atom(
     """
     if A.dim != atom.ray.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {atom.ray.dim}")
-    return bool(_weak_atoms_fit(A, orthocomplement(A), atom.weight, atom.ray.vector, tol))
+    return bool(_weak_atoms_fit(A, orthocomplement(A), atom.weight, atom.ray.vector[None], tol)[0])
 
 
 def coexists_with_all_probe(
@@ -166,7 +165,7 @@ def _below_identity(M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether M <= I, for a matrix or each member of a stack.  With M =
     A + B this is the trivial witness's test: (A, B, 0) witnesses iff it holds."""
     eye = np.eye(M.shape[-1], dtype=np.complex128)
-    return numkern._psd_leq_hermitian(hermitize(M), eye, tol)
+    return numkern._psd_leq_both(hermitize(M), eye, tol)[0]
 
 
 def _rank_one(s, p: np.ndarray, P: np.ndarray, t, q: np.ndarray, Q: np.ndarray, tol: ToleranceConfig):
@@ -178,20 +177,18 @@ def _rank_one(s, p: np.ndarray, P: np.ndarray, t, q: np.ndarray, Q: np.ndarray, 
     return distinct, _below_identity(s * P + t * Q, tol)
 
 
-def _weak_atoms_fit(A: Effect, complement: Effect, t, vec: np.ndarray, tol: ToleranceConfig):
-    """Whether A, with orthocomplement ``complement``, coexists with the
-    weak atom t |vec><vec|: t within the strength budget of A and I - A
-    along vec.  For a (T, n) stack of vectors, t holds T weights."""
+def _weak_atoms_fit(A: Effect, complement: Effect, t, vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Whether A, with orthocomplement ``complement``, coexists with each
+    weak atom t_k |vec_k><vec_k| of a (T, n) stack of unit vectors and T
+    weights t: t_k within the strength budget of A and I - A along vec_k."""
     budget = _closed_along(A, vec, tol) + _closed_along(complement, vec, tol)
     return t <= budget + tol.eps_psd
 
 
 def _closed_along(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """Closed-form strength of A along the unit vector vec, or each of a (T, n) stack."""
-    w, V = A.eigenvalues, A.eigenvectors
-    if vec.ndim == 2:
-        w = np.broadcast_to(w, (len(vec),) + w.shape)
-        V = np.broadcast_to(V, (len(vec),) + V.shape)
+    """Closed-form strength of A along each unit vector of a (T, n) stack."""
+    w = np.broadcast_to(A.eigenvalues, (len(vec),) + A.eigenvalues.shape)
+    V = np.broadcast_to(A.eigenvectors, (len(vec),) + A.eigenvectors.shape)
     return _closed(w, V, vec, tol)[0]
 
 
@@ -203,7 +200,7 @@ def _witness_residual(E, F, G, A, B) -> np.ndarray:
 def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
     """Whether a witness with that residual holds and E + F + G is an effect."""
     total = E + F + G
-    positive = numkern._psd_leq_hermitian(np.zeros_like(total), hermitize(total), tol)
+    positive = numkern._psd_leq_both(np.zeros_like(total), hermitize(total), tol)[0]
     return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)
 
 
@@ -217,13 +214,13 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     rng = np.random.default_rng([seed, 0])
     p_vec = numkern.random_ray(n, rng)
     perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
-    P0 = make_ray(p_vec)
-    Q0 = make_ray(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
-    apart = not coexist_rank_one(0.9, P0, 0.9, Q0, tol)
+    p, P0 = _ray_matrix(p_vec)
+    q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
+    apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
     state.record(_boolean([apart]), _no_inputs("overlapping-0.9-pair-reported-coexistent"))
     scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
     state.record(_boolean([scalar]), _no_inputs("scalar-probe-returned-false"))
-    atom = make_effect(0.9 * P0.projection.matrix, tol)
+    atom = make_effect(0.9 * P0, tol)
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
     state.record(_boolean([refuted]), _no_inputs("rank-one-probe-found-no-counterexample"))
 

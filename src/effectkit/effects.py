@@ -19,7 +19,9 @@ stacks as well as effects, deciding each member on its own.  Every member
 equals, bit for bit, the Effect built from the same matrix alone.  A
 stacked sampler draws member k from the k-th generator, so each trial
 keeps its own random stream and a report does not depend on how trials
-are grouped.
+are grouped; ``sample_effect`` is the one-member case of the stacked
+sampler, and ``leq`` reads the first decision of the one Loewner kernel,
+``numkern._psd_leq_both``.
 """
 
 from __future__ import annotations
@@ -254,7 +256,7 @@ class WeakAtom:
 
 def sample_effect(n: int, seed: int | np.random.Generator, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """Seeded random Effect (Haar eigenbasis, uniform spectrum)."""
-    return make_effect(numkern.random_effect(n, seed), tol)
+    return _sample_effect_stack(n, [numkern._as_generator(seed)], tol)[0]
 
 
 def _sample_effect_stack(
@@ -287,7 +289,7 @@ def leq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     decision per member pair.
     """
     _same_dim(A, B)
-    return _decision(numkern._psd_leq_hermitian(A.matrix, B.matrix, tol))
+    return _decision(numkern._psd_leq_both(A.matrix, B.matrix, tol)[0])
 
 
 def effects_equal(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

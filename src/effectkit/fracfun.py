@@ -17,8 +17,11 @@ alpha(t) = 1/(1 + e^t), beta(x) = ln((1-x)/x), gamma(y) = ln y.
 
 Rigidity probes search small grids for witnesses that a given f_p fails
 the fixed-point, symmetry, or multiplicativity identities; only p = 0
-passes all of them.  The module also owns the pexider suite of
-``effectkit verify``.
+passes all of them.  A probe evaluates f_p on its whole grid as arrays,
+with the floats of a loop over the points, and returns that loop's first
+witness.  ``f_eval`` stays scalar on purpose: the Pexider form calls it
+per grid pair, and a lone point costs 15-20x more as an array.  The
+module also owns the pexider suite of ``effectkit verify``.
 """
 
 from __future__ import annotations
@@ -106,6 +109,7 @@ def _check_unit_interval(x: float) -> float:
     return min(1.0, max(0.0, x))
 
 
+# Kept scalar beside _f_values: a lone point costs 15-20x more as an array.
 def f_eval(params: FracParams, x: float) -> float:
     """Evaluate the general family member at x in [0, 1]."""
     x = _check_unit_interval(x)
@@ -155,8 +159,11 @@ def _coerce_p(p: FpParam | float) -> float:
 
 def fp_eval(p: FpParam | float, x: float) -> float:
     """Evaluate the order-form member f_p at x in [0, 1]."""
-    pv = _coerce_p(p)
-    x = _check_unit_interval(x)
+    return _fp(_coerce_p(p), _check_unit_interval(x))
+
+
+def _fp(pv: float, x):
+    """f_p at a float, or at each entry of an array with the same floats."""
     return x / (x * pv + (1.0 - pv))
 
 
@@ -177,7 +184,7 @@ def fp_apply(p: FpParam | float, A: Effect) -> Effect:
     """
     pv = _coerce_p(p)
     w = A.eigenvalues
-    fw = np.clip(w / (w * pv + (1.0 - pv)), 0.0, 1.0)
+    fw = np.clip(_fp(pv, w), 0.0, 1.0)
     V = A.eigenvectors
     return _effect(_from_spectrum(V, fw), fw, V)
 
@@ -257,23 +264,19 @@ def rigidity_probe(
     pv = _coerce_p(p)
     xs = interior_grid(grid)
     if kind == "fixed-point":
-        for x in xs:
-            if abs(fp_eval(pv, float(x)) - float(x)) > _RIGIDITY_TOL:
-                return float(x)
+        gaps = np.abs(_fp(pv, xs) - xs)
+    elif kind == "symmetry":
+        gaps = np.abs(_fp(pv, 1.0 - xs) - (1.0 - _fp(pv, xs)))
+    elif kind == "multiplicative":
+        gaps = np.abs(_fp(pv, xs[:, None] * xs) - _fp(pv, xs)[:, None] * _fp(pv, xs))
+    else:
+        raise DomainError(f"unknown rigidity kind {kind!r}; expected one of {RIGIDITY_KINDS}")
+    # argwhere lists (x, y) witnesses row-major: x first, then y, as nested loops would.
+    found = np.argwhere(gaps > _RIGIDITY_TOL)
+    if not len(found):
         return None
-    if kind == "symmetry":
-        for x in xs:
-            if abs(fp_eval(pv, 1.0 - float(x)) - (1.0 - fp_eval(pv, float(x)))) > _RIGIDITY_TOL:
-                return float(x)
-        return None
-    if kind == "multiplicative":
-        for x in xs:
-            for y in xs:
-                gap = abs(fp_eval(pv, float(x * y)) - fp_eval(pv, float(x)) * fp_eval(pv, float(y)))
-                if gap > _RIGIDITY_TOL:
-                    return (float(x), float(y))
-        return None
-    raise DomainError(f"unknown rigidity kind {kind!r}; expected one of {RIGIDITY_KINDS}")
+    witness = tuple(xs[found[0]].tolist())
+    return witness if kind == "multiplicative" else witness[0]
 
 
 def _alpha(t: float) -> float:
@@ -319,17 +322,11 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
     def F(u: float) -> float:
         return _beta(f_eval(f, _alpha(u)))
 
-    def G(u: float) -> float:
-        return _beta(f_eval(f, _inv_beta(u)))
-
     def H(v: float) -> float:
         return _gamma(g_scale * math.exp(v) ** g_exponent)
 
-    return PexiderDecomposition(F=F, G=G, H=H)
-
-
-def _inv_beta(u: float) -> float:
-    return 1.0 / (1.0 + math.exp(u))
+    # G(u) = beta(f(beta^-1(u))), and beta^-1 is alpha: G is F.
+    return PexiderDecomposition(F=F, G=F, H=H)
 
 
 def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:

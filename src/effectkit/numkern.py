@@ -11,13 +11,20 @@ integer seed.  Samplers also accept an already-constructed
 ``numpy.random.Generator`` so that composite experiments can derive
 per-trial streams.
 
-The validation, norm and sampling rules also work on stacks: (T, n, n)
-arrays of T matrices.  A stacked sampler draws one sample from each of T
-generators, in the order the single sampler draws it, and then runs each
-LAPACK and matmul step once for the whole stack.  numpy applies these
+The validation, norm, Loewner and sampling rules also work on stacks:
+(T, n, n) arrays of T matrices.  A stacked sampler draws one sample from
+each of T generators, in the order a lone draw takes them, and then runs
+each LAPACK and matmul step once for the whole stack.  numpy applies these
 steps to each matrix of a stack exactly as to a lone matrix, so a stacked
 result equals the per-matrix results bit for bit; the Frobenius norm is
 summed as ``np.linalg.norm`` sums it for the same reason.
+
+A lone entry point is the one-member case of its stacked routine: each
+sampler is one call of its stacked form on ``[generator]``, and
+``psd_leq`` reads the first decision of ``_psd_leq_both``, the one
+Loewner kernel.  One lone path is kept on purpose: ``_norms`` takes a
+lone vector's norm as one ``dot``, since each lone matrix validated
+takes this norm and a one-row matmul costs more per call.
 """
 
 from __future__ import annotations
@@ -122,6 +129,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
     einsum adds in another order and does not.
     """
     xr, xi = x.real, x.imag
+    # Kept lone: each lone matrix validated takes this norm, and a one-row matmul costs more.
     if x.ndim == 1:
         return np.sqrt(xr.dot(xr) + xi.dot(xi))
     rows = xr[..., None, :] @ xr[..., :, None] + xi[..., None, :] @ xi[..., :, None]
@@ -232,25 +240,17 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     B = require_hermitian(as_complex_matrix(N), tol)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return bool(_psd_leq_hermitian(A, B, tol))
-
-
-def _psd_leq_hermitian(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """The comparison of ``psd_leq`` without validation, as a bool array.
-
-    ``A`` and ``B`` must be complex matrices or stacks of one shape that
-    are exactly Hermitian, such as Effect matrices or real multiples of
-    one: hermitize then returns them bit for bit, so the result equals
-    ``psd_leq``'s.  A stack gives one decision per member.
-    """
-    D = hermitize(B - A)
-    w = np.linalg.eigvalsh(D)
-    return w[..., 0] >= -tol.eps_psd * np.maximum(1.0, frobenius(D))
+    return bool(_psd_leq_both(A, B, tol)[0])
 
 
 def _psd_leq_both(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``(_psd_leq_hermitian(A, B, tol), _psd_leq_hermitian(B, A, tol))``
-    from one spectrum.
+    """The comparisons A <= B and B <= A of ``psd_leq`` without validation,
+    as bool arrays, from one spectrum.
+
+    ``A`` and ``B`` must be complex matrices or stacks of one shape that
+    are exactly Hermitian, such as Effect matrices or real multiples of
+    one: hermitize then returns them bit for bit, so each result equals
+    ``psd_leq``'s.  A stack gives one decision per member.
 
     ``hermitize(A - B)`` equals ``-D`` for ``D = hermitize(B - A)`` (up to
     the sign of zero entries) and has the same Frobenius norm, and LAPACK
@@ -326,8 +326,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
     Complex Gaussian matrix, then QR orthonormalization with the phase
     fix of ``_phase_fixed_qr``.
     """
-    _require_dim(n)
-    return _phase_fixed_qr(_complex_gaussian(_as_generator(seed), (n, n)))
+    return _haar_unitary_stack(n, [_as_generator(seed)])[0]
 
 
 def _haar_unitary_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -338,9 +337,7 @@ def _haar_unitary_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarr
 
 def random_effect(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Random effect matrix: Haar eigenbasis with iid uniform [0,1] eigenvalues."""
-    rng = _as_generator(seed)
-    Q = haar_unitary(n, rng)
-    return _from_spectrum(Q, rng.uniform(0.0, 1.0, size=n))
+    return _random_effect_stack(n, [_as_generator(seed)])[0]
 
 
 def _random_effect_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
@@ -351,9 +348,7 @@ def _random_effect_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndar
 
 def random_ray(n: int, seed: int | np.random.Generator) -> np.ndarray:
     """Unit vector drawn uniformly from the sphere in C^n."""
-    _require_dim(n)
-    v = _complex_gaussian(_as_generator(seed), n)
-    return v / _vector_norm(v)
+    return _random_ray_stack(n, [_as_generator(seed)])[0]
 
 
 def _random_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:

@@ -178,6 +178,38 @@ def test_rigidity_probe_unknown_kind():
         rigidity_probe(0.5, "nonsense", 10)
 
 
+def _rigidity_reference(p, kind, grid):
+    """rigidity_probe as first written: scalar loops over the grid, stopping at the first witness."""
+    xs = interior_grid(grid)
+    if kind == "fixed-point":
+        for x in xs:
+            if abs(fp_eval(p, float(x)) - float(x)) > 1e-9:
+                return float(x)
+        return None
+    if kind == "symmetry":
+        for x in xs:
+            if abs(fp_eval(p, 1.0 - float(x)) - (1.0 - fp_eval(p, float(x)))) > 1e-9:
+                return float(x)
+        return None
+    for x in xs:
+        for y in xs:
+            if abs(fp_eval(p, float(x * y)) - fp_eval(p, float(x)) * fp_eval(p, float(y))) > 1e-9:
+                return (float(x), float(y))
+    return None
+
+
+# At p = -3e-8, 2e-8 and 1e-7 the first multiplicative witness on the
+# 25-point grid lies off the diagonal, so the order of the loops shows.
+@pytest.mark.parametrize(
+    "p", [-1e6, -3.0, -0.5, -3e-8, -1e-10, 0.0, 1e-12, 1e-9, 1e-8, 2e-8, 1e-7, 0.3, 0.5, 0.999999]
+)
+@pytest.mark.parametrize("kind", RIGIDITY_KINDS)
+def test_rigidity_probe_returns_the_first_witness_of_the_loops(p, kind):
+    for grid in (1, 2, 7, 25):
+        # repr tells the floats apart exactly, and a pair from a single point.
+        assert repr(rigidity_probe(p, kind, grid)) == repr(_rigidity_reference(p, kind, grid))
+
+
 def test_pexider_decomposition_affine():
     params = FracParams(0.8, 1.0, 1.4)
     deco = pexider_decomposition(params, 1.0, 1.4)

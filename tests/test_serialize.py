@@ -101,7 +101,8 @@ levels = st.integers(0, 6)
 
 
 def _spoiled(draw, matrix):
-    """``matrix`` with one change that takes it off the one-pass writer."""
+    """``matrix`` with one change that takes it off the one-pass writer
+    (an int does so only beyond 2**53 in magnitude)."""
     i = draw(st.integers(0, len(matrix) - 1))
     j = draw(st.integers(0, len(matrix[0]) - 1))
     part = draw(st.integers(0, 1))
@@ -151,8 +152,16 @@ def non_finite_matrices(draw):
 # dump_json against the recursive rule
 
 
+# ints as json.loads gives integral floats back, with the edges of the
+# range "%.17g" prints exactly and the first ints beyond it
+whole = st.one_of(
+    st.sampled_from([0, -1, 2**53, -(2**53), 2**53 + 1, -(2**53) - 1, 10**17]),
+    st.integers(-(2**54), 2**54),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrix=pair_matrices(), wrap=wrappers, level=levels)
+@given(matrix=pair_matrices(st.one_of(finite, whole)), wrap=wrappers, level=levels)
 def test_pair_matrices_match_recursive_rule(matrix, wrap, level):
     obj = _nested(matrix, wrap)
     assert dump_json(obj, level) == reference_dump_json(obj, level)
@@ -281,3 +290,29 @@ def test_verify_json_file_holds_the_printed_report(tmp_path, capsys):
     assert code == 0
     assert path.read_bytes() == printed.encode("utf-8")
     assert '"counterexample": {\n' in printed
+
+
+def test_a_report_read_back_from_json_takes_the_one_pass_writer(monkeypatch, capsys, tmp_path):
+    """Integral floats come back from JSON as ints; every matrix of the
+    report still takes the one-pass writer, with the recursive rule's bytes."""
+    path = tmp_path / "report.json"
+    code = main(["verify", "--suite", "sequential", "--dims", "8", "--trials", "4", "--seed", "1",
+                 "--json", str(path)])
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    assert code == 0
+    taken = []
+    real = cli._matrix_text
+
+    def recording(rows, level):
+        text = real(rows, level)
+        if text is not None:
+            taken.append(rows)
+        return text
+
+    monkeypatch.setattr(cli, "_matrix_text", recording)
+    text = dump_json(report)
+    assert len(taken) == _matrix_count(report) >= 2
+    # The zero imaginary parts of diagonal entries read back as the int 0.
+    assert any(type(x) is int for rows in taken for row in rows for entry in row for x in entry)
+    assert text == reference_dump_json(report)

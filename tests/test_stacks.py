@@ -66,15 +66,41 @@ def effect_pairs(n: int, seed: int):
     return A, B, singles
 
 
-@pytest.mark.parametrize("n", DIMS)
+def _haar_reference(n, rng):
+    """haar_unitary as first written, on a lone matrix."""
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R).copy()
+    d[d == 0] = 1.0
+    return Q * (d / np.abs(d))
+
+
+def _effect_reference(n, rng):
+    """random_effect as first written, on a lone matrix."""
+    Q = _haar_reference(n, rng)
+    return hermitize((Q * rng.uniform(0.0, 1.0, size=n)) @ Q.conj().T)
+
+
+def _ray_reference(n, rng):
+    """random_ray as first written, on a lone vector."""
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", DIMS + (64,))
 def test_samplers_draw_each_trial_as_alone(n):
     U = _haar_unitary_stack(n, rngs(1))
     M = _random_effect_stack(n, rngs(2))
     v = _random_ray_stack(n, rngs(3))
     for k in range(T):
         assert same(U[k], haar_unitary(n, np.random.default_rng([1, k])))
+        assert same(U[k], _haar_reference(n, np.random.default_rng([1, k])))
         assert same(M[k], random_effect(n, np.random.default_rng([2, k])))
+        assert same(M[k], _effect_reference(n, np.random.default_rng([2, k])))
         assert same(v[k], random_ray(n, np.random.default_rng([3, k])))
+        assert same(v[k], _ray_reference(n, np.random.default_rng([3, k])))
+    # A lone draw also takes an integer seed.
+    assert same(haar_unitary(n, 5), _haar_reference(n, np.random.default_rng(5)))
 
 
 @pytest.mark.parametrize("n", DIMS + (64,))
@@ -253,17 +279,22 @@ def _closed_reference(A, v, tol=DEFAULT_TOL):
     return min(1.0, max(0.0, 1.0 / float(np.sum(mags[kept] ** 2 / w[kept])))), True, near
 
 
+def _leq_reference(M, N, tol=DEFAULT_TOL):
+    """The Loewner test as first written, for one pair of exactly Hermitian matrices."""
+    D = hermitize(N - M)
+    return np.linalg.eigvalsh(D)[0] >= -tol.eps_psd * max(1.0, np.linalg.norm(D))
+
+
 def _bisect_reference(A, P, tol=DEFAULT_TOL):
     """strength_bisect as first written: one Loewner test at a time."""
-    from effectkit.numkern import _psd_leq_hermitian
     from effectkit.strength import BISECT_ITERATIONS
 
-    if _psd_leq_hermitian(1.0 * P, A.matrix, tol):
+    if _leq_reference(1.0 * P, A.matrix, tol):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _psd_leq_hermitian(mid * P, A.matrix, tol):
+        if _leq_reference(mid * P, A.matrix, tol):
             lo = mid
         else:
             hi = mid
@@ -319,8 +350,8 @@ def test_ray_matrix_is_the_ray_without_its_basis(n):
 
 def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch):
     # Only make_ray and the transition suite's rays read the basis that a
-    # complete QR builds; the coexist suite's two fixed control rays and
-    # its orthogonal vector are its only complete QRs, whatever the trials.
+    # complete QR builds; the orthogonal vector of the coexist suite's
+    # fixed controls is its only complete QR, whatever the trials.
     from effectkit import coexist, strength
 
     complete = []
@@ -341,4 +372,4 @@ def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch):
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(atom, 40, 3)) == 0
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(sample_effect(3, 5), 40, 3)) == 0
     assert complete_qrs(lambda: strength._strength_oracle_suite(20, 3, DEFAULT_TOL, 3)) == 0
-    assert complete_qrs(lambda: coexist._coexist_suite(20, 3, DEFAULT_TOL, 3)) == 3
+    assert complete_qrs(lambda: coexist._coexist_suite(20, 3, DEFAULT_TOL, 3)) == 1
