@@ -225,7 +225,7 @@ def _fit_family(
 def _record_pairs(state: _SuiteState, check: str, pairs, ok: list[np.ndarray]) -> None:
     """Boolean checks ``ok[j]`` of each stack pair ``pairs[j]``, taken in
     trial order and, within a trial, pair by pair."""
-    state.trials_of(
+    state.record(
         *[
             (_boolean(o), lambda k, L=L, R=R: _example(check, A=L.matrix[k], B=R.matrix[k]))
             for (L, R), o in zip(pairs, ok)
@@ -286,10 +286,17 @@ def verify_zero_product(
     Each trial checks one orthogonal pair assembled from complementary
     blocks of a Haar basis and one generic pair.
     """
-    n = _map_dim(phi, dim)
+    state = _SuiteState("zero-product", trials, seed)
+    _zero_product_trials(state, phi, _map_dim(phi, dim), trials, seed, tol)
+    return state.report()
+
+
+def _zero_product_trials(
+    state: _SuiteState, phi: EffectMap, n: int, trials: int, seed: int, tol: ToleranceConfig
+) -> None:
+    """The trials of ``verify_zero_product``, recorded into ``state``."""
     if n < 2:
         raise DimensionError("zero-product suite needs dimension at least 2")
-    state = _SuiteState("zero-product", trials, seed)
     for rngs in _trial_blocks(seed, range(trials), n):
         V = numkern._haar_unitary_stack(n, rngs)
         splits = np.array([int(rng.integers(1, n)) for rng in rngs])
@@ -308,7 +315,6 @@ def verify_zero_product(
         pairs = ((A, B), (X, Y))
         ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
         _record_pairs(state, "zero-product-biconditional", pairs, ok)
-    return state.report()
 
 
 def verify_ortho(
@@ -328,13 +334,13 @@ def verify_ortho(
     state = _SuiteState("ortho", trials, seed)
     half = scalar_effect(n, 0.5)
     res0 = numkern.frobenius(phi(half).matrix - half.matrix)
-    state.record(_analog([res0], tol.eps_eq), lambda i: _example("half-identity-fixed-point", A=half.matrix))
+    state.record((_analog([res0], tol.eps_eq), lambda k: _example("half-identity-fixed-point", A=half.matrix)))
     for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         residuals = numkern.frobenius(
             _image(phi, orthocomplement(A)).matrix - orthocomplement(_image(phi, A)).matrix
         )
-        state.record(_analog(residuals, tol.eps_eq), lambda k: _example("orthocomplement", A=A.matrix[k]))
+        state.record((_analog(residuals, tol.eps_eq), lambda k: _example("orthocomplement", A=A.matrix[k])))
     return state.report()
 
 
@@ -358,8 +364,7 @@ def verify_sequential(
         phi(seq_product(half, half, tol)).matrix - seq_product(phi(half), phi(half), tol).matrix
     )
     state.record(
-        _analog([res0], tol.eps_eq),
-        lambda i: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix),
+        (_analog([res0], tol.eps_eq), lambda k: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix))
     )
     for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
@@ -369,7 +374,7 @@ def verify_sequential(
             - seq_product(_image(phi, A), _image(phi, B), tol).matrix
         )
         state.record(
-            _analog(residuals, tol.eps_eq), lambda k: _example("sequential", A=A.matrix[k], B=B.matrix[k])
+            (_analog(residuals, tol.eps_eq), lambda k: _example("sequential", A=A.matrix[k], B=B.matrix[k]))
         )
     return state.report()
 
@@ -399,7 +404,7 @@ def verify_transition(
         Q = _sample_ray_stack(n, rngs)
         residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
         state.record(
-            _analog(residuals, tol.eps_eq), lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k])
+            (_analog(residuals, tol.eps_eq), lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k]))
         )
     return state.report()
 
@@ -416,8 +421,8 @@ def verify_scalar_pair(
     """Scalar image check at lam, then the zero-product suite.
 
     Confirms phi(lam I) is a scalar (equal to f_p(lam) I for family
-    members) before delegating to verify_zero_product with the same
-    budget.
+    members), then runs the trials of verify_zero_product with the same
+    budget and records them into the same report.
     """
     if not (0.0 <= lam <= 1.0):
         raise DomainError(f"lam must lie in [0, 1], got {lam!r}")
@@ -428,11 +433,8 @@ def verify_scalar_pair(
     if ok and isinstance(phi, EffectAutomorphism):
         expected = fp_eval(phi.p, lam)
         check = _analog([abs(mu - expected)], tol.eps_eq)
-        state.record(check, lambda i: _example("scalar-image-value", A=image.matrix))
+        state.record((check, lambda k: _example("scalar-image-value", A=image.matrix)))
     else:
-        state.record(_boolean([ok]), lambda i: _example("scalar-image", A=image.matrix))
-    zp = verify_zero_product(phi, trials, seed, dim=n, tol=tol)
-    failures = state.failures + zp.failures
-    worst = max(state.worst, zp.worst_violation)
-    counterexample = state.counterexample if state.counterexample is not None else zp.counterexample
-    return VerificationReport("scalar-pair", trials, failures, worst, counterexample, seed)
+        state.record((_boolean([ok]), lambda k: _example("scalar-image", A=image.matrix)))
+    _zero_product_trials(state, phi, n, trials, seed, tol)
+    return state.report()

@@ -33,8 +33,11 @@ Map document: {"U": <matrix document>, "conjugate": bool, "p": double}.
 All numbers are emitted with 17 significant digits, so reports are
 byte-identical for identical flags and seed; parse, serialize, parse is
 the identity.  The default seed comes from the EFFECTKIT_SEED
-environment variable (0 when unset).  --tol scales every internal
-tolerance by the given factor.
+environment variable (0 when unset).  --tol scales the four
+ToleranceConfig fields (eps_psd, eps_rank, eps_eq, eps_herm) by the given
+factor.  The fixed limits stay: the oracle gap 1e-6, the two-block bound
+1e-8, the unitarity bound 1e-10 * n, the fit exponent's 1e-6, the rigidity
+tolerance 1e-9, and the pexider suite's 1e-10 and 1e-6.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed;
 2 unusable input (parse failure, malformed document, dimension mismatch,
@@ -171,7 +174,7 @@ def matrix_to_doc(M: np.ndarray) -> dict:
 
 def _is_finite_number(value) -> bool:
     try:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -210,7 +213,7 @@ def doc_to_matrix(doc, where: str = "matrix document") -> np.ndarray:
         raise ParseFailure(f"{where}: expected an object")
     n = doc.get("n")
     rows = doc.get("rows")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseFailure(f"{where}: field 'n' must be a positive integer")
     if not isinstance(rows, list) or len(rows) != n:
         raise ParseFailure(f"{where}: field 'rows' must hold {n} rows")
@@ -231,7 +234,7 @@ def doc_to_vector(doc, where: str = "vector document") -> np.ndarray:
         raise ParseFailure(f"{where}: expected an object")
     n = doc.get("n")
     entries = doc.get("entries")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseFailure(f"{where}: field 'n' must be a positive integer")
     if not isinstance(entries, list) or len(entries) != n:
         raise ParseFailure(f"{where}: field 'entries' must hold {n} pairs")
@@ -447,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effectkit", description="Effect algebra toolkit")
 
     def add_tol(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--tol", type=float, default=1.0, help="scale all tolerances by this factor")
+        tol_help = "scale the four ToleranceConfig fields by this factor (not the fixed limits)"
+        sub.add_argument("--tol", type=float, default=1.0, help=tol_help)
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,6 +33,7 @@ from .effects import (
     WeakAtom,
     _make_effect_stack,
     _ray_matrix,
+    _same_dim,
     _sample_effect_stack,
     _stack_effects,
     make_effect,
@@ -44,7 +45,7 @@ from .effects import (
 from .errors import DegenerateRanges, DimensionError, DomainError
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .strength import _closed
-from .suites import VerificationReport, _boolean, _no_inputs, _SuiteState, _suite_seed, _trial_blocks
+from .suites import VerificationReport, _boolean, _example, _SuiteState, _suite_seed, _trial_blocks
 
 __all__ = [
     "CoexistenceWitness",
@@ -77,8 +78,7 @@ def coexist_trivial_witness(
     A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CoexistenceWitness | None:
     """Witness (A, B, 0) when A + B is itself an effect, else None."""
-    if A.dim != B.dim:
-        raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    _same_dim(A, B)
     if not _below_identity(A.matrix + B.matrix, tol):
         return None
     return CoexistenceWitness(E=A, F=B, G=zero_effect(A.dim))
@@ -100,8 +100,7 @@ def coexist_rank_one(
     for name, value in (("s", s), ("t", t)):
         if not (0.0 < value <= 1.0):
             raise DomainError(f"weight {name} must lie in (0, 1], got {value!r}")
-    if P.dim != Q.dim:
-        raise DimensionError(f"dimension mismatch: {P.dim} vs {Q.dim}")
+    _same_dim(P, Q)
     distinct, fits = _rank_one(s, P.vector, P.projection.matrix, t, Q.vector, Q.projection.matrix, tol)
     if not distinct[0]:
         raise DegenerateRanges("rank-one criterion needs distinct ranges")
@@ -118,8 +117,7 @@ def coexists_with_weak_atom(
     t - s <= strength(I - A, Q), i.e. iff t is at most the sum of the two
     strengths.
     """
-    if A.dim != atom.ray.dim:
-        raise DimensionError(f"dimension mismatch: {A.dim} vs {atom.ray.dim}")
+    _same_dim(A, atom.ray)
     return bool(_weak_atoms_fit(A, orthocomplement(A), atom.weight, atom.ray.vector[None], tol)[0])
 
 
@@ -217,12 +215,12 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     p, P0 = _ray_matrix(p_vec)
     q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
     apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
-    state.record(_boolean([apart]), _no_inputs("overlapping-0.9-pair-reported-coexistent"))
+    state.record((_boolean([apart]), lambda k: _example("overlapping-0.9-pair-reported-coexistent")))
     scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
-    state.record(_boolean([scalar]), _no_inputs("scalar-probe-returned-false"))
+    state.record((_boolean([scalar]), lambda k: _example("scalar-probe-returned-false")))
     atom = make_effect(0.9 * P0, tol)
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
-    state.record(_boolean([refuted]), _no_inputs("rank-one-probe-found-no-counterexample"))
+    state.record((_boolean([refuted]), lambda k: _example("rank-one-probe-found-no-counterexample")))
 
     zero = np.zeros((n, n), dtype=np.complex128)
     for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
@@ -245,10 +243,13 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
             q, Q = _ray_matrix(numkern._random_ray_stack(n, rest))
             distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
             split[witness] = ~distinct | fits
-        state.trials_of(
-            (_boolean(witness), _no_inputs("trivial-witness-missing-for-substochastic-pair")),
-            ((valid | ~witness, np.where(witness, residual, 0.0)), _no_inputs("trivial-witness-invalid")),
-            (_boolean(split), _no_inputs("convex-split-pair-reported-incompatible")),
+        state.record(
+            (_boolean(witness), lambda k: _example("trivial-witness-missing-for-substochastic-pair")),
+            (
+                (valid | ~witness, np.where(witness, residual, 0.0)),
+                lambda k: _example("trivial-witness-invalid"),
+            ),
+            (_boolean(split), lambda k: _example("convex-split-pair-reported-incompatible")),
         )
     return state.report()
 

@@ -276,7 +276,7 @@ def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> EffectStac
     return _ray(numkern._random_ray_stack(n, rngs))[1]
 
 
-def _same_dim(A: Effect, B: Effect) -> None:
+def _same_dim(A: Effect | RayProjection, B: Effect | RayProjection) -> None:
     if A.dim != B.dim:
         raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
 

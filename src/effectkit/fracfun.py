@@ -35,7 +35,7 @@ import numpy as np
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
 from .numkern import ToleranceConfig, _from_spectrum
-from .suites import VerificationReport, _analog, _boolean, _no_inputs, _SuiteState
+from .suites import VerificationReport, _analog, _boolean, _example, _SuiteState
 
 __all__ = [
     "FracParams",
@@ -332,7 +332,8 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
 def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
     """Functional equation residuals, fit recovery, and the symmetry pin."""
     state = _SuiteState("pexider", trials, seed)
-    state.record(_boolean([g_symmetry_check(1.0, 1.0, 50)]), _no_inputs("symmetry-rejects-identity-pair"))
+    symmetric = g_symmetry_check(1.0, 1.0, 50)
+    state.record((_boolean([symmetric]), lambda k: _example("symmetry-rejects-identity-pair")))
     xs = interior_grid(12)
     residuals, errors, pinned = [], [], []
     for k in range(trials):
@@ -346,9 +347,9 @@ def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> Verification
         sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
         sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
         pinned.append(g_symmetry_check(sb, sc, 40))
-    state.trials_of(
-        (_analog(residuals, 1e-10), _no_inputs("functional-equation-residual")),
-        (_analog(errors, 1e-6), _no_inputs("fit-recovery")),
-        (_boolean(np.logical_not(pinned)), _no_inputs("symmetry-accepts-off-family-pair")),
+    state.record(
+        (_analog(residuals, 1e-10), lambda k: _example("functional-equation-residual")),
+        (_analog(errors, 1e-6), lambda k: _example("fit-recovery")),
+        (_boolean(np.logical_not(pinned)), lambda k: _example("symmetry-accepts-off-family-pair")),
     )
     return state.report()

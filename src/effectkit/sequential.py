@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, _effect, _validated, leq, zero_product
-from .errors import DimensionError, OrderViolation, QuotientFailure
+from .effects import Effect, _effect, _same_dim, _validated, leq, zero_product
+from .errors import OrderViolation, QuotientFailure
 from .numkern import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -44,8 +44,7 @@ def seq_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Eff
 
     For two EffectStacks, the stack of the member products.
     """
-    if A.dim != B.dim:
-        raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    _same_dim(A, B)
     S = _sqrt_matrix(A)
     return _validated(numkern.hermitize(S @ B.matrix @ S), tol)
 
@@ -102,8 +101,7 @@ def order_via_seq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> b
     on A.  No direct eigenvalue comparison of B - A is consulted, which
     makes this an independent cross-check of ``leq``.
     """
-    if A.dim != B.dim:
-        raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
+    _same_dim(A, B)
     w, V, sqrtB = _quotient_candidate(A, B, tol)
     clamped = np.clip(w, 0.0, 1.0)
     best = numkern._from_spectrum(V, clamped)

@@ -224,5 +224,5 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
             two_block_gap = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
             check = _analog(two_block_gap, _TWO_BLOCK_LIMIT)
             checks.append((check, lambda k: _example("two-block", E=E.matrix[k])))
-        state.trials_of(*checks)
+        state.record(*checks)
     return state.report()

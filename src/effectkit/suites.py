@@ -4,8 +4,10 @@ A suite samples seeded inputs, checks one claim of the paper, and returns
 a VerificationReport.  Each trial draws from its own generator
 ``default_rng([seed, k])``, in the order a lone trial draws, and the
 trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
-calls.  Checks are recorded through ``_SuiteState`` in trial order, so a
-report depends neither on the block size nor on the order of evaluation.
+calls.  ``_SuiteState.record`` is the one recorder of checks, taken in
+trial order, and ``_SuiteState.report`` the one builder of reports, so a
+report depends neither on the block size nor on the order of evaluation;
+a suite that runs another suite's trials records them into its own state.
 ``Suite`` names a suite for ``effectkit verify`` and the axes it sweeps.
 """
 
@@ -70,11 +72,6 @@ def _example(check: str, **mats: np.ndarray) -> dict:
     return {"check": check, "inputs": {k: _matrix_rows(v) for k, v in mats.items()}}
 
 
-def _no_inputs(check: str) -> Callable[[int], dict]:
-    """Counterexamples of a check that names no inputs."""
-    return lambda i: {"check": check, "inputs": {}}
-
-
 def _boolean(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A boolean check as (ok, amounts): a failure counts 1.0 towards the worst violation."""
     ok = np.asarray(ok, dtype=bool)
@@ -101,27 +98,20 @@ class _SuiteState:
         self.worst = 0.0
         self.counterexample: dict | None = None
 
-    def record(self, check: tuple[np.ndarray, np.ndarray], example: Callable[[int], dict]) -> None:
-        """The checks ``check = (ok, amounts)`` in order; ``example(i)``
-        builds the counterexample of the i-th."""
-        ok, amounts = check
+    def record(self, *checks: tuple[tuple[np.ndarray, np.ndarray], Callable[[int], dict]]) -> None:
+        """The checks of a block of trials, in trial order and, within a
+        trial, in the order given.  Each is ``((ok, amounts), example)``
+        with one entry per trial; ``example(k)`` builds the counterexample
+        of trial k.  A check a trial skipped passes with amount 0."""
+        c = len(checks)
+        ok = np.stack([check[0] for check, _ in checks], axis=-1).ravel()
+        amounts = np.stack([amounts for (_, amounts), _ in checks], axis=-1).ravel()
         for i, (passed, amount) in enumerate(zip(ok.tolist(), amounts.tolist())):
             self.worst = max(self.worst, amount)
             if not passed:
                 self.failures += 1
                 if self.counterexample is None:
-                    self.counterexample = example(i)
-
-    def trials_of(self, *checks: tuple[tuple[np.ndarray, np.ndarray], Callable[[int], dict]]) -> None:
-        """Several checks of each trial of a block, in trial order and,
-        within a trial, in the order given.  Each is ``((ok, amounts),
-        example)`` with one entry per trial; ``example(k)`` builds the
-        counterexample of trial k.  A check a trial skipped passes with
-        amount 0."""
-        c = len(checks)
-        ok = np.stack([check[0] for check, _ in checks], axis=-1).ravel()
-        amounts = np.stack([amounts for (_, amounts), _ in checks], axis=-1).ravel()
-        self.record((ok, amounts), lambda i: checks[i % c][1](i // c))
+                    self.counterexample = checks[i % c][1](i // c)
 
     def report(self) -> VerificationReport:
         return VerificationReport(

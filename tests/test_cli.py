@@ -319,6 +319,33 @@ def test_exit_two_on_ragged_rows_and_huge_map_parameter(docs, tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+_IDENTITY_2 = '{"n": 2, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
+# Read with True as 1 and False as 0, the first three would build arrays
+# of a boolean shape and the last two would pass as numbers.
+_BOOLEAN_DOCUMENTS = {
+    "matrix-n": ("effect", '{"n": true, "rows": [[[0.5, 0.0]]]}', "'n'"),
+    "vector-n": ("ray", '{"n": true, "entries": [[1.0, 0.0]]}', "'n'"),
+    "map-U-n": ("map", '{"U": {"n": true, "rows": [[[1.0, 0.0]]]}, "conjugate": false, "p": 0.5}', "'n'"),
+    "vector-entries": ("ray", '{"n": 2, "entries": [[true, false], [false, false]]}', "finite numbers"),
+    "map-p": ("map", '{"U": %s, "conjugate": false, "p": false}' % _IDENTITY_2, "'p'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BOOLEAN_DOCUMENTS))
+def test_exit_two_on_a_boolean_for_a_number(docs, tmp_path, capsys, kind):
+    role, text, named = _BOOLEAN_DOCUMENTS[kind]
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    files = {"effect": docs["eff"], "ray": docs["ray"], "map": docs["map"], role: str(doc)}
+    if role == "map":
+        argv = ["apply", "--map", files["map"], "--effect", files["effect"]]
+    else:
+        argv = ["strength", "--effect", files["effect"], "--ray", files["ray"]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and named in err and "Traceback" not in err
+
+
 def test_fit_fits_once_with_the_two_pass_output(docs, capsys, monkeypatch):
     # Reference: the output fit_p followed by a second sampling and fit gave.
     phi = docs["phi"]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effectkit.effects import make_effect
@@ -70,11 +70,25 @@ def test_fp_eval_monotone():
     x=st.floats(min_value=0.01, max_value=0.99),
 )
 def test_f_inverse_round_trip(a, c, x):
-    # ranges keep f(x) away from the boundary, where a double rounds to
-    # exactly 0 or 1 and no inverse can recover x
+    # Near 0 and 1 the double y keeps too few digits of min(y, 1 - y) for
+    # any inverse to recover x to 1e-9; the next test covers that edge.
     params = FracParams(a, 1.0, c)
     y = f_eval(params, x)
+    assume(min(y, 1.0 - y) >= 1e-6)
     assert f_inverse(params, y) == pytest.approx(x, abs=1e-9)
+
+
+def test_f_inverse_near_one_is_exact_for_the_double():
+    # 1 - f(x) = 1.26e-10 here: rounding y by half an ulp (2**-54) moves
+    # 1 - y by up to 4.4e-7 of itself, and 1 - x by that over c, 1.4e-9.
+    # The inverse misses x by 1.35e-9 and maps back to y exactly; the bound
+    # allows a whole ulp, for the inverse's own rounding.
+    params, x = FracParams(0.125, 1.0, 5.0), 0.984375
+    y = f_eval(params, x)
+    back = f_inverse(params, y)
+    assert 1.0 - y < 1e-6
+    assert f_eval(params, back) == y
+    assert abs(back - x) <= (1.0 - x) * 2.0**-53 / (params.c * (1.0 - y))
 
 
 @settings(max_examples=40, deadline=None)

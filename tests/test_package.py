@@ -1,10 +1,14 @@
-"""The package surface: its exported names and the exit code of each error."""
+"""The package surface: its exported names, the exit code of each error,
+and the dimension rule of the functions that take two operands."""
 
+import inspect
+
+import numpy as np
 import pytest
 
 import effectkit
-from effectkit import cli, errors
-from effectkit.errors import CheckFailed, EffectKitError, InputError
+from effectkit import autos, cli, coexist, effects, errors, numkern, sequential, strength
+from effectkit.errors import CheckFailed, DimensionError, EffectKitError, InputError
 
 # The names the package exported when its export list was written out by
 # hand, plus the two error bases that sort every error by its exit code.
@@ -93,3 +97,51 @@ def test_each_error_has_one_base_and_its_exit_code(error, monkeypatch, capsys):
     assert cli.main(["fit", "--map", "unused.json"]) == EXIT_CODES[error.__name__]
     err = capsys.readouterr().err
     assert err == ("check failed: boom\n" if issubclass(error, CheckFailed) else "error: boom\n")
+
+
+# Two operands of each kind, of dimensions 2 and 3, otherwise valid.
+A2, A3 = effects.scalar_effect(2, 0.5), effects.scalar_effect(3, 0.5)
+P2, P3 = effects.make_ray(np.array([1.0, 0.0])), effects.make_ray(np.array([1.0, 0.0, 0.0]))
+Q2 = effects.make_ray(np.array([0.0, 1.0]))
+R3 = effects.make_ray(np.array([1.0, 1.0, 0.0]))
+PHI2 = autos.random_automorphism(2, 0.5, False, 1)
+
+MISMATCHED = {
+    "psd_leq": lambda: numkern.psd_leq(A2.matrix, A3.matrix),
+    "leq": lambda: effects.leq(A2, A3),
+    "effects_equal": lambda: effects.effects_equal(A2, A3),
+    "zero_product": lambda: effects.zero_product(A2, A3),
+    "scalar_multiple_of_rank_one": lambda: effects.scalar_multiple_of_rank_one(A2, P3.projection),
+    "strength_closed": lambda: strength.strength_closed(A2, P3),
+    "strength_bisect": lambda: strength.strength_bisect(A2, P3),
+    "strength_two_block": lambda: strength.strength_two_block(0.5, P2, Q2, R3),
+    "seq_product": lambda: sequential.seq_product(A2, A3),
+    "seq_zero_iff_zero": lambda: sequential.seq_zero_iff_zero(A2, A3),
+    "douglas_quotient": lambda: sequential.douglas_quotient(A2, A3),
+    "order_via_seq": lambda: sequential.order_via_seq(A2, A3),
+    "coexist_trivial_witness": lambda: coexist.coexist_trivial_witness(A2, A3),
+    "coexist_rank_one": lambda: coexist.coexist_rank_one(0.5, P2, 0.5, P3),
+    "coexists_with_weak_atom": lambda: coexist.coexists_with_weak_atom(A2, effects.WeakAtom(0.5, P3)),
+    "apply": lambda: autos.apply(PHI2, A3),
+    "apply_to_ray": lambda: autos.apply_to_ray(PHI2, P3),
+    "extract_scalar_action": lambda: autos.extract_scalar_action(PHI2, P3, 0.5),
+}
+
+
+def test_every_function_of_two_operands_is_listed():
+    operands = {"Effect", "RayProjection", "WeakAtom", "EffectAutomorphism", "EffectMap"}
+    found = set()
+    for module in (numkern, effects, strength, sequential, coexist, autos):
+        for name in module.__all__:
+            f = getattr(module, name)
+            if inspect.isfunction(f):
+                params = inspect.signature(f).parameters.values()
+                if sum(p.annotation in operands for p in params) >= 2:
+                    found.add(name)
+    assert found <= set(MISMATCHED)
+
+
+@pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
+def test_mismatched_dimensions_raise_dimension_error(call):
+    with pytest.raises(DimensionError):
+        call()
