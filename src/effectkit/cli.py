@@ -29,6 +29,10 @@ Documents
 Matrix document: {"n": N, "rows": [[[re, im], ...], ...]} with N rows of
 N entries.  Vector document (rays): {"n": N, "entries": [[re, im], ...]}.
 Map document: {"U": <matrix document>, "conjugate": bool, "p": double}.
+One reader serves effect, ray and map documents; a ray is read as a
+one-row matrix.  Each re and im must be a finite int or float: booleans,
+strings, null and nested lists are refused (exit 2, naming the first bad
+row or entry).  Ints beyond 2**53 are rounded as float() rounds them.
 
 All numbers are emitted with 17 significant digits, so reports are
 byte-identical for identical flags and seed; parse, serialize, parse is
@@ -131,6 +135,24 @@ def dump_json(obj, level: int = 0) -> str:
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+def _pair_values(rows, width: int) -> list | None:
+    """The numbers of ``rows`` in row-major order when ``rows`` is a
+    non-empty list (or tuple) of lists of ``width`` [re, im] lists of ints
+    and floats (not booleans); None for any other value.
+
+    The one shape test of a matrix of pairs, run by the writer
+    (``_matrix_text``) and the reader (``_read_pairs``) alike; its type and
+    length scans run in C.
+    """
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
+        return None
+    entries = list(itertools.chain.from_iterable(rows))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    values = list(itertools.chain.from_iterable(entries))
+    return values if set(map(type, values)) <= {float, int} else None
+
+
 def _matrix_text(rows, level: int) -> str | None:
     """``dump_json(rows, level)`` in one pass when ``rows`` is a non-empty
     list of equal-length, non-empty lists of [float, float] lists (the
@@ -143,17 +165,9 @@ def _matrix_text(rows, level: int) -> str | None:
     entry raises the ValueError of the first one in row-major order, as
     the recursive rule does.
     """
-    if type(rows) is not list or type(rows[0]) is not list or not rows[0]:
-        return None
-    width = len(rows[0])
-    if any(type(row) is not list or len(row) != width for row in rows):
-        return None
-    entries = list(itertools.chain.from_iterable(rows))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    values = list(itertools.chain.from_iterable(entries))
-    kinds = set(map(type, values))
-    if not kinds <= {float, int} or (int in kinds and any(type(x) is int and abs(x) > 2**53 for x in values)):
+    width = len(rows[0]) if type(rows[0]) is list else 0
+    values = _pair_values(rows, width)
+    if values is None or (int in set(map(type, values)) and any(type(x) is int and abs(x) > 2**53 for x in values)):
         return None
     if not all(map(math.isfinite, values)):
         _format_float(next(x for x in values if not math.isfinite(x)))  # raises
@@ -174,74 +188,55 @@ def matrix_to_doc(M: np.ndarray) -> dict:
 
 def _is_finite_number(value) -> bool:
     try:
-        return type(value) is not bool and isinstance(value, (int, float)) and math.isfinite(value)
+        return type(value) in (int, float) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
 
-def _entry_to_complex(entry, where: str) -> complex:
-    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-        raise ParseFailure(f"{where}: each entry must be a [re, im] pair")
-    re, im = entry
-    if not (_is_finite_number(re) and _is_finite_number(im)):
-        raise ParseFailure(f"{where}: entries must be finite numbers")
-    return complex(float(re), float(im))
-
-
-def _bulk_complex(items, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``items`` as a complex array of ``shape`` in one numpy conversion.
-
-    Taken only when ``items`` converts to ``shape`` [re, im] pairs of
-    finite ints or floats; otherwise None, and the per-entry parser
-    decides (and names the fault).  The two parts are assigned separately
-    because ``re + 1j * im`` would turn an imaginary -0.0 into +0.0.
+def _read_pairs(doc, field: str, where: str) -> np.ndarray:
+    """The ``field`` of a matrix ("rows") or vector ("entries") document as
+    a complex array of shape (n, n) or (1, n): the one reader of effect, ray
+    and map documents.  One ``np.array`` converts every number, so each part
+    is ``float(x)`` bit for bit (-0.0 too); the rest is refused (``_faults``).
     """
+    if not isinstance(doc, dict):
+        raise ParseFailure(f"{where}: expected an object")
+    n, items = doc.get("n"), doc.get(field)
+    if type(n) is not int or n < 1:
+        raise ParseFailure(f"{where}: field 'n' must be a positive integer")
+    if not isinstance(items, list) or len(items) != n:
+        raise ParseFailure(f"{where}: field '{field}' must hold {n} {field}")
+    rows = items if field == "rows" else [items]
+    values = _pair_values(rows, n)
     try:
-        parts = np.array(items)
-    except ValueError:  # ragged nesting
-        return None
-    if parts.shape != shape + (2,) or parts.dtype.kind not in "fi" or not np.isfinite(parts).all():
-        return None
-    out = np.empty(shape, dtype=np.complex128)
-    out.real = parts[..., 0]
-    out.imag = parts[..., 1]
-    return out
+        parts = None if values is None else np.array(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        parts = None
+    if parts is None or not np.isfinite(parts).all():
+        raise ParseFailure(next(_faults(rows, n, where)))
+    return parts.view(np.complex128).reshape(len(rows), n)
+
+
+def _faults(rows: list, width: int, where: str):
+    """What ``_read_pairs`` refuses in ``rows``, in row-major order."""
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != width:
+            yield f"{where}: row {i} must hold {width} entries"
+            continue
+        for j, entry in enumerate(row):
+            at = f"{where}: entry {j}" if len(rows) == 1 else f"{where}: row {i}, entry {j}"
+            if type(entry) is not list or len(entry) != 2:
+                yield f"{at}: each entry must be a [re, im] pair"
+            elif not all(map(_is_finite_number, entry)):
+                yield f"{at}: entries must be finite numbers"
 
 
 def doc_to_matrix(doc, where: str = "matrix document") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise ParseFailure(f"{where}: expected an object")
-    n = doc.get("n")
-    rows = doc.get("rows")
-    if type(n) is not int or n < 1:
-        raise ParseFailure(f"{where}: field 'n' must be a positive integer")
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ParseFailure(f"{where}: field 'rows' must hold {n} rows")
-    out = _bulk_complex(rows, (n, n))
-    if out is not None:
-        return out
-    out = np.zeros((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ParseFailure(f"{where}: row {i} must hold {n} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _entry_to_complex(entry, f"{where}: row {i}")
-    return out
+    return _read_pairs(doc, "rows", where)
 
 
 def doc_to_vector(doc, where: str = "vector document") -> np.ndarray:
-    if not isinstance(doc, dict):
-        raise ParseFailure(f"{where}: expected an object")
-    n = doc.get("n")
-    entries = doc.get("entries")
-    if type(n) is not int or n < 1:
-        raise ParseFailure(f"{where}: field 'n' must be a positive integer")
-    if not isinstance(entries, list) or len(entries) != n:
-        raise ParseFailure(f"{where}: field 'entries' must hold {n} pairs")
-    out = _bulk_complex(entries, (n,))
-    if out is not None:
-        return out
-    return np.array([_entry_to_complex(e, where) for e in entries], dtype=np.complex128)
+    return _read_pairs(doc, "entries", where)[0]
 
 
 def _load_json(path: str):
@@ -250,7 +245,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # bad JSON, not UTF-8, nested too deep
         raise ParseFailure(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -421,8 +416,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     text = dump_json(run_report) + "\n"
     sys.stdout.write(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {args.json}: {exc}") from exc
     return 0 if overall else 1
 
 

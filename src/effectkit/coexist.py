@@ -66,10 +66,14 @@ class CoexistenceWitness:
 
     def residual_for(self, A: Effect, B: Effect) -> float:
         """Worst Frobenius defect of the witness equations for (A, B)."""
+        for X in (A, B):
+            _same_dim(self.E, X)
         return float(_witness_residual(self.E.matrix, self.F.matrix, self.G.matrix, A.matrix, B.matrix))
 
     def is_valid_for(self, A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Check the splitting equations and that E + F + G is an effect."""
+        for X in (A, B):
+            _same_dim(self.E, X)
         E, F, G = self.E.matrix, self.F.matrix, self.G.matrix
         return bool(_witness_valid(E, F, G, _witness_residual(E, F, G, A.matrix, B.matrix), tol))
 

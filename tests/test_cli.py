@@ -268,11 +268,9 @@ def _per_entry(items):
     ],
     ids=["n1-int", "n1-negzero", "n2-mixed", "int64-rounding", "float-rounding", "n4-random"],
 )
-def test_bulk_documents_match_per_entry_path(rows, monkeypatch):
-    def no_per_entry(entry, where):
-        raise AssertionError("per-entry parser used for a plainly numeric document")
-
-    monkeypatch.setattr(cli, "_entry_to_complex", no_per_entry)
+def test_bulk_documents_match_per_entry_path(rows):
+    # The one reader converts every number at once; each part must be the
+    # float(x) of the per-entry reference, bytes and sign bits.
     n = len(rows)
     for got, ref in (
         (doc_to_matrix({"n": n, "rows": rows}), _per_entry(rows)),
@@ -297,15 +295,21 @@ _MALFORMED_ENTRIES = {
 
 @pytest.mark.parametrize("kind", sorted(_MALFORMED_ENTRIES))
 def test_exit_two_on_malformed_entries(docs, tmp_path, capsys, kind):
+    # Each bad file has its own name: the docs fixture's eff.json is the good effect of the ray request.
     entry = _MALFORMED_ENTRIES[kind]
-    eff = tmp_path / "eff.json"
-    eff.write_text('{"n": 2, "rows": [[%s, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}' % entry)
+    matrix = '{"n": 2, "rows": [[%s, [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}' % entry
+    eff = tmp_path / "bad-eff.json"
+    eff.write_text(matrix)
     assert main(["strength", "--effect", str(eff), "--ray", docs["ray"]]) == 2
-    ray = tmp_path / "ray.json"
+    ray = tmp_path / "bad-ray.json"
     ray.write_text('{"n": 2, "entries": [[1.0, 0.0], %s]}' % entry)
     assert main(["strength", "--effect", docs["eff"], "--ray", str(ray)]) == 2
+    mp = tmp_path / "bad-map.json"
+    mp.write_text('{"U": %s, "conjugate": false, "p": 0.5}' % matrix)
+    assert main(["apply", "--map", str(mp), "--effect", docs["eff"]]) == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 2 and "Traceback" not in err
+    assert err.count("error:") == 3 and "Traceback" not in err
+    assert err.count("entry 0") == 2 and "entry 1" in err  # the bad entry is named
 
 
 def test_exit_two_on_ragged_rows_and_huge_map_parameter(docs, tmp_path, capsys):
@@ -319,14 +323,41 @@ def test_exit_two_on_ragged_rows_and_huge_map_parameter(docs, tmp_path, capsys):
     assert capsys.readouterr().err.count("error:") == 2
 
 
+@pytest.mark.parametrize(
+    "raw", [b"[" * 100000, b'{"n": 1, "rows": [[[0.5, 0.0]]]}\xff'], ids=["deep-nesting", "not-utf8"]
+)
+def test_exit_two_on_an_unreadable_document_names_the_file(docs, tmp_path, capsys, raw):
+    eff = tmp_path / "eff.json"
+    eff.write_bytes(raw)
+    assert main(["strength", "--effect", str(eff), "--ray", docs["ray"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {eff}: invalid JSON") and err.count("\n") == 1
+
+
+def test_verify_exits_two_when_the_json_file_cannot_be_written(tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "r.json"
+    argv = ["verify", "--suite", "order", "--dims", "2", "--p", "0", "--trials", "2", "--json", str(path)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["overall"] == "pass"  # the report was printed before the write failed
+    assert err.startswith(f"error: cannot write {path}:") and err.count("\n") == 1
+
+
 _IDENTITY_2 = '{"n": 2, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
 # Read with True as 1 and False as 0, the first three would build arrays
-# of a boolean shape and the last two would pass as numbers.
+# of a boolean shape and the others would pass as numbers; in the two
+# "mixed" documents a boolean sits beside ordinary numbers.
 _BOOLEAN_DOCUMENTS = {
     "matrix-n": ("effect", '{"n": true, "rows": [[[0.5, 0.0]]]}', "'n'"),
     "vector-n": ("ray", '{"n": true, "entries": [[1.0, 0.0]]}', "'n'"),
     "map-U-n": ("map", '{"U": {"n": true, "rows": [[[1.0, 0.0]]]}, "conjugate": false, "p": 0.5}', "'n'"),
     "vector-entries": ("ray", '{"n": 2, "entries": [[true, false], [false, false]]}', "finite numbers"),
+    "matrix-mixed": (
+        "effect",
+        '{"n": 2, "rows": [[[true, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}',
+        "finite numbers",
+    ),
+    "vector-mixed": ("ray", '{"n": 2, "entries": [[0.5, 0.0], [true, 0.5]]}', "finite numbers"),
     "map-p": ("map", '{"U": %s, "conjugate": false, "p": false}' % _IDENTITY_2, "'p'"),
 }
 

@@ -105,6 +105,7 @@ P2, P3 = effects.make_ray(np.array([1.0, 0.0])), effects.make_ray(np.array([1.0,
 Q2 = effects.make_ray(np.array([0.0, 1.0]))
 R3 = effects.make_ray(np.array([1.0, 1.0, 0.0]))
 PHI2 = autos.random_automorphism(2, 0.5, False, 1)
+WITNESS2 = coexist.coexist_trivial_witness(A2, A2)
 
 MISMATCHED = {
     "psd_leq": lambda: numkern.psd_leq(A2.matrix, A3.matrix),
@@ -122,22 +123,35 @@ MISMATCHED = {
     "coexist_trivial_witness": lambda: coexist.coexist_trivial_witness(A2, A3),
     "coexist_rank_one": lambda: coexist.coexist_rank_one(0.5, P2, 0.5, P3),
     "coexists_with_weak_atom": lambda: coexist.coexists_with_weak_atom(A2, effects.WeakAtom(0.5, P3)),
+    "CoexistenceWitness.residual_for": lambda: WITNESS2.residual_for(A3, A3),
+    "CoexistenceWitness.is_valid_for": lambda: WITNESS2.is_valid_for(A3, A3),
     "apply": lambda: autos.apply(PHI2, A3),
     "apply_to_ray": lambda: autos.apply_to_ray(PHI2, P3),
     "extract_scalar_action": lambda: autos.extract_scalar_action(PHI2, P3, 0.5),
 }
 
 
+def _public_callables(module):
+    """(name, function) for each exported function and each public method of an exported class."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, f in vars(obj).items():
+                if inspect.isfunction(f) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", f
+
+
 def test_every_function_of_two_operands_is_listed():
     operands = {"Effect", "RayProjection", "WeakAtom", "EffectAutomorphism", "EffectMap"}
     found = set()
     for module in (numkern, effects, strength, sequential, coexist, autos):
-        for name in module.__all__:
-            f = getattr(module, name)
-            if inspect.isfunction(f):
-                params = inspect.signature(f).parameters.values()
-                if sum(p.annotation in operands for p in params) >= 2:
-                    found.add(name)
+        for name, f in _public_callables(module):
+            params = inspect.signature(f).parameters.values()
+            if sum(p.annotation in operands for p in params) >= 2:
+                found.add(name)
+    assert {"CoexistenceWitness.residual_for", "CoexistenceWitness.is_valid_for"} <= found
     assert found <= set(MISMATCHED)
 
 
