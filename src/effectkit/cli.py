@@ -135,14 +135,15 @@ def dump_json(obj, level: int = 0) -> str:
     raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _pair_values(rows, width: int) -> list | None:
-    """The numbers of ``rows`` in row-major order when ``rows`` is a
-    non-empty list (or tuple) of lists of ``width`` [re, im] lists of ints
-    and floats (not booleans); None for any other value.
+def _pair_values(rows, width: int) -> tuple[list, set] | None:
+    """The numbers of ``rows`` in row-major order, with the set of their
+    types, when ``rows`` is a list of lists of ``width`` [re, im] lists of
+    ints and floats (not booleans); None for any other value.
 
     The one shape test of a matrix of pairs, run by the writer
     (``_matrix_text``) and the reader (``_read_pairs``) alike; its type and
-    length scans run in C.
+    length scans run in C.  Types are tested exactly, as JSON gives them:
+    tuples and float subclasses such as ``np.float64`` are refused.
     """
     if set(map(type, rows)) != {list} or set(map(len, rows)) != {width}:
         return None
@@ -150,7 +151,8 @@ def _pair_values(rows, width: int) -> list | None:
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         return None
     values = list(itertools.chain.from_iterable(entries))
-    return values if set(map(type, values)) <= {float, int} else None
+    kinds = set(map(type, values))
+    return (values, kinds) if kinds <= {float, int} else None
 
 
 def _matrix_text(rows, level: int) -> str | None:
@@ -165,9 +167,14 @@ def _matrix_text(rows, level: int) -> str | None:
     entry raises the ValueError of the first one in row-major order, as
     the recursive rule does.
     """
-    width = len(rows[0]) if type(rows[0]) is list else 0
-    values = _pair_values(rows, width)
-    if values is None or (int in set(map(type, values)) and any(type(x) is int and abs(x) > 2**53 for x in values)):
+    if type(rows) is not list or type(rows[0]) is not list:  # not a matrix; the common case
+        return None
+    width = len(rows[0])
+    pairs = _pair_values(rows, width)
+    if pairs is None:
+        return None
+    values, kinds = pairs
+    if int in kinds and any(type(x) is int and abs(x) > 2**53 for x in values):
         return None
     if not all(map(math.isfinite, values)):
         _format_float(next(x for x in values if not math.isfinite(x)))  # raises
@@ -207,24 +214,24 @@ def _read_pairs(doc, field: str, where: str) -> np.ndarray:
     if not isinstance(items, list) or len(items) != n:
         raise ParseFailure(f"{where}: field '{field}' must hold {n} {field}")
     rows = items if field == "rows" else [items]
-    values = _pair_values(rows, n)
+    pairs = _pair_values(rows, n)
     try:
-        parts = None if values is None else np.array(values, dtype=np.float64)
+        parts = None if pairs is None else np.array(pairs[0], dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
         parts = None
     if parts is None or not np.isfinite(parts).all():
-        raise ParseFailure(next(_faults(rows, n, where)))
+        raise ParseFailure(next(_faults(rows, n, where, field)))
     return parts.view(np.complex128).reshape(len(rows), n)
 
 
-def _faults(rows: list, width: int, where: str):
-    """What ``_read_pairs`` refuses in ``rows``, in row-major order."""
+def _faults(rows: list, width: int, where: str, field: str):
+    """What ``_read_pairs`` refuses in the rows of ``field``, in row-major order."""
     for i, row in enumerate(rows):
         if type(row) is not list or len(row) != width:
             yield f"{where}: row {i} must hold {width} entries"
             continue
         for j, entry in enumerate(row):
-            at = f"{where}: entry {j}" if len(rows) == 1 else f"{where}: row {i}, entry {j}"
+            at = f"{where}: row {i}, entry {j}" if field == "rows" else f"{where}: entry {j}"
             if type(entry) is not list or len(entry) != 2:
                 yield f"{at}: each entry must be a [re, im] pair"
             elif not all(map(_is_finite_number, entry)):

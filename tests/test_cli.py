@@ -13,6 +13,7 @@ import effectkit
 from effectkit import autos, cli
 from effectkit.autos import apply, fit_p, random_automorphism
 from effectkit.cli import (
+    ParseFailure,
     doc_to_matrix,
     doc_to_vector,
     dump_json,
@@ -282,6 +283,20 @@ def test_bulk_documents_match_per_entry_path(rows):
         assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
 
 
+@pytest.mark.parametrize(
+    "entry, fault",
+    [((0.5, 0.0), "must be a [re, im] pair"), ([np.float64(0.5), 0.0], "must be finite numbers")],
+    ids=["tuple-pair", "float-subclass"],
+)
+def test_readers_take_plain_json_types_only(entry, fault):
+    # Types are tested exactly, as JSON gives them, so a Python caller's
+    # tuple pair or np.float64 part is refused like any other non-JSON value.
+    with pytest.raises(ParseFailure, match=r"matrix document: row 0, entry 0: .*" + fault.replace("[", r"\[")):
+        doc_to_matrix({"n": 1, "rows": [[entry]]})
+    with pytest.raises(ParseFailure, match=r"vector document: entry 0: .*" + fault.replace("[", r"\[")):
+        doc_to_vector({"n": 1, "entries": [entry]})
+
+
 _MALFORMED_ENTRIES = {
     "string-number": '"1.5"',
     "null": "null",
@@ -346,7 +361,8 @@ def test_verify_exits_two_when_the_json_file_cannot_be_written(tmp_path, capsys)
 _IDENTITY_2 = '{"n": 2, "rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}'
 # Read with True as 1 and False as 0, the first three would build arrays
 # of a boolean shape and the others would pass as numbers; in the two
-# "mixed" documents a boolean sits beside ordinary numbers.
+# "mixed" documents a boolean sits beside ordinary numbers.  A 1 x 1
+# matrix names its row, as every matrix does.
 _BOOLEAN_DOCUMENTS = {
     "matrix-n": ("effect", '{"n": true, "rows": [[[0.5, 0.0]]]}', "'n'"),
     "vector-n": ("ray", '{"n": true, "entries": [[1.0, 0.0]]}', "'n'"),
@@ -358,6 +374,7 @@ _BOOLEAN_DOCUMENTS = {
         "finite numbers",
     ),
     "vector-mixed": ("ray", '{"n": 2, "entries": [[0.5, 0.0], [true, 0.5]]}', "finite numbers"),
+    "matrix-1x1": ("effect", '{"n": 1, "rows": [[[true, 0.5]]]}', "row 0, entry 0: entries must be finite numbers"),
     "map-p": ("map", '{"U": %s, "conjugate": false, "p": false}' % _IDENTITY_2, "'p'"),
 }
 
