@@ -33,6 +33,9 @@ One reader serves effect, ray and map documents; a ray is read as a
 one-row matrix.  Each re and im must be a finite int or float: booleans,
 strings, null and nested lists are refused (exit 2, naming the first bad
 row or entry).  Ints beyond 2**53 are rounded as float() rounds them.
+Types are tested exactly, as JSON gives them: a Python caller of
+doc_to_matrix or doc_to_vector passes lists, ints and floats (a tuple
+pair or an np.float64 part is refused).
 
 All numbers are emitted with 17 significant digits, so reports are
 byte-identical for identical flags and seed; parse, serialize, parse is
