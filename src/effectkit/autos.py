@@ -82,8 +82,6 @@ __all__ = [
     "verify_scalar_pair",
 ]
 
-_FIT_C_TOL = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class EffectAutomorphism:
@@ -99,7 +97,8 @@ class EffectAutomorphism:
             raise UnitarityViolation("U has non-finite entries")
         n = U.shape[0]
         defect = numkern.frobenius(U.conj().T @ U - np.eye(n))
-        if not (defect <= 1e-10 * n):
+        # A map validates itself when built, before any tol is given: the default bound.
+        if not (defect <= DEFAULT_TOL.eps_herm * n):
             raise UnitarityViolation(f"U is not unitary: defect {defect:.3e}")
         U = U.copy()
         U.setflags(write=False)
@@ -196,9 +195,9 @@ def fit_p(
 
     Samples phi(x I) on an endpoint-free grid, requires each image to be
     a scalar, and fits the general family in logit coordinates.  The
-    fitted exponent must equal 1 within 1e-6, otherwise the map is not in
-    the order-form family and NotInFamily is raised; the multiplier gives
-    p = 1 - a.
+    fitted exponent must equal 1 within 100 * eps_rank (1e-6 at the
+    default tolerances), otherwise the map is not in the order-form family
+    and NotInFamily is raised; the multiplier gives p = 1 - a.
     """
     return _fit_family(phi, grid, dim, tol)[0]
 
@@ -217,8 +216,9 @@ def _fit_family(
             raise NotInFamily(f"scalar image {mu!r} leaves the open unit interval")
         samples.append((float(x), float(mu)))
     fit = fit_frac(samples)
-    if abs(fit.c - 1.0) > _FIT_C_TOL:
-        raise NotInFamily(f"fitted exponent {fit.c!r} deviates from 1 beyond {_FIT_C_TOL}")
+    limit = 100 * tol.eps_rank
+    if abs(fit.c - 1.0) > limit:
+        raise NotInFamily(f"fitted exponent {fit.c!r} deviates from 1 beyond {limit}")
     return FpParam(1.0 - fit.a), fit
 
 

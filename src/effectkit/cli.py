@@ -5,7 +5,7 @@ Subcommands
 strength   --effect FILE --ray FILE [--oracle]
            Strength of the effect along the ray; with --oracle also runs
            the bisection route and fails (exit 1) if the two disagree by
-           more than 1e-6.
+           more than 100 * eps_rank.
 verify     --suite NAME --dims LIST --p LIST [--trials N] [--seed S]
            [--expect MODE] [--json FILE]
            Seeded verification suites, one report entry per point of the
@@ -42,9 +42,9 @@ byte-identical for identical flags and seed; parse, serialize, parse is
 the identity.  The default seed comes from the EFFECTKIT_SEED
 environment variable (0 when unset).  --tol scales the four
 ToleranceConfig fields (eps_psd, eps_rank, eps_eq, eps_herm) by the given
-factor.  The fixed limits stay: the oracle gap 1e-6, the two-block bound
-1e-8, the unitarity bound 1e-10 * n, the fit exponent's 1e-6, the rigidity
-tolerance 1e-9, and the pexider suite's 1e-10 and 1e-6.
+factor, and with them every check limit, each a multiple of one field.
+Only a map document's unitarity bound, eps_herm * n, stays at the default:
+a map validates itself when it is built.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed;
 2 unusable input (parse failure, malformed document, dimension mismatch,
@@ -83,7 +83,7 @@ from .effects import Effect, make_effect, make_ray
 from .errors import CheckFailed, InputError
 from .fracfun import FpParam, _pexider_suite
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import ORACLE_GAP_LIMIT, _strength_oracle_suite, strength_bisect, strength_closed
+from .strength import _oracle_gap_limit, _strength_oracle_suite, strength_bisect, strength_closed
 from .suites import Suite, _matrix_rows, _suite_seed
 
 RIGIDITY_SUITES = ("ortho", "sequential")
@@ -347,7 +347,7 @@ def cmd_strength(args: argparse.Namespace) -> int:
         gap = abs(result.value - oracle)
         out["oracle"] = oracle
         out["gap"] = gap
-        if gap > ORACLE_GAP_LIMIT:
+        if gap > _oracle_gap_limit(tol):
             code = 1
     sys.stdout.write(dump_json(out) + "\n")
     return code
@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effectkit", description="Effect algebra toolkit")
 
     def add_tol(sub: argparse.ArgumentParser) -> None:
-        tol_help = "scale the four ToleranceConfig fields by this factor (not the fixed limits)"
+        tol_help = "scale the four ToleranceConfig fields, and every check limit, by this factor"
         sub.add_argument("--tol", type=float, default=1.0, help=tol_help)
 
     sub = parser.add_subparsers(dest="command", required=True)

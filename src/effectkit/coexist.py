@@ -207,7 +207,7 @@ def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
 
 
 def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
-    """Witness validity, the rank-one criterion, and the scalar probe."""
+    """The trivial witness, the rank-one criterion, and the scalar probe."""
     if n < 2:
         raise DimensionError("coexist suite needs dimension at least 2")
     state = _SuiteState("coexist", trials, seed)
@@ -226,7 +226,6 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
     state.record((_boolean([refuted]), lambda k: _example("rank-one-probe-found-no-counterexample")))
 
-    zero = np.zeros((n, n), dtype=np.complex128)
     for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         B = _sample_effect_stack(n, rngs, tol)
@@ -234,10 +233,9 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         over = np.flatnonzero(top > 1.0)
         scale = ((1.0 - 1e-12) / top[over])[:, None, None]
         A, B = _rescaled(A, over, scale, tol), _rescaled(B, over, scale, tol)
-        # The trivial witness (A, B, 0), present iff A + B <= I, and its checks.
+        # The trivial witness (A, B, 0), present iff A + B <= I.  It solves the
+        # witness equations exactly, and A + B >= 0 holds for effects: no more to check.
         witness = _below_identity(A.matrix + B.matrix, tol)
-        residual = _witness_residual(A.matrix, B.matrix, zero, A.matrix, B.matrix)
-        valid = _witness_valid(A.matrix, B.matrix, zero, residual, tol)
         # A trial without a witness stops there and draws nothing more.
         split = np.ones(len(rngs), dtype=bool)
         rest = [rng for rng, kept in zip(rngs, witness.tolist()) if kept]
@@ -249,10 +247,6 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
             split[witness] = ~distinct | fits
         state.record(
             (_boolean(witness), lambda k: _example("trivial-witness-missing-for-substochastic-pair")),
-            (
-                (valid | ~witness, np.where(witness, residual, 0.0)),
-                lambda k: _example("trivial-witness-invalid"),
-            ),
             (_boolean(split), lambda k: _example("convex-split-pair-reported-incompatible")),
         )
     return state.report()

@@ -34,7 +34,7 @@ import numpy as np
 
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
-from .numkern import ToleranceConfig, _from_spectrum
+from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum
 from .suites import VerificationReport, _analog, _boolean, _example, _SuiteState
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 RIGIDITY_KINDS = ("fixed-point", "symmetry", "multiplicative")
-_RIGIDITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -243,11 +242,15 @@ def g_symmetry_check(b: float, c: float, grid: int) -> bool:
     """True iff g(y) = b y^c satisfies g(1-x) = 1 - g(x) on the grid.
 
     Within the family the symmetry pins (b, c) = (1, 1); the check is the
-    grid version of that statement with threshold 1e-9.
+    grid version of that statement, within the default tolerances' eps_eq.
     """
+    return _symmetry_defect(b, c, grid) <= DEFAULT_TOL.eps_eq
+
+
+def _symmetry_defect(b: float, c: float, grid: int) -> float:
+    """Worst |g(1-x) - (1 - g(x))| over the interior grid, g(y) = b y^c."""
     xs = interior_grid(grid)
-    worst = float(np.max(np.abs(b * (1.0 - xs) ** c - (1.0 - b * xs**c))))
-    return worst <= _RIGIDITY_TOL
+    return float(np.max(np.abs(b * (1.0 - xs) ** c - (1.0 - b * xs**c))))
 
 
 def rigidity_probe(
@@ -272,7 +275,7 @@ def rigidity_probe(
     else:
         raise DomainError(f"unknown rigidity kind {kind!r}; expected one of {RIGIDITY_KINDS}")
     # argwhere lists (x, y) witnesses row-major: x first, then y, as nested loops would.
-    found = np.argwhere(gaps > _RIGIDITY_TOL)
+    found = np.argwhere(gaps > DEFAULT_TOL.eps_eq)
     if not len(found):
         return None
     witness = tuple(xs[found[0]].tolist())
@@ -332,7 +335,7 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
 def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
     """Functional equation residuals, fit recovery, and the symmetry pin."""
     state = _SuiteState("pexider", trials, seed)
-    symmetric = g_symmetry_check(1.0, 1.0, 50)
+    symmetric = _symmetry_defect(1.0, 1.0, 50) <= tol.eps_eq
     state.record((_boolean([symmetric]), lambda k: _example("symmetry-rejects-identity-pair")))
     xs = interior_grid(12)
     residuals, errors, pinned = [], [], []
@@ -346,10 +349,10 @@ def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> Verification
         errors.append(max(abs(fit.a - a), abs(fit.c - c)))
         sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
         sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-        pinned.append(g_symmetry_check(sb, sc, 40))
+        pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
     state.record(
-        (_analog(residuals, 1e-10), lambda k: _example("functional-equation-residual")),
-        (_analog(errors, 1e-6), lambda k: _example("fit-recovery")),
+        (_analog(residuals, tol.eps_herm), lambda k: _example("functional-equation-residual")),
+        (_analog(errors, 100 * tol.eps_rank), lambda k: _example("fit-recovery")),
         (_boolean(np.logical_not(pinned)), lambda k: _example("symmetry-accepts-off-family-pair")),
     )
     return state.report()

@@ -50,9 +50,6 @@ __all__ = [
 
 # Fixed iteration count bringing the bracket width below 1e-8.
 BISECT_ITERATIONS = math.ceil(math.log2(1e8))
-# The largest gap between the closed form and bisection that passes.
-ORACLE_GAP_LIMIT = 1e-6
-_TWO_BLOCK_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -201,6 +198,12 @@ def _two_block(
     return mu / (mu + (1.0 - mu) * overlap)
 
 
+def _oracle_gap_limit(tol: ToleranceConfig) -> float:
+    """The largest gap between the closed form and bisection that passes:
+    100 * eps_rank, 1e-6 at the default tolerances."""
+    return 100 * tol.eps_rank
+
+
 def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
     """Closed form against bisection, and the two-block reduction."""
     state = _SuiteState("strength-oracle", trials, seed)
@@ -208,7 +211,8 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
         A = _sample_effect_stack(n, rngs, tol)
         vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
         gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - _bisect(ray, A.matrix, tol))
-        checks = [(_analog(gap, ORACLE_GAP_LIMIT), lambda k: _example("closed-vs-bisect", A=A.matrix[k]))]
+        check = _analog(gap, _oracle_gap_limit(tol))
+        checks = [(check, lambda k: _example("closed-vs-bisect", A=A.matrix[k]))]
         if n >= 2:
             V = numkern._haar_unitary_stack(n, rngs)
             theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
@@ -221,8 +225,7 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
             r, _ = _ray_matrix(cos * V[..., 0] + sin * V[..., 1])
             E = _make_effect_stack(mu[:, None, None] * P + Q, tol)
             closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
-            two_block_gap = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
-            check = _analog(two_block_gap, _TWO_BLOCK_LIMIT)
+            check = _analog(np.abs(closed - _two_block(mu, p, q, r, P, Q, tol)), tol.eps_rank)
             checks.append((check, lambda k: _example("two-block", E=E.matrix[k])))
         state.record(*checks)
     return state.report()

@@ -208,7 +208,9 @@ def test_probe_equals_its_first_definition():
 @pytest.mark.parametrize("core", ["_below_identity", "_rank_one", "_weak_atoms_fit", "_witness_valid"])
 def test_suite_runs_the_library_decisions(monkeypatch, core):
     # The public functions and the coexist suite share one routine per
-    # decision: inverting it flips the function and fails the suite.
+    # decision: inverting it flips the function and fails the suite.  The
+    # suite does not validate its trivial witness (A, B, 0), which holds
+    # whenever it exists, so _witness_valid reaches the function only.
     A, B = make_effect(np.diag([0.3, 0.2])), make_effect(np.diag([0.4, 0.1]))
     P, Q = _overlapping_rays(0.96)
 
@@ -233,4 +235,5 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
             return ~real(*args)
     monkeypatch.setattr(coexist, core, inverted)
     assert answers() != before
-    assert coexist._coexist_suite(20, 1, DEFAULT_TOL, 3).failures > 0
+    if core != "_witness_valid":
+        assert coexist._coexist_suite(20, 1, DEFAULT_TOL, 3).failures > 0

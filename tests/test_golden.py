@@ -4,9 +4,10 @@ The golden verify report's size and sha256 are recorded in
 bench/baseline.json, which is only read here.  The wider cases below sweep
 p over the whole range the paper claims (the clamp-and-rebuild branch of
 effect validation is reached at p = -1e6 and p = 0.999999), reach n = 64,
-and run the black-box negative controls; their exit codes, sizes and
-hashes are recorded in this file.  Any change that alters a bit of these
-outputs fails here, before it reaches the benchmark's own golden gate.
+and run the negative controls (black-box maps, a mutated closed form);
+their exit codes, failure counts, sizes and hashes are recorded in this
+file.  Any change that alters a bit of these outputs fails here, before it
+reaches the benchmark's own golden gate.
 """
 
 import hashlib
@@ -16,9 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from effectkit import strength
 from effectkit.autos import verify_order, verify_scalar_pair, verify_zero_product
 from effectkit.cli import dump_json, main
 from effectkit.effects import make_effect, make_ray, orthocomplement
+from effectkit.numkern import DEFAULT_TOL
 
 BASELINE = Path(__file__).resolve().parents[1] / "bench" / "baseline.json"
 
@@ -54,8 +57,9 @@ WIDE_REPORTS = [
 
 
 # One report per suite that does not sweep p, crossing a trial-block
-# boundary at n = 8 (32 trials a block); the last one fails most trials,
-# since at --tol 1e3 the bisection's slack exceeds the oracle gap limit.
+# boundary at n = 8 (32 trials a block).  The last one passes: at --tol 1e3
+# the bisection's slack widens the oracle gap to 2.1e-5, and the limit,
+# 100 * eps_rank, widens with it to 1e-3.
 SUITE_REPORTS = [
     (
         ["verify", "--suite", "coexist", "--dims", "2,3,8", "--trials", "70", "--seed", "7"],
@@ -78,9 +82,9 @@ SUITE_REPORTS = [
     (
         ["verify", "--suite", "strength-oracle", "--dims", "2,3,8", "--trials", "70", "--seed", "7",
          "--tol", "1e3"],
-        1,
-        9640,
-        "48d67a3790fd761e55ed434bbbe7bf326968c138fc8bfcfe2d7f02f2e797dd19",
+        0,
+        837,
+        "4920690b92cddc46cb2f09adbc61b268ffd1368284275c5b198a764077b28dcd",
     ),
 ]
 
@@ -88,7 +92,7 @@ SUITE_REPORTS = [
 @pytest.mark.parametrize(
     "argv,exit_code,size,digest",
     WIDE_REPORTS + SUITE_REPORTS,
-    ids=["p-sweep-n8", "n64", "coexist", "strength-oracle", "pexider", "strength-oracle-failing"],
+    ids=["p-sweep-n8", "n64", "coexist", "strength-oracle", "pexider", "strength-oracle-tol-1e3"],
 )
 def test_wide_reports_unchanged(capsys, argv, exit_code, size, digest):
     code, report = _run(capsys, argv)
@@ -121,6 +125,31 @@ NEGATIVE_CONTROLS = [
 )
 def test_black_box_reports_unchanged(run, failures, size, digest):
     report = run()
+    text = dump_json(report.to_dict()).encode("utf-8")
+    assert report.failures == failures
+    assert len(text) == size
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
+# The strength-oracle suite at the default tolerances, seed 7, 70 trials,
+# with the closed form off by 1e-5 relative: both of its checks catch it.
+MUTATED_ORACLE = [
+    (2, 128, 596, "9a91aa93df7fb6115effa51cd64492c8108fcc93885f32a4316669576b4a853e"),
+    (3, 126, 1056, "38248d67e162b37e86a46843310a9b9f4fbdf5761ff76abea4cc1159fce70f69"),
+    (8, 128, 6147, "8c248ea792fb09c59cfc210bd7bb368e820a106023abe3676e063df4391b9c38"),
+]
+
+
+@pytest.mark.parametrize("n,failures,size,digest", MUTATED_ORACLE, ids=["n2", "n3", "n8"])
+def test_mutated_closed_form_fails_the_oracle_suite(monkeypatch, n, failures, size, digest):
+    real = strength._closed
+
+    def off(*args):
+        value, in_range, near = real(*args)
+        return value * (1.0 + 1e-5), in_range, near
+
+    monkeypatch.setattr(strength, "_closed", off)
+    report = strength._strength_oracle_suite(70, 7, DEFAULT_TOL, n)
     text = dump_json(report.to_dict()).encode("utf-8")
     assert report.failures == failures
     assert len(text) == size

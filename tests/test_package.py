@@ -1,7 +1,10 @@
 """The package surface: its exported names, the exit code of each error,
-and the dimension rule of the functions that take two operands."""
+the dimension rule of the functions that take two operands, and that no
+module keeps a check limit outside ToleranceConfig."""
 
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -48,6 +51,20 @@ def test_exports_are_the_module_objects():
     assert effectkit.leq is effectkit.effects.leq
     assert effectkit.VerificationReport is effectkit.suites.VerificationReport
     assert effectkit.DimensionError is errors.DimensionError
+
+
+def test_every_check_limit_is_owned_by_tolerance_config():
+    # A module-level limit would not scale with --tol; each limit is a
+    # multiple of a ToleranceConfig field, read where the check is made.
+    found = []
+    for info in pkgutil.iter_modules(effectkit.__path__):
+        module = importlib.import_module(f"effectkit.{info.name}")
+        found += [
+            f"{info.name}.{name}"
+            for name in vars(module)
+            if name.endswith(("_LIMIT", "_TOL")) and name != "DEFAULT_TOL"
+        ]
+    assert found == []
 
 
 # Exit codes of the CLI for each error, as the two hand-kept tuples of
