@@ -21,10 +21,11 @@ summed as ``np.linalg.norm`` sums it for the same reason.
 
 A lone entry point is the one-member case of its stacked routine: each
 sampler is one call of its stacked form on ``[generator]``, and
-``psd_leq`` reads the first decision of ``_psd_leq_both``, the one
-Loewner kernel.  One lone path is kept on purpose: ``_norms`` takes a
-lone vector's norm as one ``dot``, since each lone matrix validated
-takes this norm and a one-row matmul costs more per call.
+``psd_leq`` reads the first decision of ``_psd_leq_both``, built on
+``_loewner_spectrum``, the one Loewner kernel.  One lone path is kept on
+purpose: ``_norms`` takes a lone vector's norm as one ``dot``, since each
+lone matrix validated takes this norm and a one-row matmul costs more per
+call.
 """
 
 from __future__ import annotations
@@ -258,10 +259,17 @@ def _psd_leq_both(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> tuple[n
     (tests/test_numkern.py checks this on seeded stacks).  So B <= A is
     decided by the negated top eigenvalue of the D that decides A <= B.
     """
-    D = hermitize(B - A)
-    w = np.linalg.eigvalsh(D)
-    slack = -tol.eps_psd * np.maximum(1.0, frobenius(D))
+    w, slack = _loewner_spectrum(A, B, tol)
     return w[..., 0] >= slack, -w[..., -1] >= slack
+
+
+def _loewner_spectrum(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
+    """The one Loewner kernel: the ascending spectrum w of D = hermitize(B - A)
+    and the slack -eps_psd * max(1, ||D||_F), for inputs as in
+    ``_psd_leq_both``.  A <= B holds iff w[..., 0] >= slack, so a caller
+    that needs how far lambda_min(B - A) is from the cutoff reads it here."""
+    D = hermitize(B - A)
+    return np.linalg.eigvalsh(D), -tol.eps_psd * np.maximum(1.0, frobenius(D))
 
 
 def _clamped_psd_eigenvalues(M: np.ndarray, tol: ToleranceConfig) -> EigenDecomp:

@@ -14,12 +14,13 @@ Two independent routes are provided and kept separate on purpose:
 mu * P + Q with orthogonal rank-one P and Q, where the value along a ray
 R inside the span reduces to mu / (mu + (1 - mu) tr(PR)).
 
-Each route is one routine for a lone effect and ray or for stacks of
-them; the strength-oracle suite runs its trials through the stacked
-routes, bit for bit as one by one.  Every Loewner test is the first
-decision of ``numkern._psd_leq_both``.  The bisection of one effect
-keeps lone tests on purpose: it makes 28, and each costs more as a
-one-member stack (1-23 us more at n = 2-32 on a shared 2-vCPU host).
+The closed form and the two-block reduction are each one routine for a
+lone effect and ray or for stacks of them; the strength-oracle suite runs
+its trials through them, bit for bit as one by one.  The bisection is one
+routine for one effect, which the suite maps over its members.  Each of
+its Loewner tests reads lambda_min(A - t P) from ``numkern._loewner_spectrum``,
+the one Loewner kernel, and a test runs only when the earlier tests leave
+its outcome open: about 4 to 8 of the 28 at n = 2 to 128.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ __all__ = [
 
 # Fixed iteration count bringing the bracket width below 1e-8.
 BISECT_ITERATIONS = math.ceil(math.log2(1e8))
+# LAPACK bounds the error of a computed Hermitian eigenvalue by
+# p(n) * eps * ||D||_2, p(n) a modestly growing function of n (LAPACK Users'
+# Guide, 3rd ed., section 4.7); the bisection takes p(n) = 1e3 n.
+_EIGVALSH_ERROR = 1e3 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -128,35 +133,92 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
 
     Runs a fixed number of iterations so the returned bracket endpoint is
     within 1e-8 of the supremum.  Independent of strength_closed by
-    construction: only the raw Loewner comparison is consulted.
+    construction: only the raw Loewner comparison is consulted.  A test
+    whose outcome the values lambda_min(A - t P) at earlier tested points
+    already fix is skipped.  The skip reads only those values and the
+    Frobenius norms of A and P, never A's eigenvalues or eigenvectors, and
+    it changes no outcome, so the result is the float that running every
+    test gives.
     """
     _check_dims(A, ray)
     return float(_bisect(ray.projection.matrix, A.matrix, tol))
 
 
-def _bisect(P: np.ndarray, A: np.ndarray, tol: ToleranceConfig):
-    """``strength_bisect`` of the ray projection P against the effect matrix
-    A, or of each member of stacks of them, each step one stacked Loewner
-    test of t_k P_k against A_k.
+def _bisect(P: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> float:
+    """``strength_bisect`` of the ray projection P against the matrix A.
 
-    The bracket [lo, lo + step] halves exactly, its ends being multiples of
-    step, so lo + step is its midpoint bit for bit.
+    The bracket [lo, lo + step] halves BISECT_ITERATIONS times by the
+    Loewner test of t P <= A at t = lo + step, which is its midpoint bit for
+    bit, its ends being multiples of step.  The test holds iff
+    lambda(t) = lambda_min(A - t P) is at least the kernel's slack, and
+    lambda is concave in t, as the smallest eigenvalue of an affine family
+    (Bhatia, Matrix Analysis, ch. III).  So the values computed at the two
+    tested points nearest the bracket on each side bound lambda(t): from
+    below by the chord through the nearest point on each side, from above by
+    the line through the two points of one side.  A test runs only when
+    these bounds, widened by the eigenvalue error of each computed value,
+    leave its outcome open; every other outcome is the one the test gives,
+    so the result is the same float as with every test run.
     """
-    # Kept lone: `strength --oracle` bisects one effect, and a one-member stack costs more per test.
-    stacked = P.ndim == 3
-
-    def fits(t):
-        return numkern._psd_leq_both((t[:, None, None] if stacked else t) * P, A, tol)[0]
-
-    top = fits(np.ones(len(P)) if stacked else 1.0)
-    if np.all(top):
-        return top * 1.0
-    # A NumPy float step multiplies the NumPy bool of a lone test quickly.
-    lo, step = np.zeros(len(P)) if stacked else 0.0, np.float64(1.0)
+    lam, slack = _lambda_min(P, A, tol)
+    if lam >= slack:
+        return 1.0
+    norm_a, norm_p = numkern.frobenius(A), numkern.frobenius(P)
+    # Each computed lambda is within delta of the exact one, rounding of
+    # A - t P included.  So the test holds at t if the exact lambda(t) is at
+    # least -eps_psd + delta, and fails if it is below the slack's least
+    # value less delta, ||A - t P||_F being at most ||A||_F + t ||P||_F.
+    delta = _EIGVALSH_ERROR * len(A) * max(1.0, norm_a + norm_p)
+    holds_from = -tol.eps_psd + delta
+    left: list[tuple[float, float]] = []  # tested points (t, lambda) that held, the nearest last
+    right = [(1.0, lam)]  # those that failed, the nearest first
+    lo, step = 0.0, 1.0
     for _ in range(BISECT_ITERATIONS):
         step *= 0.5
-        lo = lo + step * fits(lo + step)
-    return np.where(top, 1.0, lo)
+        t = lo + step
+        fails_below = -tol.eps_psd * max(1.0, norm_a + t * norm_p) * (1.0 + 1e-9) - delta
+        # Two more bounds never decide: the chord from lambda(0) >= -eps_psd
+        # to a failed point stays below -eps_psd, and lambda(t) <= lambda at
+        # a held point (P >= 0) allows the slack that point passed, which is
+        # no lower than the least slack at t.
+        if left and _chord(left[-1], right[0], t) - delta >= holds_from:
+            holds = True
+        elif (len(left) == 2 and _extended(*left, t, delta) < fails_below) or (
+            len(right) == 2 and _extended(right[1], right[0], t, delta) < fails_below
+        ):
+            holds = False
+        else:
+            lam, slack = _lambda_min(t * P, A, tol)
+            holds = lam >= slack
+            if holds:
+                left = [*left[-1:], (t, lam)]
+            else:
+                right = [(t, lam), right[0]]
+        if holds:
+            lo = t
+    return lo
+
+
+def _lambda_min(tP: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> tuple[float, float]:
+    """lambda_min(A - tP) and the slack it is tested against."""
+    w, slack = numkern._loewner_spectrum(tP, A, tol)
+    return float(w[0]), float(slack)
+
+
+def _chord(a: tuple[float, float], b: tuple[float, float], t: float) -> float:
+    """The line through the points a and b at t."""
+    (t0, l0), (t1, l1) = a, b
+    return l0 + (t - t0) * (l1 - l0) / (t1 - t0)
+
+
+def _extended(far: tuple[float, float], near: tuple[float, float], t: float, delta: float) -> float:
+    """Upper bound on lambda(t) for t beyond near, from the line through two
+    tested points and their error delta: lambda(near) is at least the chord
+    from lambda(far) to lambda(t).  Each error counts 1 + r or r times, r
+    being the ratio of the extension to the points' spacing."""
+    (t0, l0), (t1, l1) = far, near
+    r = (t - t1) / (t1 - t0)
+    return l1 + r * (l1 - l0) + delta * (1.0 + 2.0 * r)
 
 
 def strength_two_block(
@@ -210,7 +272,8 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
     for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
-        gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - _bisect(ray, A.matrix, tol))
+        bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
+        gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - bisected)
         check = _analog(gap, _oracle_gap_limit(tol))
         checks = [(check, lambda k: _example("closed-vs-bisect", A=A.matrix[k]))]
         if n >= 2:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,6 +53,40 @@ def test_strength_oracle_agrees(docs, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["gap"] <= 1e-6
+
+
+def test_strength_oracle_catches_a_mutated_closed_form(tmp_path, capsys, monkeypatch):
+    from test_stacks import _bisect_reference
+
+    from effectkit import strength
+    from effectkit.numkern import haar_unitary, hermitize
+
+    # A spectrum in [0.5, 1] keeps the strength above 0.5, so a closed form
+    # off by 1e-5 relative is off by more than the oracle gap limit.
+    rng = np.random.default_rng(32)
+    Q = haar_unitary(32, rng)
+    eff, ray = tmp_path / "eff.json", tmp_path / "ray.json"
+    eff.write_text(json.dumps(matrix_to_doc(hermitize((Q * rng.uniform(0.5, 1.0, 32)) @ Q.conj().T))))
+    v = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    ray.write_text(json.dumps({"n": 32, "entries": [[z.real, z.imag] for z in v / np.linalg.norm(v)]}))
+    argv = ["strength", "--effect", str(eff), "--ray", str(ray), "--oracle"]
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    with monkeypatch.context() as patch:
+        patch.setattr(strength, "_bisect", lambda P, A, tol: _bisect_reference(SimpleNamespace(matrix=A), P, tol))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+
+    real = strength._closed
+
+    def off(*args):
+        value, in_range, near = real(*args)
+        return value * (1.0 + 1e-5), in_range, near
+
+    monkeypatch.setattr(strength, "_closed", off)
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["gap"] > 1e-6
 
 
 def test_apply_matches_library(docs, capsys):

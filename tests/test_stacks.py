@@ -326,8 +326,8 @@ def test_strength_routes_match_their_first_form(n):
     A = _stack_effects(effects)
     vec, rays = _ray(np.stack(vectors))
     value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, vec, DEFAULT_TOL)
-    bisected = _bisect(rays.matrix, A.matrix, DEFAULT_TOL)
-    assert in_range.any() and not in_range.all() and bisected.max() == 1.0
+    bisected = [_bisect(P, a, DEFAULT_TOL) for P, a in zip(rays.matrix, A.matrix)]
+    assert in_range.any() and not in_range.all() and max(bisected) == 1.0
     for k, (a, v) in enumerate(zip(effects, vectors)):
         ray = make_ray(v)
         want = _closed_reference(a, ray.vector)
