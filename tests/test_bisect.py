@@ -5,8 +5,6 @@ the float that running every test returns: ``_bisect_reference`` in
 tests/test_stacks.py, which runs all of them.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from test_stacks import _bisect_reference
@@ -62,7 +60,7 @@ def test_bisection_equals_running_every_test(monkeypatch, n):
             for ray_kind in RAYS:
                 for k in range(2):
                     A, ray = _case(n, spectrum, ray_kind, k)
-                    want = _bisect_reference(A, ray.projection.matrix, tol)
+                    want = _bisect_reference(A.matrix, ray.projection.matrix, tol)
                     with monkeypatch.context() as patch:
                         calls = _counting_kernel(patch)
                         got = strength_bisect(A, ray, tol)
@@ -83,7 +81,7 @@ def test_bisection_equals_running_every_test(monkeypatch, n):
         strength._strength_oracle_suite(4, 12, tol, n)
     assert len(members) == 2 * 4
     for P, A, tol, got in members:
-        want = _bisect_reference(SimpleNamespace(matrix=A), P, tol)
+        want = _bisect_reference(A, P, tol)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     # A bisection that does not stop at t = 1 runs 28 tests without skips.
@@ -109,7 +107,7 @@ N128_FAILING_TRIALS = (21, 49)
 def test_n128_failing_trials_bisect_as_every_test(k):
     A, P, _ = _n128_trial(k)
     assert np.float64(_bisect(P, A, DEFAULT_TOL)).tobytes() == np.float64(
-        _bisect_reference(SimpleNamespace(matrix=A), P, DEFAULT_TOL)
+        _bisect_reference(A, P, DEFAULT_TOL)
     ).tobytes()
 
 

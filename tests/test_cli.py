@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,7 +73,7 @@ def test_strength_oracle_catches_a_mutated_closed_form(tmp_path, capsys, monkeyp
     assert main(argv) == 0
     out = capsys.readouterr().out
     with monkeypatch.context() as patch:
-        patch.setattr(strength, "_bisect", lambda P, A, tol: _bisect_reference(SimpleNamespace(matrix=A), P, tol))
+        patch.setattr(strength, "_bisect", lambda P, A, tol: _bisect_reference(A, P, tol))
         assert main(argv) == 0
         assert capsys.readouterr().out == out
 

@@ -286,15 +286,16 @@ def _leq_reference(M, N, tol=DEFAULT_TOL):
 
 
 def _bisect_reference(A, P, tol=DEFAULT_TOL):
-    """strength_bisect as first written: one Loewner test at a time."""
+    """strength_bisect of the effect matrix A along the ray projection P as
+    first written: every Loewner test run, one at a time."""
     from effectkit.strength import BISECT_ITERATIONS
 
-    if _leq_reference(1.0 * P, A.matrix, tol):
+    if _leq_reference(1.0 * P, A, tol):
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _leq_reference(mid * P, A.matrix, tol):
+        if _leq_reference(mid * P, A, tol):
             lo = mid
         else:
             hi = mid
@@ -334,7 +335,7 @@ def test_strength_routes_match_their_first_form(n):
         alone = strength_closed(a, ray)
         assert same(value[k], want[0]) and (in_range[k], near[k]) == want[1:]
         assert same(alone.value, want[0]) and (alone.in_range, alone.near_cutoff) == want[1:]
-        want = _bisect_reference(a, ray.projection.matrix)
+        want = _bisect_reference(a.matrix, ray.projection.matrix)
         assert same(bisected[k], want) and same(strength_bisect(a, ray), want)
 
 
