@@ -41,10 +41,10 @@ from .effects import (
     RayProjection,
     WeakAtom,
     _effect,
-    _make_effect_stack,
     _same_dim,
     _sample_effect_stack,
     _sample_ray_stack,
+    _spectral,
     _stack_effects,
     is_scalar,
     leq,  # bench/selftest.py traces a call made through autos.leq
@@ -257,11 +257,8 @@ def verify_order(
     n = _map_dim(phi, dim)
     state = _SuiteState("order", trials, seed)
     for rngs in _trial_blocks(seed, range(trials), n):
-        B = _sample_effect_stack(n, rngs, tol)
-        A = seq_product(B, _sample_effect_stack(n, rngs, tol), tol)
-        X = _sample_effect_stack(n, rngs, tol)
-        Y = _sample_effect_stack(n, rngs, tol)
-        pairs = ((A, B), (X, Y))
+        B, C, X, Y = _sample_effect_stack(n, rngs, tol, 4)
+        pairs = ((seq_product(B, C, tol), B), (X, Y))
         ok = []
         for L, R in pairs:
             below, above = numkern._psd_leq_both(L.matrix, R.matrix, tol)
@@ -301,17 +298,16 @@ def _zero_product_trials(
         V = numkern._haar_unitary_stack(n, rngs)
         splits = np.array([int(rng.integers(1, n)) for rng in rngs])
         weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
-        A = np.empty_like(V)
-        B = np.empty_like(V)
+        M = np.empty((4,) + V.shape, dtype=V.dtype)
         # Trials are stacked per split: padding the frames with zero
         # weights would change the matmul's inner dimension and its bits.
         for split in np.unique(splits):
             group = np.flatnonzero(splits == split)
-            A[group] = numkern._from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
-            B[group] = numkern._from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
-        A, B = _make_effect_stack(A, tol), _make_effect_stack(B, tol)
-        X = _sample_effect_stack(n, rngs, tol)
-        Y = _sample_effect_stack(n, rngs, tol)
+            M[0, group] = numkern._from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
+            M[1, group] = numkern._from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
+        # The frames and the generic pair, validated as one stack.
+        M[2:] = numkern._random_effect_stack(n, rngs, 2)
+        A, B, X, Y = _spectral(M, tol)
         pairs = ((A, B), (X, Y))
         ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
         _record_pairs(state, "zero-product-biconditional", pairs, ok)
@@ -360,15 +356,13 @@ def verify_sequential(
     n = _map_dim(phi, dim)
     state = _SuiteState("sequential", trials, seed)
     half = scalar_effect(n, 0.5)
-    res0 = numkern.frobenius(
-        phi(seq_product(half, half, tol)).matrix - seq_product(phi(half), phi(half), tol).matrix
-    )
+    image = phi(half)
+    res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
     state.record(
         (_analog([res0], tol.eps_eq), lambda k: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix))
     )
     for rngs in _trial_blocks(seed, range(trials), n):
-        A = _sample_effect_stack(n, rngs, tol)
-        B = _sample_effect_stack(n, rngs, tol)
+        A, B = _sample_effect_stack(n, rngs, tol, 2)
         residuals = numkern.frobenius(
             _image(phi, seq_product(A, B, tol)).matrix
             - seq_product(_image(phi, A), _image(phi, B), tol).matrix
@@ -400,8 +394,7 @@ def verify_transition(
     n = _map_dim(phi, dim)
     state = _SuiteState("transition", trials, seed)
     for rngs in _trial_blocks(seed, range(trials), n):
-        P = _sample_ray_stack(n, rngs)
-        Q = _sample_ray_stack(n, rngs)
+        P, Q = _sample_ray_stack(n, rngs, 2)
         residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
         state.record(
             (_analog(residuals, tol.eps_eq), lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k]))

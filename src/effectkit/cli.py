@@ -79,11 +79,11 @@ from .autos import (
     verify_zero_product,
 )
 from .coexist import _coexist_suite
-from .effects import Effect, make_effect, make_ray
+from .effects import Effect, _ray_matrix, make_effect
 from .errors import CheckFailed, InputError
 from .fracfun import FpParam, _pexider_suite
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import _oracle_gap_limit, _strength_oracle_suite, strength_bisect, strength_closed
+from .strength import _bisect, _closed_value, _oracle_gap_limit, _strength_oracle_suite
 from .suites import Suite, _matrix_rows, _suite_seed
 
 RIGIDITY_SUITES = ("ortho", "sequential")
@@ -263,8 +263,9 @@ def load_effect(path: str, tol: ToleranceConfig) -> Effect:
     return make_effect(doc_to_matrix(_load_json(path), path), tol)
 
 
-def load_ray(path: str):
-    return make_ray(doc_to_vector(_load_json(path), path))
+def load_ray(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """A ray document's unit vector and projection matrix, without a basis."""
+    return _ray_matrix(doc_to_vector(_load_json(path), path))
 
 
 def load_map(path: str) -> EffectAutomorphism:
@@ -338,12 +339,12 @@ def _resolve_seed(value: int | None) -> int:
 def cmd_strength(args: argparse.Namespace) -> int:
     tol = DEFAULT_TOL.scaled(args.tol)
     A = load_effect(args.effect, tol)
-    ray = load_ray(args.ray)
-    result = strength_closed(A, ray, tol)
+    vec, P = load_ray(args.ray)
+    result = _closed_value(A, vec, tol)
     out = {"value": result.value, "in_range": result.in_range, "near_cutoff": result.near_cutoff}
     code = 0
     if args.oracle:
-        oracle = strength_bisect(A, ray, tol)
+        oracle = float(_bisect(P, A.matrix, tol))
         gap = abs(result.value - oracle)
         out["oracle"] = oracle
         out["gap"] = gap

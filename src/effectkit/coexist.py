@@ -31,10 +31,10 @@ from .effects import (
     EffectStack,
     RayProjection,
     WeakAtom,
-    _make_effect_stack,
     _ray_matrix,
     _same_dim,
     _sample_effect_stack,
+    _spectral,
     _stack_effects,
     make_effect,
     orthocomplement,
@@ -227,8 +227,7 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     state.record((_boolean([refuted]), lambda k: _example("rank-one-probe-found-no-counterexample")))
 
     for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
-        A = _sample_effect_stack(n, rngs, tol)
-        B = _sample_effect_stack(n, rngs, tol)
+        A, B = _sample_effect_stack(n, rngs, tol, 2)
         top = np.linalg.eigvalsh(A.matrix + B.matrix)[:, -1]
         over = np.flatnonzero(top > 1.0)
         scale = ((1.0 - 1e-12) / top[over])[:, None, None]
@@ -241,8 +240,7 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         rest = [rng for rng, kept in zip(rngs, witness.tolist()) if kept]
         if rest:
             lam = np.array([rng.uniform(0.02, 0.98) for rng in rest])[:, None, None]
-            p, P = _ray_matrix(numkern._random_ray_stack(n, rest))
-            q, Q = _ray_matrix(numkern._random_ray_stack(n, rest))
+            (p, q), (P, Q) = _ray_matrix(numkern._random_ray_stack(n, rest, 2))
             distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
             split[witness] = ~distinct | fits
         state.record(
@@ -253,10 +251,11 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
 
 
 def _rescaled(S: EffectStack, members: np.ndarray, scale: np.ndarray, tol: ToleranceConfig) -> EffectStack:
-    """S with its given members scaled, each validated as ``make_effect`` validates it."""
+    """S with its given members scaled by positive reals, which keeps them
+    exactly Hermitian, each validated as ``make_effect`` validates it."""
     if not members.size:
         return S
-    scaled = _make_effect_stack(S.matrix[members] * scale, tol)
+    scaled = _spectral(S.matrix[members] * scale, tol)
     if members.size == len(S):
         return scaled
     out = [S[k] for k in range(len(S))]

@@ -19,9 +19,13 @@ stacks as well as effects, deciding each member on its own.  Every member
 equals, bit for bit, the Effect built from the same matrix alone.  A
 stacked sampler draws member k from the k-th generator, so each trial
 keeps its own random stream and a report does not depend on how trials
-are grouped; ``sample_effect`` is the one-member case of the stacked
-sampler, and ``leq`` reads the first decision of the one Loewner kernel,
-``numkern._psd_leq_both``.
+are grouped; m effects per generator come as one (m, T, n, n) stack of
+stacks, under one QR and one eigendecomposition.  ``sample_effect`` is
+the one-member case of the stacked sampler, and ``leq`` reads the first
+decision of the one Loewner kernel, ``numkern._psd_leq_both``.
+Hermiticity is checked only for outside input: an effect the program
+builds is its own hermitization bit for bit, so it takes the spectral
+rules alone (``_spectral``).
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class Effect:
 @dataclass(frozen=True, eq=False)
 class EffectStack:
     """T effects of one dimension: (T, n, n) matrices, (T, n) eigenvalues
-    and (T, n, n) eigenvectors, each member as in an Effect."""
+    and (T, n, n) eigenvectors, each member as in an Effect.  A sampler's
+    m stacks come as one stack of stacks, (m, T, n, n)."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -151,7 +156,12 @@ def _make_effect_stack(Ms: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Ef
 
 def _validated(A: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
     """The rules of ``make_effect``, for a complex matrix or stack."""
-    H = numkern.require_hermitian(A, tol)
+    return _spectral(numkern.require_hermitian(A, tol), tol)
+
+
+def _spectral(H: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
+    """The spectral rules of ``make_effect``, for a complex matrix or stack
+    that ``hermitize`` returns bit for bit, as it returns its own output."""
     w, V = np.linalg.eigh(H)
     lo, hi = w[..., 0], w[..., -1]
     ok = (lo >= -tol.eps_psd) & (hi <= 1.0 + tol.eps_psd)
@@ -260,10 +270,11 @@ def sample_effect(n: int, seed: int | np.random.Generator, tol: ToleranceConfig 
 
 
 def _sample_effect_stack(
-    n: int, rngs: Sequence[np.random.Generator], tol: ToleranceConfig = DEFAULT_TOL
+    n: int, rngs: Sequence[np.random.Generator], tol: ToleranceConfig = DEFAULT_TOL, m: int | None = None
 ) -> EffectStack:
-    """Stack of ``sample_effect(n, rng, tol)`` for each generator, drawn as it draws."""
-    return _make_effect_stack(numkern._random_effect_stack(n, rngs), tol)
+    """Stack of ``sample_effect(n, rng, tol)`` for each generator, drawn as
+    it draws; with m, the stack of the m stacks drawn from each in turn."""
+    return _spectral(numkern._random_effect_stack(n, rngs, m), tol)
 
 
 def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
@@ -271,9 +282,10 @@ def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
     return make_ray(numkern.random_ray(n, seed))
 
 
-def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> EffectStack:
-    """Stack of the projections ``sample_ray(n, rng).projection`` for each generator."""
-    return _ray(numkern._random_ray_stack(n, rngs))[1]
+def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None = None) -> EffectStack:
+    """Stack of the projections ``sample_ray(n, rng).projection`` for each
+    generator; with m, the stack of the m stacks drawn from each in turn."""
+    return _ray(numkern._random_ray_stack(n, rngs, m))[1]
 
 
 def _same_dim(A: Effect | RayProjection, B: Effect | RayProjection) -> None:

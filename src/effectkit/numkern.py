@@ -12,12 +12,13 @@ integer seed.  Samplers also accept an already-constructed
 per-trial streams.
 
 The validation, norm, Loewner and sampling rules also work on stacks:
-(T, n, n) arrays of T matrices.  A stacked sampler draws one sample from
-each of T generators, in the order a lone draw takes them, and then runs
-each LAPACK and matmul step once for the whole stack.  numpy applies these
-steps to each matrix of a stack exactly as to a lone matrix, so a stacked
-result equals the per-matrix results bit for bit; the Frobenius norm is
-summed as ``np.linalg.norm`` sums it for the same reason.
+(T, n, n) arrays of T matrices.  A stacked sampler draws m samples (one by
+default) from each of T generators, each generator in turn and in the order
+lone draws take them, straight into one block buffer (``_draws``), and
+then runs each LAPACK and matmul step once for all m x T samples.  numpy
+applies these steps to each matrix of a stack exactly as to a lone matrix,
+so a stacked result equals the per-matrix results bit for bit; the
+Frobenius norm is summed as ``np.linalg.norm`` sums it for the same reason.
 
 A lone entry point is the one-member case of its stacked routine: each
 sampler is one call of its stacked form on ``[generator]``, and
@@ -314,8 +315,23 @@ def _require_dim(n: int) -> None:
         raise DimensionError(f"dimension must be a positive integer, got {n!r}")
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+def _draws(rngs: Sequence[np.random.Generator], shape: tuple, m: int = 1, spectra: bool = False):
+    """The numbers of m samples from each generator in turn, drawn as a lone
+    sampler draws them: the real, then the imaginary parts of a complex
+    Gaussian of ``shape``, then with ``spectra`` a uniform [0, 1) spectrum.
+    Returns the (m, T) + shape Gaussians and the (m, T, shape[-1]) spectra
+    (None without).  One ``standard_normal(out=)`` fills both parts, as two
+    calls of ``standard_normal(shape)`` would, and ``random`` gives the bits
+    of ``uniform(0.0, 1.0)``, 0.0 + 1.0 u being exact."""
+    _require_dim(shape[-1])
+    X = np.empty((m, len(rngs), 2) + shape)
+    w = np.empty((m, len(rngs), shape[-1])) if spectra else None
+    for k, rng in enumerate(rngs):
+        for j in range(m):
+            rng.standard_normal(out=X[j, k])
+            if spectra:
+                rng.random(out=w[j, k])
+    return X[:, :, 0] + 1j * X[:, :, 1], w
 
 
 def _phase_fixed_qr(Z: np.ndarray) -> np.ndarray:
@@ -339,8 +355,7 @@ def haar_unitary(n: int, seed: int | np.random.Generator) -> np.ndarray:
 
 def _haar_unitary_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """(T, n, n) stack of ``haar_unitary(n, rng)`` for each of the T generators."""
-    _require_dim(n)
-    return _phase_fixed_qr(np.stack([_complex_gaussian(rng, (n, n)) for rng in rngs]))
+    return _phase_fixed_qr(_draws(rngs, (n, n))[0][0])
 
 
 def random_effect(n: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -348,10 +363,12 @@ def random_effect(n: int, seed: int | np.random.Generator) -> np.ndarray:
     return _random_effect_stack(n, [_as_generator(seed)])[0]
 
 
-def _random_effect_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """(T, n, n) stack of ``random_effect(n, rng)`` for each of the T generators."""
-    Q = _haar_unitary_stack(n, rngs)
-    return _from_spectrum(Q, np.stack([rng.uniform(0.0, 1.0, size=n) for rng in rngs]))
+def _random_effect_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None = None) -> np.ndarray:
+    """(T, n, n) stack of ``random_effect(n, rng)`` for each of the T
+    generators; with m, the (m, T, n, n) stacks of m effects drawn from each."""
+    Z, w = _draws(rngs, (n, n), m or 1, spectra=True)
+    M = _from_spectrum(_phase_fixed_qr(Z), w)
+    return M if m else M[0]
 
 
 def random_ray(n: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -359,8 +376,9 @@ def random_ray(n: int, seed: int | np.random.Generator) -> np.ndarray:
     return _random_ray_stack(n, [_as_generator(seed)])[0]
 
 
-def _random_ray_stack(n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """(T, n) stack of ``random_ray(n, rng)`` for each of the T generators."""
-    _require_dim(n)
-    v = np.stack([_complex_gaussian(rng, n) for rng in rngs])
-    return v / _vector_norm(v)[:, None]
+def _random_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None = None) -> np.ndarray:
+    """(T, n) stack of ``random_ray(n, rng)`` for each of the T generators;
+    with m, the (m, T, n) stacks of m rays drawn from each."""
+    v = _draws(rngs, (n,), m or 1)[0]
+    v = v / _vector_norm(v)[..., None]
+    return v if m else v[0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, _effect, _same_dim, _validated, leq, zero_product
+from .effects import Effect, _effect, _same_dim, _spectral, leq, zero_product
 from .errors import OrderViolation, QuotientFailure
 from .numkern import DEFAULT_TOL, ToleranceConfig
 
@@ -46,7 +46,7 @@ def seq_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Eff
     """
     _same_dim(A, B)
     S = _sqrt_matrix(A)
-    return _validated(numkern.hermitize(S @ B.matrix @ S), tol)
+    return _spectral(numkern.hermitize(S @ B.matrix @ S), tol)
 
 
 def seq_zero_iff_zero(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, bool]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, RayProjection, _make_effect_stack, _ray_matrix, _sample_effect_stack, _zero_product
+from .effects import Effect, RayProjection, _ray_matrix, _sample_effect_stack, _spectral, _zero_product
 from .errors import (
     DimensionError,
     DomainError,
@@ -80,9 +80,9 @@ class StrengthValue:
             raise ValueError("out-of-range strength must be zero")
 
 
-def _check_dims(A: Effect, ray: RayProjection) -> None:
-    if A.dim != ray.dim:
-        raise DimensionError(f"dimension mismatch: effect {A.dim}, ray {ray.dim}")
+def _check_dims(A: Effect, dim: int) -> None:
+    if A.dim != dim:
+        raise DimensionError(f"dimension mismatch: effect {A.dim}, ray {dim}")
 
 
 def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAULT_TOL) -> StrengthValue:
@@ -94,8 +94,13 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     the range and the strength is zero.  Otherwise the value is
     1 / sum(|c_i|^2 / lambda_i) over the range eigenvalues.
     """
-    _check_dims(A, ray)
-    value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, ray.vector, tol)
+    return _closed_value(A, ray.vector, tol)
+
+
+def _closed_value(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> StrengthValue:
+    """``strength_closed`` along the unit vector vec: a ray read without its basis."""
+    _check_dims(A, len(vec))
+    value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, vec, tol)
     return StrengthValue(float(value), bool(in_range), bool(near))
 
 
@@ -141,7 +146,7 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     it changes no outcome, so the result is the float that running every
     test gives.
     """
-    _check_dims(A, ray)
+    _check_dims(A, ray.dim)
     return float(_bisect(ray.projection.matrix, A.matrix, tol))
 
 
@@ -287,7 +292,7 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
             cos = np.array([math.cos(t) for t in theta])[:, None]
             sin = np.array([math.sin(t) * np.exp(1j * f) for t, f in zip(theta, phase)])[:, None]
             r, _ = _ray_matrix(cos * V[..., 0] + sin * V[..., 1])
-            E = _make_effect_stack(mu[:, None, None] * P + Q, tol)
+            E = _spectral(mu[:, None, None] * P + Q, tol)
             closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
             check = _analog(np.abs(closed - _two_block(mu, p, q, r, P, Q, tol)), tol.eps_rank)
             checks.append((check, lambda k: _example("two-block", E=E.matrix[k])))

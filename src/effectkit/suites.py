@@ -4,10 +4,13 @@ A suite samples seeded inputs, checks one claim of the paper, and returns
 a VerificationReport.  Each trial draws from its own generator
 ``default_rng([seed, k])``, in the order a lone trial draws, and the
 trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
-calls.  ``_SuiteState.record`` is the one recorder of checks, taken in
-trial order, and ``_SuiteState.report`` the one builder of reports, so a
-report depends neither on the block size nor on the order of evaluation;
-a suite that runs another suite's trials records them into its own state.
+calls.  A block takes all its sampled effects from one sampler call, so
+one QR and one eigendecomposition cover them, and effects the program
+builds skip the hermiticity check that outside input takes.
+``_SuiteState.record`` is the one recorder of checks, taken in trial
+order, and ``_SuiteState.report`` the one builder of reports, so a report
+depends neither on the block size nor on the order of evaluation; a suite
+that runs another suite's trials records them into its own state.
 ``Suite`` names a suite for ``effectkit verify`` and the axes it sweeps.
 """
 
@@ -122,8 +125,9 @@ class _SuiteState:
 # A block of stacked trials holds at most this many matrix entries per
 # stacked array (and at least one trial), so memory grows neither with the
 # trial count nor, at large dimensions, by more than one trial's
-# temporaries: 32 trials at n = 8, one at n = 64.  Reports do not depend
-# on the block size.
+# temporaries: 32 trials at n = 8, one at n = 64.  A sampler call that
+# draws m effects per trial holds up to 4 times as many entries (m = 4 for
+# the order suite).  Reports do not depend on the block size.
 _BLOCK_ENTRIES = 2048
 
 

@@ -250,19 +250,21 @@ def test_scalar_effect_maps_to_scalar():
 def test_zero_product_suite_validates_its_orthogonal_pair_with_tol(monkeypatch):
     from effectkit import autos
 
+    # The frames are built by the program, so they take the spectral rules
+    # alone, in one stack with the generic pair; the tol given reaches them.
     seen = []
-    real = autos._make_effect_stack
+    real = autos._spectral
 
-    def spy(Ms, tol=DEFAULT_TOL):
-        seen.append(tol)
-        return real(Ms, tol)
+    def spy(H, tol):
+        seen.append((H.shape[:-2], tol))
+        return real(H, tol)
 
-    monkeypatch.setattr(autos, "_make_effect_stack", spy)
+    monkeypatch.setattr(autos, "_spectral", spy)
     tol = DEFAULT_TOL.scaled(3.0)
     phi = random_automorphism(3, 0.5, False, 1)
     default = verify_zero_product(phi, 4, 2)
-    assert seen == [DEFAULT_TOL, DEFAULT_TOL]
+    assert seen == [((4, 4), DEFAULT_TOL)]  # A, B, X and Y of the 4 trials
     seen.clear()
     verify_zero_product(phi, 4, 2, tol=tol)
-    assert seen == [tol, tol]
+    assert seen == [((4, 4), tol)]
     assert default.failures == 0

@@ -349,11 +349,15 @@ def test_ray_matrix_is_the_ray_without_its_basis(n):
         assert same(got_vec, vec) and same(got_matrix, projection.matrix)
 
 
-def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch):
+def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch, tmp_path):
     # Only make_ray and the transition suite's rays read the basis that a
     # complete QR builds; the orthogonal vector of the coexist suite's
-    # fixed controls is its only complete QR, whatever the trials.
+    # fixed controls is its only complete QR, whatever the trials.  The
+    # strength command reads its ray document without a basis too.
+    import json
+
     from effectkit import coexist, strength
+    from effectkit.cli import main, matrix_to_doc
 
     complete = []
     real_qr = np.linalg.qr
@@ -374,3 +378,93 @@ def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch):
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(sample_effect(3, 5), 40, 3)) == 0
     assert complete_qrs(lambda: strength._strength_oracle_suite(20, 3, DEFAULT_TOL, 3)) == 0
     assert complete_qrs(lambda: coexist._coexist_suite(20, 3, DEFAULT_TOL, 3)) == 1
+
+    eff, ray = tmp_path / "eff.json", tmp_path / "ray.json"
+    eff.write_text(json.dumps(matrix_to_doc(random_effect(3, 5))))
+    ray.write_text(json.dumps({"n": 3, "entries": [[x.real, x.imag] for x in random_ray(3, 6).tolist()]}))
+    argv = ["strength", "--effect", str(eff), "--ray", str(ray)]
+    codes = []
+    assert complete_qrs(lambda: codes.append(main(argv))) == 0
+    assert complete_qrs(lambda: codes.append(main(argv + ["--oracle"]))) == 0
+    assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 8, 64))
+def test_block_draws_equal_per_generator_draws(n):
+    from effectkit.numkern import _draws
+
+    for m in (1, 2, 4):
+        gens, refs = rngs(20), rngs(20)
+        Z, w = _draws(gens, (n, n), m, spectra=True)
+        v = _draws(gens, (n,), m)[0]
+        for k, rng in enumerate(refs):
+            for j in range(m):
+                assert same(Z[j, k], rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+                assert same(w[j, k], rng.uniform(0.0, 1.0, n))
+            for j in range(m):
+                assert same(v[j, k], rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 8, 64))
+def test_a_sampler_call_for_several_effects_equals_one_call_each(n):
+    gens, refs = rngs(21), rngs(21)
+    stacks = _sample_effect_stack(n, gens, DEFAULT_TOL, 3)
+    rays = _sample_ray_stack(n, gens, 2)
+    for S in stacks:
+        assert same_effect(S, _sample_effect_stack(n, refs))
+    for S in rays:
+        assert same_effect(S, _sample_ray_stack(n, refs))
+    M = _random_effect_stack(n, gens, 2)
+    v = _random_ray_stack(n, gens, 2)
+    assert same(M[0], _random_effect_stack(n, refs)) and same(M[1], _random_effect_stack(n, refs))
+    assert same(v[0], _random_ray_stack(n, refs)) and same(v[1], _random_ray_stack(n, refs))
+    assert [g.bit_generator.state for g in gens] == [r.bit_generator.state for r in refs]
+
+
+def test_internal_effects_skip_only_a_check_they_pass(monkeypatch, capsys):
+    # Effects the program builds take the spectral rules alone.  Each such
+    # matrix is its own hermitization bit for bit, so it passes the
+    # hermiticity check and gives the Effect that outside input gives.
+    from effectkit import autos, coexist, effects, sequential, strength
+    from effectkit.cli import main
+    from effectkit.numkern import require_hermitian
+
+    real = effects._spectral
+    callers = set()
+
+    def checked(name):
+        def spectral(H, tol):
+            assert same(hermitize(H), H)
+            E = real(H, tol)
+            checked = require_hermitian(H.reshape((-1,) + H.shape[-2:]), tol).reshape(H.shape)
+            assert same_effect(E, real(checked, tol))
+            callers.add(name)
+            return E
+
+        return spectral
+
+    for module in (autos, coexist, effects, sequential, strength):
+        monkeypatch.setattr(module, "_spectral", checked(module.__name__))
+    codes = []
+    for argv in (["--dims", "2,3,8", "--p=-1e3,0,0.5"], ["--dims", "2", "--p", "0.9", "--tol", "1e-3"]):
+        codes.append(main(["verify", "--suite", "all", "--trials", "12", "--seed", "4", *argv]))
+    for suite in ("order", "sequential", "strength-oracle"):
+        codes.append(main(["verify", "--suite", suite, "--dims", "1", "--p", "0.5", "--trials", "12", "--seed", "4"]))
+    assert capsys.readouterr().err == "" and set(codes) <= {0, 1}
+    assert callers == {m.__name__ for m in (autos, coexist, effects, sequential, strength)}
+
+
+def test_an_order_block_samples_under_one_qr_and_one_eigh(monkeypatch):
+    # One sampler call draws the block's four effects: one QR and one
+    # eigendecomposition; the other eigh validates the sequential product.
+    from effectkit.autos import verify_order
+
+    phi = random_automorphism(3, 0.5, False, 1)
+    calls = []
+    for name in ("qr", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    report = verify_order(phi, 10, 3)
+    assert report.failures == 0
+    assert sorted(calls) == ["eigh", "eigh", "qr"]
