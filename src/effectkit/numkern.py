@@ -19,6 +19,9 @@ then runs each LAPACK and matmul step once for all m x T samples.  numpy
 applies these steps to each matrix of a stack exactly as to a lone matrix,
 so a stacked result equals the per-matrix results bit for bit; the
 Frobenius norm is summed as ``np.linalg.norm`` sums it for the same reason.
+``require_hermitian`` is for outside input: the matrices ``hermitize`` and
+``_from_spectrum`` build are exactly Hermitian, and the effects built from
+them skip it.
 
 A lone entry point is the one-member case of its stacked routine: each
 sampler is one call of its stacked form on ``[generator]``, and
@@ -316,13 +319,11 @@ def _require_dim(n: int) -> None:
 
 
 def _draws(rngs: Sequence[np.random.Generator], shape: tuple, m: int = 1, spectra: bool = False):
-    """The numbers of m samples from each generator in turn, drawn as a lone
-    sampler draws them: the real, then the imaginary parts of a complex
-    Gaussian of ``shape``, then with ``spectra`` a uniform [0, 1) spectrum.
-    Returns the (m, T) + shape Gaussians and the (m, T, shape[-1]) spectra
-    (None without).  One ``standard_normal(out=)`` fills both parts, as two
-    calls of ``standard_normal(shape)`` would, and ``random`` gives the bits
-    of ``uniform(0.0, 1.0)``, 0.0 + 1.0 u being exact."""
+    """The (m, T) + shape complex Gaussians and, with ``spectra``, the
+    (m, T, shape[-1]) uniform [0, 1) spectra of m samples from each generator
+    in turn, drawn as lone samplers draw them: one ``standard_normal(out=)``
+    gives the real and imaginary parts as two ``standard_normal(shape)`` do,
+    and ``random`` the bits of ``uniform(0.0, 1.0)``, 0.0 + 1.0 u being exact."""
     _require_dim(shape[-1])
     X = np.empty((m, len(rngs), 2) + shape)
     w = np.empty((m, len(rngs), shape[-1])) if spectra else None

@@ -4,9 +4,8 @@ A suite samples seeded inputs, checks one claim of the paper, and returns
 a VerificationReport.  Each trial draws from its own generator
 ``default_rng([seed, k])``, in the order a lone trial draws, and the
 trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
-calls.  A block takes all its sampled effects from one sampler call, so
-one QR and one eigendecomposition cover them, and effects the program
-builds skip the hermiticity check that outside input takes.
+calls.  A block takes all its sampled effects from one sampler call (one
+QR, one eigendecomposition), and built effects skip the hermiticity check.
 ``_SuiteState.record`` is the one recorder of checks, taken in trial
 order, and ``_SuiteState.report`` the one builder of reports, so a report
 depends neither on the block size nor on the order of evaluation; a suite
