@@ -16,7 +16,9 @@ additionally preserved exactly when p = 0.
 The verify_* suites sample seeded inputs, check one invariance each, and
 return a VerificationReport.  They accept either an EffectAutomorphism
 or any callable Effect -> Effect (pass ``dim=`` for the latter), so a
-harness can feed deliberately broken maps as negative controls.
+harness can feed deliberately broken maps as negative controls.  The order
+and zero-product suites check "in both directions" through one routine,
+``_biconditional``.
 
 The suites follow the protocol of ``effectkit.suites``: they run their
 trials as EffectStacks, in blocks, and each sampling, validation, map
@@ -222,15 +224,18 @@ def _fit_family(
     return FpParam(1.0 - fit.a), fit
 
 
-def _record_pairs(state: _SuiteState, check: str, pairs, ok: list[np.ndarray]) -> None:
-    """Boolean checks ``ok[j]`` of each stack pair ``pairs[j]``, taken in
+def _biconditional(state: _SuiteState, check: str, phi: EffectMap, pairs, decide) -> None:
+    """For each stack pair (L, R), whether every decision in ``decide(L, R)``
+    holds for the images exactly when it holds for the pair; recorded in
     trial order and, within a trial, pair by pair."""
-    state.record(
-        *[
-            (_boolean(o), lambda k, L=L, R=R: _example(check, A=L.matrix[k], B=R.matrix[k]))
-            for (L, R), o in zip(pairs, ok)
-        ]
-    )
+    checks = []
+    for L, R in pairs:
+        before = decide(L, R)
+        image_L, image_R = _image(phi, L), _image(phi, R)
+        _same_dim(image_L, image_R)  # a black-box map may change the dimension
+        ok = np.all(np.equal(before, decide(image_L, image_R)), axis=0)
+        checks.append((_boolean(ok), lambda k, L=L, R=R: _example(check, A=L.matrix[k], B=R.matrix[k])))
+    state.record(*checks)
 
 
 def _image(phi: EffectMap, S: EffectStack) -> EffectStack:
@@ -259,14 +264,9 @@ def verify_order(
     for rngs in _trial_blocks(seed, range(trials), n):
         B, C, X, Y = _sample_effect_stack(n, rngs, tol, 4)
         pairs = ((seq_product(B, C, tol), B), (X, Y))
-        ok = []
-        for L, R in pairs:
-            below, above = numkern._psd_leq_both(L.matrix, R.matrix, tol)
-            image_L, image_R = _image(phi, L), _image(phi, R)
-            _same_dim(image_L, image_R)  # a black-box map may change the dimension
-            image_below, image_above = numkern._psd_leq_both(image_L.matrix, image_R.matrix, tol)
-            ok.append((below == image_below) & (above == image_above))
-        _record_pairs(state, "order-biconditional", pairs, ok)
+        _biconditional(
+            state, "order-biconditional", phi, pairs, lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol)
+        )
     return state.report()
 
 
@@ -309,8 +309,7 @@ def _zero_product_trials(
         M[2:] = numkern._random_effect_stack(n, rngs, 2)
         A, B, X, Y = _spectral(M, tol)
         pairs = ((A, B), (X, Y))
-        ok = [zero_product(L, R, tol) == zero_product(_image(phi, L), _image(phi, R), tol) for L, R in pairs]
-        _record_pairs(state, "zero-product-biconditional", pairs, ok)
+        _biconditional(state, "zero-product-biconditional", phi, pairs, lambda L, R: [zero_product(L, R, tol)])
 
 
 def verify_ortho(

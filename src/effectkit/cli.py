@@ -327,13 +327,15 @@ _AXIS_LABELS = {"n": "n={}".format, "p": "p={:g}".format, "conj": lambda c: f"co
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    raw = os.environ.get("EFFECTKIT_SEED", "0")
+    env = os.environ.get("EFFECTKIT_SEED", "0")
+    source, raw = ("--seed", value) if value is not None else ("EFFECTKIT_SEED", env)
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
-        raise ParseFailure(f"EFFECTKIT_SEED must be an integer, got {raw!r}") from exc
+        raise ParseFailure(f"{source} must be an integer, got {raw!r}") from exc
+    if seed < 0:  # numpy's seeding would reject it without naming the source
+        raise ParseFailure(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def cmd_strength(args: argparse.Namespace) -> int:

@@ -235,14 +235,12 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         # The trivial witness (A, B, 0), present iff A + B <= I.  It solves the
         # witness equations exactly, and A + B >= 0 holds for effects: no more to check.
         witness = _below_identity(A.matrix + B.matrix, tol)
-        # A trial without a witness stops there and draws nothing more.
-        split = np.ones(len(rngs), dtype=bool)
-        rest = [rng for rng, kept in zip(rngs, witness.tolist()) if kept]
-        if rest:
-            lam = np.array([rng.uniform(0.02, 0.98) for rng in rest])[:, None, None]
-            (p, q), (P, Q) = _ray_matrix(numkern._random_ray_stack(n, rest, 2))
-            distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
-            split[witness] = ~distinct | fits
+        # Every trial draws a split, a witness or not: its own generator draws
+        # nothing after it, and a trial without a witness passes this check.
+        lam = np.array([rng.uniform(0.02, 0.98) for rng in rngs])[:, None, None]
+        (p, q), (P, Q) = _ray_matrix(numkern._random_ray_stack(n, rngs, 2))
+        distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
+        split = ~witness | ~distinct | fits
         state.record(
             (_boolean(witness), lambda k: _example("trivial-witness-missing-for-substochastic-pair")),
             (_boolean(split), lambda k: _example("convex-split-pair-reported-incompatible")),

@@ -331,11 +331,14 @@ def zero_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bo
 
 
 def _zero_product(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """The decision of ``zero_product`` on two matrices, or two stacks of
-    one shape, as a bool array."""
-    norm = numkern.frobenius(A @ B)
-    scale = np.maximum(1.0, numkern.frobenius(A) * numkern.frobenius(B))
-    return norm <= tol.eps_eq * scale
+    """The decision of ``zero_product`` on two matrices or stacks, as a bool array."""
+    return _vanishes(A @ B, A, B, tol)
+
+
+def _vanishes(M: np.ndarray, A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The one zero-product rule, for M a product of A and B (matrices or
+    stacks of one shape): ||M||_F <= eps_eq * max(1, ||A||_F ||B||_F)."""
+    return numkern.frobenius(M) <= tol.eps_eq * np.maximum(1.0, numkern.frobenius(A) * numkern.frobenius(B))
 
 
 def is_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, _effect, _same_dim, _spectral, leq, zero_product
+from .effects import Effect, _effect, _same_dim, _spectral, _vanishes, leq, zero_product
 from .errors import OrderViolation, QuotientFailure
 from .numkern import DEFAULT_TOL, ToleranceConfig
 
@@ -55,11 +55,8 @@ def seq_zero_iff_zero(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) 
     The two booleans agree for genuine effects; returning both lets test
     suites check the equivalence instead of assuming it.
     """
-    seq = seq_product(A, B, tol)
-    seq_is_zero = numkern.frobenius(seq.matrix) <= tol.eps_eq * max(
-        1.0, numkern.frobenius(A.matrix) * numkern.frobenius(B.matrix)
-    )
-    return seq_is_zero, zero_product(A, B, tol)
+    seq_is_zero = _vanishes(seq_product(A, B, tol).matrix, A.matrix, B.matrix, tol)
+    return bool(seq_is_zero), zero_product(A, B, tol)
 
 
 def _quotient_candidate(A: Effect, B: Effect, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

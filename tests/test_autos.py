@@ -197,6 +197,16 @@ def test_negative_control_orthocomplement_breaks_order():
     assert report.counterexample is not None
 
 
+def test_order_suite_compares_both_directions():
+    # A constant map sends every pair to (I/2, I/2), ordered both ways.  The
+    # constructed pair (B o C, B) is ordered one way only, unless B o C = B,
+    # and the generic pair in neither: both fail, 2 checks per trial.  A
+    # suite that compared only A <= B would pass every constructed pair.
+    half = scalar_effect(3, 0.5)
+    report = verify_order(lambda A: half, 20, 5, dim=3)
+    assert report.failures == 40
+
+
 def test_negative_control_shrink_breaks_zero_product():
     def shrink(A):
         return make_effect(0.5 * A.matrix + 0.25 * np.eye(A.dim))

@@ -219,6 +219,20 @@ def test_exit_two_on_bad_env_seed(docs, capsys, monkeypatch):
                  "--trials", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (["--seed", "-1"], None, "error: --seed must be a non-negative integer, got -1\n"),
+        ([], "-5", "error: EFFECTKIT_SEED must be a non-negative integer, got -5\n"),
+    ],
+)
+def test_exit_two_on_negative_seed(capsys, monkeypatch, flag, env, message):
+    if env is not None:
+        monkeypatch.setenv("EFFECTKIT_SEED", env)
+    assert main(["verify", "--suite", "order", "--dims", "2", "--p", "0", "--trials", "3", *flag]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def _child_env():
     """Environment for a ``python -m effectkit`` child: the imported package's
     absolute source root goes on its path, so it needs no install and does

@@ -73,6 +73,21 @@ def test_seq_zero_iff_zero_randomized():
         assert prod_is_zero == zero_product(A, B)
 
 
+def test_both_zero_tests_read_one_rule(monkeypatch):
+    # The sequential and the operator product vanish by the same rule, and
+    # both come back as Python bools: inverting the rule flips both.
+    from effectkit import effects, sequential
+
+    A = make_effect(np.diag([0.7, 0.0, 0.0]))
+    B = make_effect(np.diag([0.0, 0.0, 0.3]))
+    assert [type(b) for b in seq_zero_iff_zero(A, B)] == [bool, bool]
+    real = effects._vanishes
+    for module in (effects, sequential):
+        monkeypatch.setattr(module, "_vanishes", lambda *args: ~real(*args))
+    assert seq_zero_iff_zero(A, B) == (False, False)
+    assert seq_zero_iff_zero(A, make_effect(np.diag([0.2, 0.2, 0.2]))) == (True, True)
+
+
 def test_douglas_quotient_known_value():
     A = make_effect(np.diag([0.5, 0.25]))
     B = make_effect(np.diag([1.0, 0.5]))

@@ -458,13 +458,18 @@ def test_internal_effects_skip_only_a_check_they_pass(monkeypatch, capsys):
 def test_an_order_block_samples_under_one_qr_and_one_eigh(monkeypatch):
     # One sampler call draws the block's four effects: one QR and one
     # eigendecomposition; the other eigh validates the sequential product.
+    # Each of the two pairs then maps each side once and takes one spectrum
+    # for the pair and one for its images: 4 applications, 4 eigvalsh.
+    from effectkit import autos
     from effectkit.autos import verify_order
 
     phi = random_automorphism(3, 0.5, False, 1)
     calls = []
-    for name in ("qr", "eigh"):
+    for name in ("qr", "eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    real_apply = autos.apply
+    monkeypatch.setattr(autos, "apply", lambda *a, **k: calls.append("apply") or real_apply(*a, **k))
     report = verify_order(phi, 10, 3)
     assert report.failures == 0
-    assert sorted(calls) == ["eigh", "eigh", "qr"]
+    assert sorted(calls) == ["apply"] * 4 + ["eigh", "eigh"] + ["eigvalsh"] * 4 + ["qr"]
