@@ -28,15 +28,12 @@ import numpy as np
 from . import numkern
 from .effects import (
     Effect,
-    EffectStack,
     RayProjection,
     WeakAtom,
     _ray_matrix,
     _same_dim,
     _sample_effect_stack,
     _spectral,
-    _stack_effects,
-    make_effect,
     orthocomplement,
     rank_of,
     scalar_effect,
@@ -222,16 +219,17 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     state.record((_boolean([apart]), lambda k: _example("overlapping-0.9-pair-reported-coexistent")))
     scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
     state.record((_boolean([scalar]), lambda k: _example("scalar-probe-returned-false")))
-    atom = make_effect(0.9 * P0, tol)
+    atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
     state.record((_boolean([refuted]), lambda k: _example("rank-one-probe-found-no-counterexample")))
 
     for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
         A, B = _sample_effect_stack(n, rngs, tol, 2)
+        # Scale each pair with A + B above I to just under it; a positive
+        # real keeps the matrices exactly Hermitian, and 1.0 keeps them as they are.
         top = np.linalg.eigvalsh(A.matrix + B.matrix)[:, -1]
-        over = np.flatnonzero(top > 1.0)
-        scale = ((1.0 - 1e-12) / top[over])[:, None, None]
-        A, B = _rescaled(A, over, scale, tol), _rescaled(B, over, scale, tol)
+        scale = np.where(top > 1.0, (1.0 - 1e-12) / top, 1.0)[:, None, None]
+        A, B = _spectral(np.stack([A.matrix, B.matrix]) * scale, tol)
         # The trivial witness (A, B, 0), present iff A + B <= I.  It solves the
         # witness equations exactly, and A + B >= 0 holds for effects: no more to check.
         witness = _below_identity(A.matrix + B.matrix, tol)
@@ -247,16 +245,3 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         )
     return state.report()
 
-
-def _rescaled(S: EffectStack, members: np.ndarray, scale: np.ndarray, tol: ToleranceConfig) -> EffectStack:
-    """S with its given members scaled by positive reals, which keeps them
-    exactly Hermitian, each validated as ``make_effect`` validates it."""
-    if not members.size:
-        return S
-    scaled = _spectral(S.matrix[members] * scale, tol)
-    if members.size == len(S):
-        return scaled
-    out = [S[k] for k in range(len(S))]
-    for j, k in enumerate(members.tolist()):
-        out[k] = scaled[j]
-    return _stack_effects(out)

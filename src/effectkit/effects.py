@@ -11,21 +11,22 @@ construction, so downstream functional calculus never re-diagonalizes.
 
 An EffectStack holds T effects of one dimension as (T, n, n) matrices,
 (T, n) eigenvalues and (T, n, n) eigenvectors, so the verification suites
-can run each LAPACK and matmul step once for all their trials.  It is
-validated by the same rules as a lone Effect (``make_effect`` and
-``_make_effect_stack`` share one implementation), ``stack[k]`` is member k
-as an Effect, and ``leq``, ``zero_product`` and ``orthocomplement`` take
-stacks as well as effects, deciding each member on its own.  Every member
-equals, bit for bit, the Effect built from the same matrix alone.  A
-stacked sampler draws member k from the k-th generator, so each trial
-keeps its own random stream and a report does not depend on how trials
-are grouped; m effects per generator come as one (m, T, n, n) stack of
-stacks, under one QR and one eigendecomposition.  ``sample_effect`` is
-the one-member case of the stacked sampler, and ``leq`` reads the first
-decision of the one Loewner kernel, ``numkern._psd_leq_both``.
-Hermiticity is checked only for outside input: an effect the program
-builds is its own hermitization bit for bit, so it takes the spectral
-rules alone (``_spectral``).
+can run each LAPACK and matmul step once for all their trials.
+``stack[k]`` is member k as an Effect, and ``leq``, ``zero_product`` and
+``orthocomplement`` take stacks as well as effects, deciding each member
+on its own.  Every member equals, bit for bit, the Effect built from the
+same matrix alone.  A stacked sampler draws member k from the k-th
+generator, so each trial keeps its own random stream and a report does
+not depend on how trials are grouped; m effects per generator come as one
+(m, T, n, n) stack of stacks, under one QR and one eigendecomposition.
+``sample_effect`` is the one-member case of the stacked sampler, and
+``leq`` reads the first decision of the one Loewner kernel,
+``numkern._psd_leq_both``.
+
+Validation follows where a matrix comes from.  Outside input goes through
+``make_effect`` one matrix at a time: hermiticity, then the spectral
+rules.  A matrix or stack the program builds is its own hermitization bit
+for bit, so it takes the spectral rules alone, in one ``_spectral`` call.
 """
 
 from __future__ import annotations
@@ -140,23 +141,7 @@ def make_effect(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     matrix is rebuilt from the clamped spectrum.  Anything further out
     raises SpectrumOutOfRange.
     """
-    return _validated(numkern.as_complex_matrix(M), tol)
-
-
-def _make_effect_stack(Ms: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> EffectStack:
-    """Validate each matrix of a (T, n, n) stack as ``make_effect`` does.
-
-    A member that ``make_effect`` rejects raises the error it raises there.
-    The checks run in ``make_effect``'s order (finite entries, hermiticity,
-    spectrum), each over the whole stack, so with several bad members the
-    error names the first member failing the earliest check.
-    """
-    return _validated(numkern._as_complex_stack(Ms), tol)
-
-
-def _validated(A: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
-    """The rules of ``make_effect``, for a complex matrix or stack."""
-    return _spectral(numkern.require_hermitian(A, tol), tol)
+    return _spectral(numkern.require_hermitian(M, tol), tol)
 
 
 def _spectral(H: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:

@@ -162,8 +162,14 @@ def fp_eval(p: FpParam | float, x: float) -> float:
 
 
 def _fp(pv: float, x):
-    """f_p at a float, or at each entry of an array with the same floats."""
-    return x / (x * pv + (1.0 - pv))
+    """f_p at a float, or at each entry of an array with the same floats.
+
+    Where the float 1 - p rounds to -p (only for p <= -2^53), the
+    denominator vanishes at x = 1, and only there; adding 1 to a zero
+    denominator gives f_p(1) = 1 there and leaves every other value as it is.
+    """
+    d = x * pv + (1.0 - pv)
+    return x / (d + (d == 0.0))
 
 
 def inverse_param(p: FpParam | float) -> FpParam:

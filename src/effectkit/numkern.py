@@ -11,17 +11,18 @@ integer seed.  Samplers also accept an already-constructed
 ``numpy.random.Generator`` so that composite experiments can derive
 per-trial streams.
 
-The validation, norm, Loewner and sampling rules also work on stacks:
-(T, n, n) arrays of T matrices.  A stacked sampler draws m samples (one by
+The norm, Loewner and sampling rules also work on stacks: (T, n, n)
+arrays of T matrices.  A stacked sampler draws m samples (one by
 default) from each of T generators, each generator in turn and in the order
 lone draws take them, straight into one block buffer (``_draws``), and
 then runs each LAPACK and matmul step once for all m x T samples.  numpy
 applies these steps to each matrix of a stack exactly as to a lone matrix,
 so a stacked result equals the per-matrix results bit for bit; the
 Frobenius norm is summed as ``np.linalg.norm`` sums it for the same reason.
-``require_hermitian`` is for outside input: the matrices ``hermitize`` and
+``require_hermitian`` and ``eig_hermitian`` are for outside input, which
+is validated one matrix at a time: the matrices ``hermitize`` and
 ``_from_spectrum`` build are exactly Hermitian, and the effects built from
-them skip it.
+them skip the check.
 
 A lone entry point is the one-member case of its stacked routine: each
 sampler is one call of its stacked form on ``[generator]``, and
@@ -116,14 +117,6 @@ def as_complex_matrix(M: np.ndarray) -> np.ndarray:
     return A
 
 
-def _as_complex_stack(M: np.ndarray) -> np.ndarray:
-    """Coerce to a (T, n, n) complex128 stack with T, n >= 1, raising DimensionError otherwise."""
-    A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 3 or A.shape[1] != A.shape[2] or 0 in A.shape:
-        raise DimensionError(f"expected a stack of square matrices, got shape {A.shape}")
-    return A
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """2-norm along the last axis, summed as ``np.linalg.norm`` sums one vector.
 
@@ -201,34 +194,31 @@ def _first(values, bad: np.ndarray):
 
 
 def require_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Validate hermiticity of ``M`` and return the hermitized copy.
+    """Validate hermiticity of the matrix ``M`` and return the hermitized copy.
 
-    ``M`` is a matrix or a (T, n, n) stack.  Every member is checked for
-    finite entries before any for hermiticity, and the error names the
-    first member failing the earlier check.  The defect ||M - M*|| is
-    measured relative to max(1, ||M||) so the check is scale-aware without
-    going vacuous near zero.  A matrix whose norm is not finite (a NaN or
-    inf entry) is rejected first: an inf entry would otherwise meet the
-    infinite bound.
+    This is the check for outside input, one matrix at a time.  The defect
+    ||M - M*|| is measured relative to max(1, ||M||) so the check is
+    scale-aware without going vacuous near zero.  A matrix whose norm is
+    not finite (a NaN or inf entry) is rejected first: an inf entry would
+    otherwise meet the infinite bound.
     """
-    A = _as_complex_stack(M) if np.ndim(M) == 3 else as_complex_matrix(M)
+    A = as_complex_matrix(M)
     scale = frobenius(A)
-    finite = np.isfinite(scale)
-    if not _holds(finite):
-        raise HermiticityViolation(f"matrix norm is {_first(scale, ~finite)}: non-finite entries or overflow")
-    defect = frobenius(A - A.conj().swapaxes(-1, -2))
-    ok = defect <= tol.eps_herm * np.maximum(1.0, scale)
-    if not _holds(ok):
-        raise HermiticityViolation(f"matrix is not Hermitian: defect {_first(defect, ~ok):.3e}")
+    if not np.isfinite(scale):
+        raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
+    defect = frobenius(A - A.conj().T)
+    if not defect <= tol.eps_herm * max(1.0, scale):
+        raise HermiticityViolation(f"matrix is not Hermitian: defect {defect:.3e}")
     return hermitize(A)
 
 
 def eig_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomp:
-    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix from outside, eigenvalues ascending.
 
-    Backed by LAPACK via numpy.linalg.eigh; the returned eigenvector
-    columns are orthonormal and V diag(w) V* reconstructs the input to
-    machine precision at the matrix sizes this package targets.
+    The matrix is validated by ``require_hermitian`` first.  Backed by
+    LAPACK via numpy.linalg.eigh; the returned eigenvector columns are
+    orthonormal and V diag(w) V* reconstructs the input to machine
+    precision at the matrix sizes this package targets.
     """
     A = require_hermitian(M, tol)
     w, V = np.linalg.eigh(A)
@@ -241,8 +231,8 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     The slack is eps_psd * max(1, ||N - M||_F), so the test is reflexive
     and tolerant of round-off on the scale of the difference itself.
     """
-    A = require_hermitian(as_complex_matrix(M), tol)
-    B = require_hermitian(as_complex_matrix(N), tol)
+    A = require_hermitian(M, tol)
+    B = require_hermitian(N, tol)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
     return bool(_psd_leq_both(A, B, tol)[0])
@@ -277,7 +267,7 @@ def _loewner_spectrum(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
 
 
 def _clamped_psd_eigenvalues(M: np.ndarray, tol: ToleranceConfig) -> EigenDecomp:
-    dec = eig_hermitian(as_complex_matrix(M), tol)
+    dec = eig_hermitian(M, tol)
     w = dec.eigenvalues
     if w[0] < -tol.eps_psd:
         raise NotPositiveSemidefinite(f"minimum eigenvalue {w[0]:.3e} below -eps_psd")
@@ -298,12 +288,16 @@ def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     1/sqrt(eigenvalue); the rest are treated as kernel and map to zero.
     """
     dec = _clamped_psd_eigenvalues(M, tol)
-    w = dec.eigenvalues
+    return _pinv_sqrt_spectrum(dec.eigenvalues, dec.eigenvectors, tol)
+
+
+def _pinv_sqrt_spectrum(w: np.ndarray, V: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """``pinv_sqrt`` of the matrix with ascending spectrum w >= 0 and
+    eigenvectors V, for a caller that holds them, such as an Effect."""
     cutoff = tol.eps_rank * float(w[-1])
     inv = np.zeros_like(w)
     kept = w > cutoff
     inv[kept] = 1.0 / np.sqrt(w[kept])
-    V = dec.eigenvectors
     return _from_spectrum(V, inv)
 
 

@@ -61,7 +61,7 @@ def seq_zero_iff_zero(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) 
 
 def _quotient_candidate(A: Effect, B: Effect, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raw Douglas quotient of A by B: eigenvalues unclamped, basis, sqrt(B)."""
-    S = numkern.pinv_sqrt(B.matrix, tol)
+    S = numkern._pinv_sqrt_spectrum(B.eigenvalues, B.eigenvectors, tol)
     raw = numkern.hermitize(S @ A.matrix @ S)
     w, V = np.linalg.eigh(raw)
     return w, V, _sqrt_matrix(B)

@@ -1,13 +1,14 @@
 """Fractional family: evaluation, inversion, functional equation, fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effectkit.effects import make_effect
+from effectkit.effects import make_effect, make_ray
 from effectkit.errors import DomainError, FitError, ParamError
 from effectkit.fracfun import (
     RIGIDITY_KINDS,
@@ -112,6 +113,19 @@ def test_fp_apply_spectral():
     assert np.allclose(np.diag(image.matrix).real, [2.0 / 3.0, 0.4], atol=1e-14)
     # eigenvectors are untouched, only eigenvalues move
     assert np.allclose(image.matrix - np.diag(np.diag(image.matrix)), 0.0)
+
+
+def test_fp_is_one_at_one_where_one_minus_p_rounds_to_minus_p():
+    # For p <= -2^53 the denominator of f_p rounds to zero at x = 1.
+    assert fp_eval(-1e16, 1.0) == 1.0
+    assert fp_eval(-1e308, 1.0) == 1.0
+    assert fp_eval(-1e308, 0.5) == 0.5 / (0.5 * -1e308 + 1e308)
+    P = make_ray(np.array([1.0, 1.0j, 0.0])).projection
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image = fp_apply(-1e308, P)
+    assert image.eigenvalues.tolist() == [0.0, 0.0, 1.0]
+    assert np.allclose(image.matrix, P.matrix, atol=1e-15)
 
 
 def test_interior_grid():

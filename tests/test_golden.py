@@ -12,6 +12,7 @@ reaches the benchmark's own golden gate.
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,21 @@ def test_wide_reports_unchanged(capsys, argv, exit_code, size, digest):
     assert code == exit_code
     assert len(report) == size
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_p_far_below_minus_two_to_the_53_reports_without_a_warning(capsys):
+    # At p = -1e308 the denominator of f_p rounds to zero at eigenvalue 1;
+    # the report is the one the division by zero gave, and stderr stays empty.
+    argv = ["verify", "--suite", "all", "--dims", "2,3", "--p=-1e308,-3.7,0.3", "--trials", "10", "--seed", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert len(out.encode("utf-8")) == 55688
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "2ac11a7e65d41ff12dd4af40e63147e6b34a1dcf6612d1f547988d84f4ef360b"
+    )
 
 
 def _shrink(A):

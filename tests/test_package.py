@@ -1,10 +1,13 @@
 """The package surface: its exported names, the exit code of each error,
-the dimension rule of the functions that take two operands, and that no
-module keeps a check limit outside ToleranceConfig."""
+the dimension rule of the functions that take two operands, that no
+module keeps a check limit outside ToleranceConfig, and that no private
+name is left without a use."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,36 @@ def test_every_check_limit_is_owned_by_tolerance_config():
             if name.endswith(("_LIMIT", "_TOL")) and name != "DEFAULT_TOL"
         ]
     assert found == []
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and assignment targets, dunders excepted."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_definition_is_used_in_package_code():
+    # A private routine that no package code reads is a path nothing runs;
+    # tests and docstrings do not count as uses.
+    package = Path(effectkit.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    defined = [(file, name) for file, tree in trees.items() for name in _private_definitions(tree)]
+    unused = sorted(f"{file}:{name}" for file, name in defined if name not in loaded)
+    assert unused == []
 
 
 # Exit codes of the CLI for each error, as the two hand-kept tuples of

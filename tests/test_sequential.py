@@ -167,3 +167,25 @@ def test_order_via_seq_positive_and_negative():
     assert not order_via_seq(B, A)
     assert order_via_seq(zero_effect(2), B)
     assert order_via_seq(B, B)
+
+
+def test_douglas_quotient_diagonalizes_b_once(monkeypatch):
+    # The quotient reads B's cached eigensystem: one eigh, for the candidate,
+    # and for a B that make_effect did not clamp the bits of pinv_sqrt(B.matrix).
+    from effectkit.numkern import _from_spectrum, hermitize, pinv_sqrt
+
+    real, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    for k in range(10):
+        rng = np.random.default_rng([89, k])
+        n = int(rng.integers(2, 6))
+        B = make_effect(sample_effect(n, rng).matrix)
+        A = seq_product(B, sample_effect(n, rng))
+        S = pinv_sqrt(B.matrix)
+        w, V = real(hermitize(S @ A.matrix @ S))
+        clamped = np.clip(w, 0.0, 1.0)
+        calls.clear()
+        C = douglas_quotient(A, B).quotient
+        assert len(calls) == 1
+        assert C.matrix.tobytes() == _from_spectrum(V, clamped).tobytes()
+        assert C.eigenvalues.tobytes() == clamped.tobytes()

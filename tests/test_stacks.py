@@ -11,9 +11,9 @@ import pytest
 from effectkit.autos import apply, random_automorphism
 from effectkit.effects import (
     EffectStack,
-    _make_effect_stack,
     _sample_effect_stack,
     _sample_ray_stack,
+    _spectral,
     _stack_effects,
     leq,
     make_effect,
@@ -30,6 +30,7 @@ from effectkit.numkern import (
     _random_effect_stack,
     _random_ray_stack,
     _vector_norm,
+    eig_hermitian,
     frobenius,
     haar_unitary,
     hermitize,
@@ -38,6 +39,7 @@ from effectkit.numkern import (
     psd_leq,
     random_effect,
     random_ray,
+    require_hermitian,
 )
 from effectkit.sequential import seq_product
 
@@ -140,7 +142,7 @@ def test_validation_takes_the_rebuild_branch_per_member(n):
     w = np.linspace(-0.5 * DEFAULT_TOL.eps_psd, 1.0 + 0.5 * DEFAULT_TOL.eps_psd, n)
     Ms[1] = hermitize((Q * w) @ Q.conj().T)
     Ms[3] = hermitize((Q * np.full(n, -0.5 * DEFAULT_TOL.eps_psd)) @ Q.conj().T)
-    S = _make_effect_stack(Ms)
+    S = _spectral(hermitize(Ms), DEFAULT_TOL)
     for k in range(T):
         alone = make_effect(Ms[k])
         assert same_effect(S[k], alone)
@@ -148,36 +150,42 @@ def test_validation_takes_the_rebuild_branch_per_member(n):
     assert same(S[0].matrix, hermitize(Ms[0]))
 
 
+NON_FINITE = "non-finite entries or overflow"
+
+
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize(
-    "spoil,error",
+    "spoil,error,text",
     [
-        (lambda M: M.__setitem__((0, -1), M[0, -1] + 1e-3j), HermiticityViolation),
-        (lambda M: M.__setitem__((0, 0), np.nan), HermiticityViolation),
-        (lambda M: M.__setitem__((0, 0), np.inf), HermiticityViolation),
-        (lambda M: M.__setitem__((0, 0), 1.5), SpectrumOutOfRange),
+        (lambda M: M.__setitem__((0, -1), M[0, -1] + 1e-3j), HermiticityViolation, "matrix is not Hermitian: defect "),
+        (lambda M: M.__setitem__((0, 0), np.nan), HermiticityViolation, f"matrix norm is nan: {NON_FINITE}"),
+        (lambda M: M.__setitem__((0, 0), np.inf), HermiticityViolation, f"matrix norm is inf: {NON_FINITE}"),
+        (lambda M: M.__setitem__((0, 0), 1.5), SpectrumOutOfRange, None),
     ],
     ids=["non-hermitian", "nan", "inf", "spectrum"],
 )
-def test_a_bad_member_raises_what_make_effect_raises(n, spoil, error):
+def test_a_bad_member_raises_what_make_effect_raises(n, spoil, error, text):
     Ms = _random_effect_stack(n, rngs(7))
     bad = Ms[2].copy()
     spoil(bad)
     Ms[2] = bad
     with pytest.raises(error) as alone:
         make_effect(bad)
-    with pytest.raises(error) as stacked:
-        _make_effect_stack(Ms)
-    assert str(stacked.value) == str(alone.value)
+    if text is None:
+        # A spectral rule: a built stack takes it for all members at once.
+        with pytest.raises(error) as stacked:
+            _spectral(Ms, DEFAULT_TOL)
+        assert str(stacked.value) == str(alone.value)
+    else:
+        # Outside input is validated one matrix at a time; its texts are pinned.
+        if text.endswith("defect "):
+            text += "2.000e-03" if n == 1 else "1.414e-03"
+        assert str(alone.value) == text
 
 
 def test_stack_and_matrix_inputs_are_not_mixed_up():
     stack = np.zeros((2, 2, 2))
-    with pytest.raises(DimensionError):
-        _make_effect_stack(np.eye(2))
-    with pytest.raises(DimensionError):
-        _make_effect_stack(np.zeros((0, 2, 2)))
-    for matrix_only in (make_effect, mat_sqrt, pinv_sqrt, lambda M: psd_leq(M, M)):
+    for matrix_only in (make_effect, mat_sqrt, pinv_sqrt, require_hermitian, eig_hermitian, lambda M: psd_leq(M, M)):
         with pytest.raises(DimensionError):
             matrix_only(stack)
 
@@ -428,7 +436,6 @@ def test_internal_effects_skip_only_a_check_they_pass(monkeypatch, capsys):
     # hermiticity check and gives the Effect that outside input gives.
     from effectkit import autos, coexist, effects, sequential, strength
     from effectkit.cli import main
-    from effectkit.numkern import require_hermitian
 
     real = effects._spectral
     callers = set()
@@ -437,7 +444,8 @@ def test_internal_effects_skip_only_a_check_they_pass(monkeypatch, capsys):
         def spectral(H, tol):
             assert same(hermitize(H), H)
             E = real(H, tol)
-            checked = require_hermitian(H.reshape((-1,) + H.shape[-2:]), tol).reshape(H.shape)
+            members = H.reshape((-1,) + H.shape[-2:])
+            checked = np.stack([require_hermitian(M, tol) for M in members]).reshape(H.shape)
             assert same_effect(E, real(checked, tol))
             callers.add(name)
             return E
