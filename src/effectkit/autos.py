@@ -65,7 +65,7 @@ from .errors import (
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
-from .suites import VerificationReport, _analog, _boolean, _example, _SuiteState, _trial_blocks
+from .suites import VerificationReport, _SuiteState, _trial_blocks
 
 __all__ = [
     "EffectAutomorphism",
@@ -234,7 +234,7 @@ def _biconditional(state: _SuiteState, check: str, phi: EffectMap, pairs, decide
         image_L, image_R = _image(phi, L), _image(phi, R)
         _same_dim(image_L, image_R)  # a black-box map may change the dimension
         ok = np.all(np.equal(before, decide(image_L, image_R)), axis=0)
-        checks.append((_boolean(ok), lambda k, L=L, R=R: _example(check, A=L.matrix[k], B=R.matrix[k])))
+        checks.append((check, ~ok, 0.0, {"A": L.matrix, "B": R.matrix}))
     state.record(*checks)
 
 
@@ -329,13 +329,13 @@ def verify_ortho(
     state = _SuiteState("ortho", trials, seed)
     half = scalar_effect(n, 0.5)
     res0 = numkern.frobenius(phi(half).matrix - half.matrix)
-    state.record((_analog([res0], tol.eps_eq), lambda k: _example("half-identity-fixed-point", A=half.matrix)))
+    state.record(("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]}))
     for rngs in _trial_blocks(seed, range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         residuals = numkern.frobenius(
             _image(phi, orthocomplement(A)).matrix - orthocomplement(_image(phi, A)).matrix
         )
-        state.record((_analog(residuals, tol.eps_eq), lambda k: _example("orthocomplement", A=A.matrix[k])))
+        state.record(("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix}))
     return state.report()
 
 
@@ -357,18 +357,14 @@ def verify_sequential(
     half = scalar_effect(n, 0.5)
     image = phi(half)
     res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
-    state.record(
-        (_analog([res0], tol.eps_eq), lambda k: _example("sequential-scalar-pair", A=half.matrix, B=half.matrix))
-    )
+    state.record(("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]}))
     for rngs in _trial_blocks(seed, range(trials), n):
         A, B = _sample_effect_stack(n, rngs, tol, 2)
         residuals = numkern.frobenius(
             _image(phi, seq_product(A, B, tol)).matrix
             - seq_product(_image(phi, A), _image(phi, B), tol).matrix
         )
-        state.record(
-            (_analog(residuals, tol.eps_eq), lambda k: _example("sequential", A=A.matrix[k], B=B.matrix[k]))
-        )
+        state.record(("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix}))
     return state.report()
 
 
@@ -395,9 +391,7 @@ def verify_transition(
     for rngs in _trial_blocks(seed, range(trials), n):
         P, Q = _sample_ray_stack(n, rngs, 2)
         residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
-        state.record(
-            (_analog(residuals, tol.eps_eq), lambda k: _example("transition", P=P.matrix[k], Q=Q.matrix[k]))
-        )
+        state.record(("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix}))
     return state.report()
 
 
@@ -423,10 +417,9 @@ def verify_scalar_pair(
     image = phi(scalar_effect(n, lam))
     ok, mu = is_scalar(image, tol)
     if ok and isinstance(phi, EffectAutomorphism):
-        expected = fp_eval(phi.p, lam)
-        check = _analog([abs(mu - expected)], tol.eps_eq)
-        state.record((check, lambda k: _example("scalar-image-value", A=image.matrix)))
+        check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
     else:
-        state.record((_boolean([ok]), lambda k: _example("scalar-image", A=image.matrix)))
+        check = ("scalar-image", [not ok], 0.0)
+    state.record((*check, {"A": image.matrix[None]}))
     _zero_product_trials(state, phi, n, trials, seed, tol)
     return state.report()

@@ -42,7 +42,7 @@ from .effects import (
 from .errors import DegenerateRanges, DimensionError, DomainError
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .strength import _closed
-from .suites import VerificationReport, _boolean, _example, _SuiteState, _suite_seed, _trial_blocks
+from .suites import VerificationReport, _SuiteState, _suite_seed, _trial_blocks
 
 __all__ = [
     "CoexistenceWitness",
@@ -216,12 +216,14 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
     p, P0 = _ray_matrix(p_vec)
     q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
     apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
-    state.record((_boolean([apart]), lambda k: _example("overlapping-0.9-pair-reported-coexistent")))
     scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
-    state.record((_boolean([scalar]), lambda k: _example("scalar-probe-returned-false")))
     atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
-    state.record((_boolean([refuted]), lambda k: _example("rank-one-probe-found-no-counterexample")))
+    state.record(
+        ("overlapping-0.9-pair-reported-coexistent", [not apart], 0.0, {}),
+        ("scalar-probe-returned-false", [not scalar], 0.0, {}),
+        ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
+    )
 
     for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
         A, B = _sample_effect_stack(n, rngs, tol, 2)
@@ -240,8 +242,8 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
         split = ~witness | ~distinct | fits
         state.record(
-            (_boolean(witness), lambda k: _example("trivial-witness-missing-for-substochastic-pair")),
-            (_boolean(split), lambda k: _example("convex-split-pair-reported-incompatible")),
+            ("trivial-witness-missing-for-substochastic-pair", ~witness, 0.0, {}),
+            ("convex-split-pair-reported-incompatible", ~split, 0.0, {}),
         )
     return state.report()
 

@@ -35,7 +35,7 @@ import numpy as np
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
 from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum
-from .suites import VerificationReport, _analog, _boolean, _example, _SuiteState
+from .suites import VerificationReport, _SuiteState
 
 __all__ = [
     "FracParams",
@@ -158,18 +158,19 @@ def _coerce_p(p: FpParam | float) -> float:
 
 def fp_eval(p: FpParam | float, x: float) -> float:
     """Evaluate the order-form member f_p at x in [0, 1]."""
-    return _fp(_coerce_p(p), _check_unit_interval(x))
+    return float(_fp(_coerce_p(p), _check_unit_interval(x)))
 
 
 def _fp(pv: float, x):
     """f_p at a float, or at each entry of an array with the same floats.
 
-    Where the float 1 - p rounds to -p (only for p <= -2^53), the
-    denominator vanishes at x = 1, and only there; adding 1 to a zero
-    denominator gives f_p(1) = 1 there and leaves every other value as it is.
+    f_p fixes 1, but the float denominator at x = 1 is 0 or 2 wherever
+    1 - p rounds to -p or past it (p = -(2^53 + 2) is the first such p).
+    So x = 1 takes the denominator 1, and every other x the formula's,
+    which vanishes only at x = 1.
     """
     d = x * pv + (1.0 - pv)
-    return x / (d + (d == 0.0))
+    return x / np.where(x == 1.0, 1.0, d)
 
 
 def inverse_param(p: FpParam | float) -> FpParam:
@@ -342,7 +343,7 @@ def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> Verification
     """Functional equation residuals, fit recovery, and the symmetry pin."""
     state = _SuiteState("pexider", trials, seed)
     symmetric = _symmetry_defect(1.0, 1.0, 50) <= tol.eps_eq
-    state.record((_boolean([symmetric]), lambda k: _example("symmetry-rejects-identity-pair")))
+    state.record(("symmetry-rejects-identity-pair", [not symmetric], 0.0, {}))
     xs = interior_grid(12)
     residuals, errors, pinned = [], [], []
     for k in range(trials):
@@ -357,8 +358,8 @@ def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> Verification
         sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
         pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
     state.record(
-        (_analog(residuals, tol.eps_herm), lambda k: _example("functional-equation-residual")),
-        (_analog(errors, 100 * tol.eps_rank), lambda k: _example("fit-recovery")),
-        (_boolean(np.logical_not(pinned)), lambda k: _example("symmetry-accepts-off-family-pair")),
+        ("functional-equation-residual", residuals, tol.eps_herm, {}),
+        ("fit-recovery", errors, 100 * tol.eps_rank, {}),
+        ("symmetry-accepts-off-family-pair", pinned, 0.0, {}),
     )
     return state.report()

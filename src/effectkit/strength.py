@@ -40,7 +40,7 @@ from .errors import (
     SpanError,
 )
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .suites import VerificationReport, _analog, _example, _SuiteState, _trial_blocks
+from .suites import VerificationReport, _SuiteState, _trial_blocks
 
 __all__ = [
     "StrengthValue",
@@ -280,8 +280,7 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
         vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
         bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
         gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - bisected)
-        check = _analog(gap, _oracle_gap_limit(tol))
-        checks = [(check, lambda k: _example("closed-vs-bisect", A=A.matrix[k]))]
+        checks = [("closed-vs-bisect", gap, _oracle_gap_limit(tol), {"A": A.matrix})]
         if n >= 2:
             V = numkern._haar_unitary_stack(n, rngs)
             theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
@@ -294,7 +293,7 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
             r, _ = _ray_matrix(cos * V[..., 0] + sin * V[..., 1])
             E = _spectral(mu[:, None, None] * P + Q, tol)
             closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
-            check = _analog(np.abs(closed - _two_block(mu, p, q, r, P, Q, tol)), tol.eps_rank)
-            checks.append((check, lambda k: _example("two-block", E=E.matrix[k])))
+            two_block = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
+            checks.append(("two-block", two_block, tol.eps_rank, {"E": E.matrix}))
         state.record(*checks)
     return state.report()

@@ -6,17 +6,19 @@ a VerificationReport.  Each trial draws from its own generator
 trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
 calls.  A block takes all its sampled effects from one sampler call (one
 QR, one eigendecomposition), and built effects skip the hermiticity check.
-``_SuiteState.record`` is the one recorder of checks, taken in trial
-order, and ``_SuiteState.report`` the one builder of reports, so a report
-depends neither on the block size nor on the order of evaluation; a suite
-that runs another suite's trials records them into its own state.
+A suite hands each check to ``_SuiteState.record`` as data: its name, one
+residual per trial, a limit, and the input stacks.  The recorder alone
+judges checks and builds counterexamples, taking them in trial order, and
+``_SuiteState.report`` is the one builder of reports, so a report depends
+neither on the block size nor on the order of evaluation; a suite that
+runs another suite's trials records them into its own state.
 ``Suite`` names a suite for ``effectkit verify`` and the axes it sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +29,9 @@ __all__ = ["VerificationReport", "Suite"]
 class VerificationReport:
     """Outcome of one suite: failure count, worst violation, evidence.
 
-    worst_violation is the largest residual for analog checks and 1.0
-    for a boolean mismatch; counterexample is present iff failures > 0
-    and serializes the first failing input.
+    worst_violation is the largest residual of any check, 1.0 for a
+    boolean mismatch; counterexample is present iff failures > 0 and
+    names the first failing check with its trial's inputs.
     """
 
     suite: str
@@ -70,29 +72,9 @@ def _matrix_rows(M: np.ndarray) -> list:
     return M.view(np.float64).reshape(M.shape + (2,)).tolist()
 
 
-def _example(check: str, **mats: np.ndarray) -> dict:
-    return {"check": check, "inputs": {k: _matrix_rows(v) for k, v in mats.items()}}
-
-
-def _boolean(ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A boolean check as (ok, amounts): a failure counts 1.0 towards the worst violation."""
-    ok = np.asarray(ok, dtype=bool)
-    return ok, np.where(ok, 0.0, 1.0)
-
-
-def _analog(residuals: np.ndarray, limit: float) -> tuple[np.ndarray, np.ndarray]:
-    """An analog check as (ok, amounts): a residual above ``limit`` fails, NaN passes."""
-    residuals = np.asarray(residuals, dtype=float)
-    return ~(residuals > limit), residuals
-
-
 class _SuiteState:
-    """Failure bookkeeping shared by the suites.
-
-    Every check raises the worst violation to its amount (a NaN amount is
-    skipped, as ``max`` skips it); a failed check counts, and the first
-    one gives the counterexample.
-    """
+    """Failure bookkeeping shared by the suites: the one place that judges
+    a check and builds its counterexample."""
 
     def __init__(self, name: str, trials: int, seed: int) -> None:
         self.name, self.trials, self.seed = name, trials, seed
@@ -100,20 +82,25 @@ class _SuiteState:
         self.worst = 0.0
         self.counterexample: dict | None = None
 
-    def record(self, *checks: tuple[tuple[np.ndarray, np.ndarray], Callable[[int], dict]]) -> None:
+    def record(self, *checks: tuple[str, Sequence[float], float, dict[str, np.ndarray]]) -> None:
         """The checks of a block of trials, in trial order and, within a
-        trial, in the order given.  Each is ``((ok, amounts), example)``
-        with one entry per trial; ``example(k)`` builds the counterexample
-        of trial k.  A check a trial skipped passes with amount 0."""
-        c = len(checks)
-        ok = np.stack([check[0] for check, _ in checks], axis=-1).ravel()
-        amounts = np.stack([amounts for (_, amounts), _ in checks], axis=-1).ravel()
-        for i, (passed, amount) in enumerate(zip(ok.tolist(), amounts.tolist())):
-            self.worst = max(self.worst, amount)
-            if not passed:
-                self.failures += 1
-                if self.counterexample is None:
-                    self.counterexample = checks[i % c][1](i // c)
+        trial, in the order given.  Each is ``(name, residuals, limit,
+        inputs)``: one residual per trial, a residual above ``limit``
+        fails and NaN passes, and member k of each stack in ``inputs`` is
+        trial k's counterexample.  A boolean check gives 1.0 (or True)
+        where it fails and 0.0 where it holds, against limit 0.0.  Every
+        residual raises the worst violation (NaN is skipped, as ``max``
+        skips it); a failure counts, and the first gives the
+        counterexample."""
+        checks = [(name, np.asarray(r, dtype=float).tolist(), limit, inputs) for name, r, limit, inputs in checks]
+        for k in range(len(checks[0][1])):
+            for name, residuals, limit, inputs in checks:
+                self.worst = max(self.worst, residuals[k])
+                if residuals[k] > limit:
+                    self.failures += 1
+                    if self.counterexample is None:
+                        rows = {key: _matrix_rows(stack[k]) for key, stack in inputs.items()}
+                        self.counterexample = {"check": name, "inputs": rows}
 
     def report(self) -> VerificationReport:
         return VerificationReport(

@@ -56,6 +56,8 @@ def test_apply_diagonal_known_values():
     A = make_effect(np.diag([0.5, 0.25]))
     image = apply(phi, A)
     assert np.allclose(np.diag(image.matrix).real, [2.0 / 3.0, 0.4], atol=1e-14)
+    # a bare float p is taken as its FpParam
+    assert EffectAutomorphism(U=np.eye(2), conjugate=False, p=0.5).p == FpParam(0.5)
 
 
 def test_apply_identity_map():
@@ -152,6 +154,9 @@ def test_fit_p_rejects_non_family_maps():
 
     with pytest.raises(NotInFamily):
         fit_p(smear, 25, dim=2)
+    # a scalar image outside (0, 1) has no logit
+    with pytest.raises(NotInFamily, match="leaves the open unit interval"):
+        fit_p(lambda A: scalar_effect(A.dim, 0.0), 25, dim=2)
 
 
 def test_fit_p_needs_dim_for_callables():
@@ -223,6 +228,9 @@ def test_negative_control_smear_breaks_scalar_pair():
 
     report = verify_scalar_pair(smear, 0.3, 10, 67, dim=3)
     assert report.failures > 0
+    for lam in (-0.1, 1.5):
+        with pytest.raises(DomainError, match="lam must lie in"):
+            verify_scalar_pair(smear, lam, 10, 67, dim=3)
 
 
 def test_reports_are_deterministic():

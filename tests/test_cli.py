@@ -188,6 +188,12 @@ def test_exit_two_on_malformed_documents(docs, tmp_path, capsys):
     bad.write_text(json.dumps(matrix_to_doc(np.diag([1.5, 0.5]).astype(complex))))
     assert main(["strength", "--effect", str(bad), "--ray", docs["ray"]]) == 2
 
+    # a matrix document that is a JSON array, not an object
+    capsys.readouterr()
+    bad.write_text(json.dumps([[0.5, 0.0]]))
+    assert main(["strength", "--effect", str(bad), "--ray", docs["ray"]]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: expected an object\n"
+
 
 def test_exit_two_on_bad_map(docs, tmp_path, capsys):
     doc = json.loads((docs["dir"] / "map.json").read_text())
@@ -201,6 +207,17 @@ def test_exit_two_on_bad_map(docs, tmp_path, capsys):
     bad.write_text(json.dumps(doc2))
     assert main(["apply", "--map", str(bad), "--effect", docs["eff"]]) == 2
 
+    capsys.readouterr()
+    bad.write_text(json.dumps([doc]))
+    assert main(["fit", "--map", str(bad), "--grid", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: expected an object\n"
+
+    doc3 = json.loads((docs["dir"] / "map.json").read_text())
+    doc3["conjugate"] = 1
+    bad.write_text(json.dumps(doc3))
+    assert main(["fit", "--map", str(bad), "--grid", "10"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: field 'conjugate' must be a boolean\n"
+
 
 def test_exit_two_on_bad_flags(docs, capsys):
     assert main(["verify", "--dims", "zero", "--p", "0"]) == 2
@@ -208,6 +225,15 @@ def test_exit_two_on_bad_flags(docs, capsys):
     assert main(["nonsense"]) == 2
     assert main(["verify", "--p", "1.5"]) == 2
     capsys.readouterr()
+    for flags, message in [
+        (["--dims", "0"], "--dims needs positive integers"),
+        (["--dims", "2,-3"], "--dims needs positive integers"),
+        (["--p", "abc"], "--p must be a comma-separated number list"),
+        (["--p", "nan"], "--p needs finite numbers"),
+        (["--p=-inf"], "--p needs finite numbers"),
+    ]:
+        assert main(["verify", "--suite", "order", "--trials", "1", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     for grid in ("0", "1", "2"):
         assert main(["fit", "--map", docs["map"], "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith("error: --grid")

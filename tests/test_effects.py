@@ -23,6 +23,7 @@ from effectkit.effects import (
     zero_product,
 )
 from effectkit.errors import (
+    DimensionError,
     DomainError,
     HermiticityViolation,
     OrderViolation,
@@ -137,6 +138,8 @@ def test_make_ray_basics():
     assert P.trace() == pytest.approx(1.0)
     with pytest.raises(DomainError):
         make_ray(np.zeros(2))
+    with pytest.raises(DimensionError, match="positive length"):
+        make_ray([])
 
 
 def test_ray_projection_matches_outer_product():

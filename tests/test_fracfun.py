@@ -12,6 +12,7 @@ from effectkit.effects import make_effect, make_ray
 from effectkit.errors import DomainError, FitError, ParamError
 from effectkit.fracfun import (
     RIGIDITY_KINDS,
+    _fp,
     FpParam,
     FracParams,
     f_eval,
@@ -37,6 +38,7 @@ def test_param_validation():
         FpParam(1.0)
     FpParam(0.999)
     FpParam(-50.0)
+    assert FpParam(0.25).as_frac() == FracParams(a=0.75, b=1.0, c=1.0)
 
 
 def test_f_eval_known_values():
@@ -45,6 +47,8 @@ def test_f_eval_known_values():
     params = FracParams(1.7, 1.0, 0.8)
     assert f_eval(params, 0.0) == 0.0
     assert f_eval(params, 1.0) == 1.0
+    assert f_inverse(params, 0.0) == 0.0
+    assert f_inverse(params, 1.0) == 1.0
 
 
 def test_fp_eval_matches_general_form():
@@ -116,9 +120,12 @@ def test_fp_apply_spectral():
 
 
 def test_fp_is_one_at_one_where_one_minus_p_rounds_to_minus_p():
-    # For p <= -2^53 the denominator of f_p rounds to zero at x = 1.
+    # For p <= -2^53 the float denominator of f_p at x = 1 rounds to zero,
+    # or to 2 where 1 - p rounds up past -p, as at p = -(2^53 + 2).
     assert fp_eval(-1e16, 1.0) == 1.0
     assert fp_eval(-1e308, 1.0) == 1.0
+    assert fp_eval(-(2.0**53 + 2), 1.0) == 1.0
+    assert fp_apply(-(2.0**53 + 2), make_effect(np.eye(2))).eigenvalues.tolist() == [1.0, 1.0]
     assert fp_eval(-1e308, 0.5) == 0.5 / (0.5 * -1e308 + 1e308)
     P = make_ray(np.array([1.0, 1.0j, 0.0])).projection
     with warnings.catch_warnings():
@@ -126,6 +133,21 @@ def test_fp_is_one_at_one_where_one_minus_p_rounds_to_minus_p():
         image = fp_apply(-1e308, P)
     assert image.eigenvalues.tolist() == [0.0, 0.0, 1.0]
     assert np.allclose(image.matrix, P.matrix, atol=1e-15)
+
+
+def _fp_formula(p, x):
+    """f_p as the formula x / (x p + (1 - p)), with 1 added to a zero denominator."""
+    d = x * p + (1.0 - p)
+    return x / (d + (d == 0.0))
+
+
+@pytest.mark.parametrize(
+    "p", [-1e308, -(2.0**54), -(2.0**53 + 2), -(2.0**53), -1e6, 0.0, 0.5, 0.999999]
+)
+def test_fp_is_the_formula_bit_for_bit_below_one(p):
+    xs = np.concatenate([[0.0, 1.0 - 2.0**-53], np.random.default_rng(17).uniform(0.0, 1.0, 64)])
+    assert _fp(p, xs).tobytes() == _fp_formula(p, xs).tobytes()
+    assert [fp_eval(p, x) for x in xs.tolist()] == [_fp_formula(p, x) for x in xs.tolist()]
 
 
 def test_interior_grid():

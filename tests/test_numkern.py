@@ -143,6 +143,8 @@ def test_random_effect_spectrum():
         assert w[0] >= -1e-12
         assert w[-1] <= 1.0 + 1e-12
         assert frobenius(M - M.conj().T) < 1e-14
+    with pytest.raises(DimensionError, match="positive integer, got 0"):
+        random_effect(0, 1)
 
 
 def test_random_ray_normalized():

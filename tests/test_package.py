@@ -1,7 +1,8 @@
 """The package surface: its exported names, the exit code of each error,
 the dimension rule of the functions that take two operands, that no
-module keeps a check limit outside ToleranceConfig, and that no private
-name is left without a use."""
+module keeps a check limit outside ToleranceConfig, that no private
+name is left without a use, and that suites hand their checks to the
+recorder as data."""
 
 import ast
 import importlib
@@ -98,6 +99,29 @@ def test_every_private_definition_is_used_in_package_code():
     defined = [(file, name) for file, tree in trees.items() for name in _private_definitions(tree)]
     unused = sorted(f"{file}:{name}" for file, name in defined if name not in loaded)
     assert unused == []
+
+
+def test_suites_hand_the_recorder_data_and_only_it_serializes_matrices():
+    # A check reaches _SuiteState.record as (name, residuals, limit, inputs),
+    # never as a closure; the recorder and the CLI are the two writers of
+    # matrix rows.
+    package = Path(effectkit.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "record":
+                args = node.args + [k.value for k in node.keywords]
+                if any(isinstance(sub, ast.Lambda) for arg in args for sub in ast.walk(arg)):
+                    found.append(f"{path.name}:{node.lineno}: lambda passed to record")
+            named = (
+                (isinstance(node, ast.Name) and node.id == "_matrix_rows")
+                or (isinstance(node, ast.Attribute) and node.attr == "_matrix_rows")
+                or (isinstance(node, ast.alias) and node.name == "_matrix_rows")
+            )
+            if named and path.name not in ("suites.py", "cli.py"):
+                found.append(f"{path.name}: references _matrix_rows")
+    assert found == []
 
 
 # Exit codes of the CLI for each error, as the two hand-kept tuples of

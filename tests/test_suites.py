@@ -1,0 +1,102 @@
+"""The suite recorder against a reference written from its documented rule.
+
+The reference keeps the two kinds of check the recorder once took: an
+analog check fails where its residual is above the limit (NaN passes) and
+raises the worst violation to that residual; a boolean check fails where
+its decision does not hold and counts 1.0 towards the worst violation.
+Every check is taken in trial order and, within a trial, in the order
+given; the first failure gives the counterexample, its inputs read entry
+by entry.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from effectkit.suites import _SuiteState
+
+LIMITS = [0.0, 1e-9, 0.5, 1e3]
+
+
+def _rows(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+class ReferenceRecorder:
+    def __init__(self):
+        self.failures = 0
+        self.worst = 0.0
+        self.counterexample = None
+
+    def record(self, trials, checks):
+        """``checks`` holds (name, kind, values, limit, inputs), kind
+        "analog" with residuals or "boolean" with decisions."""
+        for k in range(trials):
+            for name, kind, values, limit, inputs in checks:
+                if kind == "boolean":
+                    ok, amount = bool(values[k]), 0.0 if values[k] else 1.0
+                else:
+                    amount = float(values[k])
+                    ok = not amount > limit
+                if not math.isnan(amount):
+                    self.worst = max(self.worst, amount)
+                if not ok:
+                    self.failures += 1
+                    if self.counterexample is None:
+                        rows = {key: _rows(stack[k]) for key, stack in inputs.items()}
+                        self.counterexample = {"check": name, "inputs": rows}
+
+
+@st.composite
+def _check(draw, trials, name):
+    kind = draw(st.sampled_from(["analog", "boolean"]))
+    limit = draw(st.sampled_from(LIMITS))
+    if kind == "boolean":
+        values = draw(st.lists(st.booleans(), min_size=trials, max_size=trials))
+    else:
+        picks = st.sampled_from(["zero", "below", "at", "above", "inf", "nan"])
+        residual = {
+            "zero": 0.0, "below": limit / 2, "at": limit, "above": 2 * limit + 1e-12,
+            "inf": math.inf, "nan": math.nan,
+        }
+        values = [residual[pick] for pick in draw(st.lists(picks, min_size=trials, max_size=trials))]
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    keys = draw(st.sampled_from([(), ("A",), ("P", "Q")]))
+    inputs = {key: rng.normal(size=(trials, 2, 2)) + 1j * rng.normal(size=(trials, 2, 2)) for key in keys}
+    return name, kind, values, limit, inputs
+
+
+def _as_data(check, form):
+    """The check as the recorder takes it: a boolean check gives its
+    failures as floats or as bools, against limit 0."""
+    name, kind, values, limit, inputs = check
+    if kind == "analog":
+        return name, values, limit, inputs
+    failed = np.logical_not(values)
+    return name, failed.astype(float) if form else failed, 0.0, inputs
+
+
+@st.composite
+def _blocks(draw):
+    blocks = []
+    for call in range(draw(st.integers(1, 4))):
+        trials = draw(st.integers(1, 6))
+        checks = [draw(_check(trials, f"check-{call}-{j}")) for j in range(draw(st.integers(1, 3)))]
+        blocks.append((trials, checks, draw(st.booleans())))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_blocks())
+def test_the_recorder_follows_the_reference_rule(blocks):
+    state, reference = _SuiteState("suite", 0, 0), ReferenceRecorder()
+    for trials, checks, form in blocks:
+        state.record(*(_as_data(check, form) for check in checks))
+        reference.record(trials, checks)
+    assert state.failures == reference.failures
+    assert state.worst.hex() == reference.worst.hex()
+    assert state.counterexample == reference.counterexample
+
