@@ -23,14 +23,20 @@ and zero-product suites check "in both directions" through one routine,
 The suites follow the protocol of ``effectkit.suites``: they run their
 trials as EffectStacks, in blocks, and each sampling, validation, map
 and decision step is one stacked LAPACK or matmul call for the whole
-block; a family member maps a stack in one pass, and a black-box map is
-applied to each member as an Effect.  Every member is the effect the
-trial would have built alone, bit for bit, so reports equal those of
-running trials one by one.
+block.  Each ``verify_*`` is the one-entry case of a group routine
+(``_order_suite`` and the like), which ``effectkit verify`` runs once for
+all the (p, conj) entries of a suite at one dimension: every entry keeps
+its map, seed, generators and report, and the entries share blocks.
+Family members map a block in one pass (``_map_members``, with U, the
+conjugation flag and p per member; ``apply`` is its one-map case), and a
+black-box map is applied to each member as an Effect.  Every member is
+the effect the trial would have built alone, bit for bit, so reports
+equal those of running trials one by one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,7 +71,7 @@ from .errors import (
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
-from .suites import VerificationReport, _SuiteState, _trial_blocks
+from .suites import VerificationReport, _Block, _record, _SuiteState, _trial_blocks
 
 __all__ = [
     "EffectAutomorphism",
@@ -128,13 +134,22 @@ def apply(phi: EffectAutomorphism, A: Effect) -> Effect:
 
     For an EffectStack, the stack of the member images.
     """
-    if A.dim != phi.dim:
-        raise DimensionError(f"dimension mismatch: effect {A.dim}, map {phi.dim}")
-    if phi.conjugate:  # f_p reads only the eigensystem, so only that is conjugated
-        A = numkern.EigenDecomp(A.eigenvalues, np.conj(A.eigenvectors))
-    mapped = fp_apply(phi.p, A)
-    U = phi.U
-    matrix = hermitize(U @ mapped.matrix @ U.conj().T)
+    return _map_members(phi.U, phi.conjugate, phi.p, A)
+
+
+def _map_members(U: np.ndarray, conjugate, p, A: Effect) -> Effect:
+    """U f_p(K(A)) U* for an effect or each member of a (T, n, n) stack,
+    with the map given once, or per member as a (T, n, n) stack of unitaries,
+    T conjugation flags and T parameters: the one routine that maps."""
+    if A.dim != U.shape[-1]:
+        raise DimensionError(f"dimension mismatch: effect {A.dim}, map {U.shape[-1]}")
+    V = A.eigenvectors  # f_p reads only the eigensystem, so only that is conjugated
+    if isinstance(conjugate, np.ndarray):
+        V = np.where(conjugate[:, None, None], np.conj(V), V)
+    elif conjugate:
+        V = np.conj(V)
+    mapped = fp_apply(p, numkern.EigenDecomp(A.eigenvalues, V))
+    matrix = hermitize(U @ mapped.matrix @ U.conj().swapaxes(-1, -2))
     return _effect(matrix, mapped.eigenvalues, U @ mapped.eigenvectors)
 
 
@@ -224,25 +239,41 @@ def _fit_family(
     return FpParam(1.0 - fit.a), fit
 
 
-def _biconditional(state: _SuiteState, check: str, phi: EffectMap, pairs, decide) -> None:
+def _biconditional(
+    states: list[_SuiteState], maps: list[EffectMap], block: _Block, check: str, pairs, decide
+) -> None:
     """For each stack pair (L, R), whether every decision in ``decide(L, R)``
     holds for the images exactly when it holds for the pair; recorded in
-    trial order and, within a trial, pair by pair."""
+    trial order and, within a trial, pair by pair, into each entry's state."""
+    image = _block_image(maps, block)
     checks = []
     for L, R in pairs:
         before = decide(L, R)
-        image_L, image_R = _image(phi, L), _image(phi, R)
+        image_L, image_R = image(L), image(R)
         _same_dim(image_L, image_R)  # a black-box map may change the dimension
         ok = np.all(np.equal(before, decide(image_L, image_R)), axis=0)
         checks.append((check, ~ok, 0.0, {"A": L.matrix, "B": R.matrix}))
-    state.record(*checks)
+    _record(states, block, *checks)
 
 
-def _image(phi: EffectMap, S: EffectStack) -> EffectStack:
-    """phi of each member: one stacked pass for a family member, else per item."""
-    if isinstance(phi, EffectAutomorphism):
-        return apply(phi, S)
-    return _stack_effects([phi(S[k]) for k in range(len(S))])
+def _block_image(maps: list[EffectMap], block: _Block) -> Callable[[EffectStack], EffectStack]:
+    """The image of each member of a block's stacks under its entry's map:
+    one stacked pass when every map is a family member, with U, the
+    conjugation flag and p per member when the block spans entries; else
+    each member is mapped as an Effect."""
+    phis = [maps[entry] for entry, _ in block.parts]
+    counts = [part.stop - part.start for _, part in block.parts]
+    if all(isinstance(phi, EffectAutomorphism) for phi in phis):
+        # A block of one entry maps as ``apply`` does: at n = 64, where a block
+        # holds one trial, per-member arrays cost about 6% of a verify run.
+        if len(phis) == 1:
+            return functools.partial(_map_members, phis[0].U, phis[0].conjugate, phis[0].p)
+        U = np.repeat(np.stack([phi.U for phi in phis]), counts, axis=0)
+        conjugate = np.repeat([phi.conjugate for phi in phis], counts)
+        p = np.repeat([phi.p.p for phi in phis], counts)
+        return functools.partial(_map_members, U, conjugate, p)
+    members = [phi for phi, count in zip(phis, counts) for _ in range(count)]
+    return lambda S: _stack_effects([phi(S[k]) for k, phi in enumerate(members)])
 
 
 def verify_order(
@@ -259,15 +290,22 @@ def verify_order(
     quotient construction, not rejection sampling) and one generic pair,
     then demands leq agree with leq-of-images in both directions.
     """
-    n = _map_dim(phi, dim)
-    state = _SuiteState("order", trials, seed)
-    for rngs in _trial_blocks(seed, range(trials), n):
-        B, C, X, Y = _sample_effect_stack(n, rngs, tol, 4)
+    return _order_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+
+
+def _order_suite(
+    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
+) -> list[VerificationReport]:
+    """``verify_order`` for each entry (map, seed) of a group, sharing blocks."""
+    states = [_SuiteState("order", trials, seed) for seed in seeds]
+    for block in _trial_blocks(seeds, range(trials), n):
+        B, C, X, Y = _sample_effect_stack(n, block.rngs, tol, 4)
         pairs = ((seq_product(B, C, tol), B), (X, Y))
         _biconditional(
-            state, "order-biconditional", phi, pairs, lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol)
+            states, maps, block, "order-biconditional", pairs,
+            lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol),
         )
-    return state.report()
+    return [state.report() for state in states]
 
 
 def verify_zero_product(
@@ -283,18 +321,26 @@ def verify_zero_product(
     Each trial checks one orthogonal pair assembled from complementary
     blocks of a Haar basis and one generic pair.
     """
-    state = _SuiteState("zero-product", trials, seed)
-    _zero_product_trials(state, phi, _map_dim(phi, dim), trials, seed, tol)
-    return state.report()
+    return _zero_product_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+
+
+def _zero_product_suite(
+    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
+) -> list[VerificationReport]:
+    """``verify_zero_product`` for each entry (map, seed) of a group, sharing blocks."""
+    states = [_SuiteState("zero-product", trials, seed) for seed in seeds]
+    _zero_product_trials(states, maps, n, trials, seeds, tol)
+    return [state.report() for state in states]
 
 
 def _zero_product_trials(
-    state: _SuiteState, phi: EffectMap, n: int, trials: int, seed: int, tol: ToleranceConfig
+    states: list[_SuiteState], maps: list[EffectMap], n: int, trials: int, seeds: list[int], tol: ToleranceConfig
 ) -> None:
-    """The trials of ``verify_zero_product``, recorded into ``state``."""
+    """The trials of ``verify_zero_product`` for each entry, recorded into its state."""
     if n < 2:
         raise DimensionError("zero-product suite needs dimension at least 2")
-    for rngs in _trial_blocks(seed, range(trials), n):
+    for block in _trial_blocks(seeds, range(trials), n):
+        rngs = block.rngs
         V = numkern._haar_unitary_stack(n, rngs)
         splits = np.array([int(rng.integers(1, n)) for rng in rngs])
         weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
@@ -309,7 +355,7 @@ def _zero_product_trials(
         M[2:] = numkern._random_effect_stack(n, rngs, 2)
         A, B, X, Y = _spectral(M, tol)
         pairs = ((A, B), (X, Y))
-        _biconditional(state, "zero-product-biconditional", phi, pairs, lambda L, R: [zero_product(L, R, tol)])
+        _biconditional(states, maps, block, "zero-product-biconditional", pairs, lambda L, R: [zero_product(L, R, tol)])
 
 
 def verify_ortho(
@@ -325,18 +371,24 @@ def verify_ortho(
     Checks phi(I - A) = I - phi(A) on random effects, plus the fixed
     point phi(I/2) = I/2 that any complement-preserving member must have.
     """
-    n = _map_dim(phi, dim)
-    state = _SuiteState("ortho", trials, seed)
+    return _ortho_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+
+
+def _ortho_suite(
+    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
+) -> list[VerificationReport]:
+    """``verify_ortho`` for each entry (map, seed) of a group, sharing blocks."""
+    states = [_SuiteState("ortho", trials, seed) for seed in seeds]
     half = scalar_effect(n, 0.5)
-    res0 = numkern.frobenius(phi(half).matrix - half.matrix)
-    state.record(("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]}))
-    for rngs in _trial_blocks(seed, range(trials), n):
-        A = _sample_effect_stack(n, rngs, tol)
-        residuals = numkern.frobenius(
-            _image(phi, orthocomplement(A)).matrix - orthocomplement(_image(phi, A)).matrix
-        )
-        state.record(("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix}))
-    return state.report()
+    for phi, state in zip(maps, states):
+        res0 = numkern.frobenius(phi(half).matrix - half.matrix)
+        state.record(("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]}))
+    for block in _trial_blocks(seeds, range(trials), n):
+        image = _block_image(maps, block)
+        A = _sample_effect_stack(n, block.rngs, tol)
+        residuals = numkern.frobenius(image(orthocomplement(A)).matrix - orthocomplement(image(A)).matrix)
+        _record(states, block, ("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix}))
+    return [state.report() for state in states]
 
 
 def verify_sequential(
@@ -352,20 +404,27 @@ def verify_sequential(
     The scalar pair (I/2, I/2) is checked first since it already
     witnesses failure for every p != 0; random pairs follow.
     """
-    n = _map_dim(phi, dim)
-    state = _SuiteState("sequential", trials, seed)
+    return _sequential_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+
+
+def _sequential_suite(
+    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
+) -> list[VerificationReport]:
+    """``verify_sequential`` for each entry (map, seed) of a group, sharing blocks."""
+    states = [_SuiteState("sequential", trials, seed) for seed in seeds]
     half = scalar_effect(n, 0.5)
-    image = phi(half)
-    res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
-    state.record(("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]}))
-    for rngs in _trial_blocks(seed, range(trials), n):
-        A, B = _sample_effect_stack(n, rngs, tol, 2)
+    for phi, state in zip(maps, states):
+        image = phi(half)
+        res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
+        state.record(("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]}))
+    for block in _trial_blocks(seeds, range(trials), n):
+        image = _block_image(maps, block)
+        A, B = _sample_effect_stack(n, block.rngs, tol, 2)
         residuals = numkern.frobenius(
-            _image(phi, seq_product(A, B, tol)).matrix
-            - seq_product(_image(phi, A), _image(phi, B), tol).matrix
+            image(seq_product(A, B, tol)).matrix - seq_product(image(A), image(B), tol).matrix
         )
-        state.record(("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix}))
-    return state.report()
+        _record(states, block, ("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix}))
+    return [state.report() for state in states]
 
 
 def _transition(P: EffectStack, Q: EffectStack) -> np.ndarray:
@@ -386,13 +445,20 @@ def verify_transition(
     Family members of every parameter preserve these, unitary and
     antiunitary alike.
     """
-    n = _map_dim(phi, dim)
-    state = _SuiteState("transition", trials, seed)
-    for rngs in _trial_blocks(seed, range(trials), n):
-        P, Q = _sample_ray_stack(n, rngs, 2)
-        residuals = np.abs(_transition(P, Q) - _transition(_image(phi, P), _image(phi, Q)))
-        state.record(("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix}))
-    return state.report()
+    return _transition_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+
+
+def _transition_suite(
+    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
+) -> list[VerificationReport]:
+    """``verify_transition`` for each entry (map, seed) of a group, sharing blocks."""
+    states = [_SuiteState("transition", trials, seed) for seed in seeds]
+    for block in _trial_blocks(seeds, range(trials), n):
+        image = _block_image(maps, block)
+        P, Q = _sample_ray_stack(n, block.rngs, 2)
+        residuals = np.abs(_transition(P, Q) - _transition(image(P), image(Q)))
+        _record(states, block, ("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix}))
+    return [state.report() for state in states]
 
 
 def verify_scalar_pair(
@@ -412,14 +478,21 @@ def verify_scalar_pair(
     """
     if not (0.0 <= lam <= 1.0):
         raise DomainError(f"lam must lie in [0, 1], got {lam!r}")
-    n = _map_dim(phi, dim)
-    state = _SuiteState("scalar-pair", trials, seed)
-    image = phi(scalar_effect(n, lam))
-    ok, mu = is_scalar(image, tol)
-    if ok and isinstance(phi, EffectAutomorphism):
-        check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
-    else:
-        check = ("scalar-image", [not ok], 0.0)
-    state.record((*check, {"A": image.matrix[None]}))
-    _zero_product_trials(state, phi, n, trials, seed, tol)
-    return state.report()
+    return _scalar_pair_suite([phi], lam, trials, [seed], _map_dim(phi, dim), tol)[0]
+
+
+def _scalar_pair_suite(
+    maps: list[EffectMap], lam: float, trials: int, seeds: list[int], n: int, tol: ToleranceConfig
+) -> list[VerificationReport]:
+    """``verify_scalar_pair`` for each entry (map, seed) of a group, sharing blocks."""
+    states = [_SuiteState("scalar-pair", trials, seed) for seed in seeds]
+    for phi, state in zip(maps, states):
+        image = phi(scalar_effect(n, lam))
+        ok, mu = is_scalar(image, tol)
+        if ok and isinstance(phi, EffectAutomorphism):
+            check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
+        else:
+            check = ("scalar-image", [not ok], 0.0)
+        state.record((*check, {"A": image.matrix[None]}))
+    _zero_product_trials(states, maps, n, trials, seeds, tol)
+    return [state.report() for state in states]

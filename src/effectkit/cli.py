@@ -17,6 +17,10 @@ verify     --suite NAME --dims LIST --p LIST [--trials N] [--seed S]
            The rigidity suites (ortho, sequential) hold only at p = 0;
            with --expect auto a parameter p != 0 is required to produce a
            counterexample and the suite entry is annotated accordingly.
+           Each entry draws its child seed in report order; the entries of
+           a suite that share a dimension then run as one group, in shared
+           trial blocks, and a group that raises is run again one entry at
+           a time, so the error is the one an entry-by-entry run gives.
 apply      --map FILE --effect FILE
            Image of the effect under the map, printed as a matrix
            document.
@@ -42,7 +46,8 @@ byte-identical for identical flags and seed; parse, serialize, parse is
 the identity.  The default seed comes from the EFFECTKIT_SEED
 environment variable (0 when unset).  --tol scales the four
 ToleranceConfig fields (eps_psd, eps_rank, eps_eq, eps_herm) by the given
-factor, and with them every check limit, each a multiple of one field.
+factor, and with them every check limit, each a multiple of one field;
+a factor that takes a field out of (0, 1e-3) exits 2, naming --tol.
 Only a map document's unitarity bound, eps_herm * n, stays at the default:
 a map validates itself when it is built.
 
@@ -69,14 +74,14 @@ from . import __version__
 from .autos import (
     EffectAutomorphism,
     _fit_family,
+    _order_suite,
+    _ortho_suite,
+    _scalar_pair_suite,
+    _sequential_suite,
+    _transition_suite,
+    _zero_product_suite,
     apply as apply_map,
     random_automorphism,
-    verify_ortho,
-    verify_order,
-    verify_scalar_pair,
-    verify_sequential,
-    verify_transition,
-    verify_zero_product,
 )
 from .coexist import _coexist_suite
 from .effects import Effect, _ray_matrix, make_effect
@@ -290,34 +295,43 @@ def map_to_doc(phi: EffectAutomorphism) -> dict:
 # the suites of ``verify``
 
 
-def _family_suite(verify):
-    """Run ``verify`` on the family member (n, p, conj) drawn from the suite
-    seed.  It is looked up on this module per run, as ``main`` looks up a
-    command, so a replaced function (a test double, a tracing wrapper) runs."""
-    name = verify.__name__
+def _family_suite(run_group):
+    """Run ``run_group`` on the family members (n, p, conj) of a group's
+    entries, each drawn from its entry's seed: one pass for all of them."""
 
-    def run(trials: int, seed: int, tol: ToleranceConfig, n: int, p: float, conjugate: bool):
-        return globals()[name](random_automorphism(n, p, conjugate, seed), trials, seed, tol=tol)
+    def run(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]):
+        maps = [random_automorphism(n, p, conjugate, seed) for seed, (n, p, conjugate) in zip(seeds, cases)]
+        return run_group(maps, trials, seeds, cases[0][0], tol)
 
     return run
 
 
-def _verify_scalar_pair(phi, trials, seed, tol):
-    return verify_scalar_pair(phi, SCALAR_PAIR_LAMBDA, trials, seed, tol=tol)
+def _one_by_one(run_entry):
+    """Run ``run_entry(trials, seed, tol, *case)`` for each entry of a group."""
+
+    def run(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]):
+        return [run_entry(trials, seed, tol, *case) for seed, case in zip(seeds, cases)]
+
+    return run
+
+
+def _scalar_pair_group(maps, trials, seeds, n, tol):
+    return _scalar_pair_suite(maps, SCALAR_PAIR_LAMBDA, trials, seeds, n, tol)
 
 
 _FAMILY = ("n", "p", "conj")
-# In report order; each entry of a suite draws the next child seed.
+# In report order; each entry of a suite draws the next child seed.  The
+# entries of a suite that share a dimension form one group, run together.
 SUITES = (
-    Suite("order", _FAMILY, _family_suite(verify_order)),
-    Suite("zero-product", _FAMILY, _family_suite(verify_zero_product)),
-    Suite("ortho", _FAMILY, _family_suite(verify_ortho)),
-    Suite("sequential", _FAMILY, _family_suite(verify_sequential)),
-    Suite("transition", _FAMILY, _family_suite(verify_transition)),
-    Suite("scalar-pair", _FAMILY, _family_suite(_verify_scalar_pair)),
-    Suite("coexist", ("n",), _coexist_suite),
-    Suite("strength-oracle", ("n",), _strength_oracle_suite),
-    Suite("pexider", (), _pexider_suite),
+    Suite("order", _FAMILY, _family_suite(_order_suite)),
+    Suite("zero-product", _FAMILY, _family_suite(_zero_product_suite)),
+    Suite("ortho", _FAMILY, _family_suite(_ortho_suite)),
+    Suite("sequential", _FAMILY, _family_suite(_sequential_suite)),
+    Suite("transition", _FAMILY, _family_suite(_transition_suite)),
+    Suite("scalar-pair", _FAMILY, _family_suite(_scalar_pair_group)),
+    Suite("coexist", ("n",), _one_by_one(_coexist_suite)),
+    Suite("strength-oracle", ("n",), _one_by_one(_strength_oracle_suite)),
+    Suite("pexider", (), _one_by_one(_pexider_suite)),
 )
 _AXIS_LABELS = {"n": "n={}".format, "p": "p={:g}".format, "conj": lambda c: f"conj={int(c)}"}
 
@@ -338,8 +352,17 @@ def _resolve_seed(value: int | None) -> int:
     return seed
 
 
+def _tolerances(factor: float) -> ToleranceConfig:
+    """The tolerances that ``--tol`` asks for; a factor they refuse exits 2
+    naming the flag."""
+    try:
+        return DEFAULT_TOL.scaled(factor)
+    except ValueError as exc:
+        raise ParseFailure(f"--tol must scale every tolerance into (0, 1e-3), got {factor!r}") from exc
+
+
 def cmd_strength(args: argparse.Namespace) -> int:
-    tol = DEFAULT_TOL.scaled(args.tol)
+    tol = _tolerances(args.tol)
     A = load_effect(args.effect, tol)
     vec, P = load_ray(args.ray)
     result = _closed_value(A, vec, tol)
@@ -357,7 +380,7 @@ def cmd_strength(args: argparse.Namespace) -> int:
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
-    tol = DEFAULT_TOL.scaled(args.tol)
+    tol = _tolerances(args.tol)
     phi = load_map(args.map)
     A = load_effect(args.effect, tol)
     sys.stdout.write(dump_json(matrix_to_doc(apply_map(phi, A).matrix)) + "\n")
@@ -365,7 +388,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    tol = DEFAULT_TOL.scaled(args.tol)
+    tol = _tolerances(args.tol)
     if args.grid < 3:
         raise ParseFailure("--grid must be at least 3: a fit needs three samples")
     param, fit = _fit_family(load_map(args.map), args.grid, None, tol)
@@ -389,7 +412,7 @@ def _expected_for(suite: str, p: float | None, expect: str) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = DEFAULT_TOL.scaled(args.tol)
+    tol = _tolerances(args.tol)
     if args.trials < 1:
         raise ParseFailure("--trials must be a positive integer")
     seed = _resolve_seed(args.seed)
@@ -401,15 +424,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for p in sweep["p"]:
         FpParam(p)  # validates p < 1 up front
 
+    # Every child seed, in report order; then each group of a suite's
+    # entries that share a dimension (the first axis) as one run.
+    counter = itertools.count()
+    groups = []
+    for suite in SUITES:
+        if args.suite in ("all", suite.name):
+            cases = itertools.product(*(sweep[axis] for axis in suite.axes))
+            drawn = [(_suite_seed(seed, next(counter)), case) for case in cases]
+            groups += [(suite, list(group)) for _, group in itertools.groupby(drawn, key=lambda e: e[1][:1])]
+
     entries = []
     overall = True
-    counter = 0
-    for suite in SUITES:
-        if args.suite not in ("all", suite.name):
-            continue
-        for case in itertools.product(*(sweep[axis] for axis in suite.axes)):
-            report = suite.run(args.trials, _suite_seed(seed, counter), tol, *case)
-            counter += 1
+    for suite, group in groups:
+        seeds, cases = map(list, zip(*group))
+        try:
+            reports = suite.run(args.trials, seeds, tol, cases)
+        except (CheckFailed, InputError, ValueError):
+            # A shared block may meet another entry's failing member first:
+            # one entry at a time, the error is the one of an entry-by-entry run.
+            reports = [suite.run(args.trials, [s], tol, [case])[0] for s, case in group]
+        for case, report in zip(cases, reports):
             labels = [_AXIS_LABELS[axis](value) for axis, value in zip(suite.axes, case)]
             expected = _expected_for(suite.name, dict(zip(suite.axes, case)).get("p"), args.expect)
             satisfied = (report.failures == 0) == (expected == "preserve")

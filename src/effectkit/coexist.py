@@ -143,7 +143,7 @@ def coexists_with_all_probe(
         s = float(A.eigenvalues[-1])
     else:
         complement = orthocomplement(A)
-    for rngs in _trial_blocks(seed, range(1, trials, 2), n, first=1):
+    for rngs, _ in _trial_blocks([seed], range(1, trials, 2), n, first=1):
         vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
         t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
         if rank_one:
@@ -225,7 +225,7 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
     )
 
-    for rngs in _trial_blocks(seed, range(3, 3 + trials), n):
+    for rngs, _ in _trial_blocks([seed], range(3, 3 + trials), n):
         A, B = _sample_effect_stack(n, rngs, tol, 2)
         # Scale each pair with A + B above I to just under it; a positive
         # real keeps the matrices exactly Hermitian, and 1.0 keeps them as they are.

@@ -179,20 +179,29 @@ def inverse_param(p: FpParam | float) -> FpParam:
     return FpParam(1.0 - 1.0 / (1.0 - pv))
 
 
-def fp_apply(p: FpParam | float, A: Effect) -> Effect:
+def fp_apply(p: FpParam | float | np.ndarray, A: Effect) -> Effect:
     """Apply f_p to an effect (or each member of an EffectStack) through
     the spectral calculus.
 
-    Only the eigensystem is read, so ``A`` may also be any value with
-    ``eigenvalues`` and ``eigenvectors``, such as an EigenDecomp.  f_p is
-    increasing, so the stored ascending eigenvalue order (and the
-    eigenvector pairing) survives untouched.
+    For a (T, n, n) stack, ``p`` may also be an array of T parameters, one
+    per member.  Only the eigensystem is read, so ``A`` may also be any
+    value with ``eigenvalues`` and ``eigenvectors``, such as an
+    EigenDecomp.  f_p is increasing, so the stored ascending eigenvalue
+    order (and the eigenvector pairing) survives untouched.
     """
-    pv = _coerce_p(p)
+    pv = _coerce_members(p)[:, None] if isinstance(p, np.ndarray) else _coerce_p(p)
     w = A.eigenvalues
     fw = np.clip(_fp(pv, w), 0.0, 1.0)
     V = A.eigenvectors
     return _effect(_from_spectrum(V, fw), fw, V)
+
+
+def _coerce_members(pv: np.ndarray) -> np.ndarray:
+    """An array of parameters, each checked as FpParam checks one."""
+    bad = ~(np.isfinite(pv) & (pv < 1.0))
+    if bad.any():
+        FpParam(float(pv[bad][0]))  # raises
+    return pv
 
 
 def interior_grid(grid: int) -> np.ndarray:

@@ -275,7 +275,7 @@ def _oracle_gap_limit(tol: ToleranceConfig) -> float:
 def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
     """Closed form against bisection, and the two-block reduction."""
     state = _SuiteState("strength-oracle", trials, seed)
-    for rngs in _trial_blocks(seed, range(trials), n):
+    for rngs, _ in _trial_blocks([seed], range(trials), n):
         A = _sample_effect_stack(n, rngs, tol)
         vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
         bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])

@@ -1,24 +1,29 @@
 """The protocol of the verify suites.
 
 A suite samples seeded inputs, checks one claim of the paper, and returns
-a VerificationReport.  Each trial draws from its own generator
+a VerificationReport per entry.  Each trial draws from its own generator
 ``default_rng([seed, k])``, in the order a lone trial draws, and the
 trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
-calls.  A block takes all its sampled effects from one sampler call (one
-QR, one eigendecomposition), and built effects skip the hermiticity check.
-A suite hands each check to ``_SuiteState.record`` as data: its name, one
-residual per trial, a limit, and the input stacks.  The recorder alone
-judges checks and builds counterexamples, taking them in trial order, and
+calls.  The entries of one group, which share a suite and a dimension,
+share blocks: a block holds their trials concatenated entry by entry, and
+each member keeps its entry's generator, map and state.  A block takes
+all its sampled effects from one sampler call (one QR, one
+eigendecomposition), and built effects skip the hermiticity check.  A
+suite hands each check to ``_SuiteState.record`` as data, each entry its
+slice of the block (``_record``): the check's name, one residual per
+trial, a limit, and the input stacks.  The recorder alone judges checks
+and builds counterexamples, taking them in trial order, and
 ``_SuiteState.report`` is the one builder of reports, so a report depends
-neither on the block size nor on the order of evaluation; a suite that
-runs another suite's trials records them into its own state.
-``Suite`` names a suite for ``effectkit verify`` and the axes it sweeps.
+neither on the block size, nor on the entries it shares blocks with, nor
+on the order of evaluation; a suite that runs another suite's trials
+records them into its own state.  ``Suite`` names a suite for
+``effectkit verify`` and the axes it sweeps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,11 +60,13 @@ class VerificationReport:
 @dataclass(frozen=True)
 class Suite:
     """A verify suite: its name, the axes it sweeps (of "n", "p" and
-    "conj", in that order) and ``run(trials, seed, tol, *axis_values)``."""
+    "conj", in that order) and ``run(trials, seeds, tol, cases)``, which
+    runs one group of entries, points of the axes that share a dimension,
+    each with its seed, and returns their reports in order."""
 
     name: str
     axes: tuple[str, ...]
-    run: Callable[..., VerificationReport]
+    run: Callable[..., list[VerificationReport]]
 
 
 def _matrix_rows(M: np.ndarray) -> list:
@@ -110,26 +117,56 @@ class _SuiteState:
 
 # A block of stacked trials holds at most this many matrix entries per
 # stacked array (and at least one trial), so memory grows neither with the
-# trial count nor, at large dimensions, by more than one trial's
-# temporaries: 32 trials at n = 8, one at n = 64.  A sampler call that
-# draws m effects per trial holds up to 4 times as many entries (m = 4 for
-# the order suite).  Reports do not depend on the block size.
+# trial count nor with the entries of a group, nor, at large dimensions, by
+# more than one trial's temporaries: 32 trials at n = 8, one at n = 64.  A
+# sampler call that draws m effects per trial holds up to 4 times as many
+# entries (m = 4 for the order suite).  Reports do not depend on the block
+# size.
 _BLOCK_ENTRIES = 2048
 
 
+class _Block(NamedTuple):
+    """A block of trials: one generator per member and, for each entry
+    with trials in the block, ``(entry index, slice of its members)``."""
+
+    rngs: list[np.random.Generator]
+    parts: list[tuple[int, slice]]
+
+
 def _trial_blocks(
-    seed: int, streams: range, n: int, first: int | None = None
-) -> Iterator[list[np.random.Generator]]:
-    """The generators ``default_rng([seed, k])`` for k in ``streams``, in
-    blocks whose n x n matrices hold at most ``_BLOCK_ENTRIES`` entries (at
-    least one trial).  With ``first``, the blocks start at that many trials
-    and double, for a search that stops at its first find."""
+    seeds: Sequence[int], streams: range, n: int, first: int | None = None
+) -> Iterator[_Block]:
+    """The generators ``default_rng([seed, k])`` for each entry's seed in
+    turn and k in ``streams``, in blocks whose n x n matrices hold at most
+    ``_BLOCK_ENTRIES`` entries (at least one trial); a block may end one
+    entry's trials and begin the next one's.  With ``first``, the blocks
+    start at that many trials and double, for a search that stops at its
+    first find."""
     cap = max(1, _BLOCK_ENTRIES // (n * n))
     block = cap if first is None else min(first, cap)
-    start = 0
-    while start < len(streams):
-        yield [np.random.default_rng([seed, k]) for k in streams[start : start + block]]
-        start, block = start + block, min(cap, 2 * block)
+    per = len(streams)
+    start, total = 0, per * len(seeds)
+    while start < total:
+        stop = min(total, start + block)
+        rngs = [np.random.default_rng([seeds[i // per], streams[i % per]]) for i in range(start, stop)]
+        parts = [
+            (entry, slice(max(start, entry * per) - start, min(stop, entry * per + per) - start))
+            for entry in range(start // per, (stop - 1) // per + 1)
+        ]
+        yield _Block(rngs, parts)
+        start, block = stop, min(cap, 2 * block)
+
+
+def _record(states: Sequence[_SuiteState], block: _Block, *checks) -> None:
+    """The checks of a block, as ``_SuiteState.record`` takes them, each
+    entry's slice of residuals and inputs into that entry's state."""
+    for entry, part in block.parts:
+        states[entry].record(
+            *(
+                (name, np.asarray(residuals)[part], limit, {key: stack[part] for key, stack in inputs.items()})
+                for name, residuals, limit, inputs in checks
+            )
+        )
 
 
 def _suite_seed(seed: int, index: int) -> int:

@@ -93,7 +93,7 @@ def test_bisection_equals_running_every_test(monkeypatch, n):
 def _n128_trial(k):
     """Trial k of ``verify --suite strength-oracle --dims 128 --trials 60
     --seed 1``: its effect matrix, ray projection and closed-form value."""
-    (rngs,) = _trial_blocks(_suite_seed(1, 0), range(k, k + 1), 128)
+    ((rngs, _),) = _trial_blocks([_suite_seed(1, 0)], range(k, k + 1), 128)
     A = _sample_effect_stack(128, rngs, DEFAULT_TOL)
     vec, P = _ray_matrix(numkern._random_ray_stack(128, rngs))
     return A.matrix[0], P[0], float(_closed(A.eigenvalues, A.eigenvectors, vec, DEFAULT_TOL)[0][0])

@@ -237,6 +237,18 @@ def test_exit_two_on_bad_flags(docs, capsys):
     for grid in ("0", "1", "2"):
         assert main(["fit", "--map", docs["map"], "--grid", grid]) == 2
         assert capsys.readouterr().err.startswith("error: --grid")
+    # A --tol that takes a tolerance out of (0, 1e-3) names the flag, in
+    # every subcommand that takes it.
+    commands = (
+        ["verify", "--suite", "transition", "--dims", "2", "--p", "0", "--trials", "1"],
+        ["strength", "--effect", docs["eff"], "--ray", docs["ray"]],
+        ["apply", "--map", docs["map"], "--effect", docs["eff"]],
+        ["fit", "--map", docs["map"]],
+    )
+    for value, shown in [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"), ("1e10", "10000000000.0")]:
+        for command in commands:
+            assert main([*command, f"--tol={value}"]) == 2
+            assert capsys.readouterr() == ("", f"error: --tol must scale every tolerance into (0, 1e-3), got {shown}\n")
 
 
 def test_exit_two_on_bad_env_seed(docs, capsys, monkeypatch):

@@ -256,16 +256,26 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
     assert [run().to_dict() for run in runs] == default
 
 
+FAMILY_SUITES = ["order", "zero-product", "ortho", "sequential", "transition", "scalar-pair"]
+
+
 @pytest.mark.parametrize("block", [1, 7])
-@pytest.mark.parametrize("suite", ["coexist", "strength-oracle", "pexider"])
+@pytest.mark.parametrize("suite", ["coexist", "strength-oracle", "pexider"] + FAMILY_SUITES)
 def test_suite_reports_do_not_depend_on_the_block_size(monkeypatch, capsys, block, suite):
+    # By default the six entries of a family suite at one dimension share
+    # blocks, and at n = 8 their 72 trials fill blocks of 32, so entries
+    # straddle blocks.  One trial per block (block 1) shares none; block 7
+    # holds 7 trials at n = 3.
     from effectkit import suites
     from effectkit.cli import main
 
-    argv = ["verify", "--suite", suite, "--dims", "2,3", "--trials", "10", "--seed", "19"]
+    if suite in FAMILY_SUITES:
+        argv = ["verify", "--suite", suite, "--dims", "2,3,8", "--p=-1e6,0,0.999999", "--trials", "12", "--seed", "19"]
+    else:
+        argv = ["verify", "--suite", suite, "--dims", "2,3", "--trials", "10", "--seed", "19"]
     main(argv)
     default = capsys.readouterr().out
-    monkeypatch.setattr(suites, "_BLOCK_ENTRIES", block * 3 * 3)
+    monkeypatch.setattr(suites, "_BLOCK_ENTRIES", 1 if block == 1 else block * 3 * 3)
     main(argv)
     assert capsys.readouterr().out == default
 
@@ -464,20 +474,59 @@ def test_internal_effects_skip_only_a_check_they_pass(monkeypatch, capsys):
 
 
 def test_an_order_block_samples_under_one_qr_and_one_eigh(monkeypatch):
-    # One sampler call draws the block's four effects: one QR and one
-    # eigendecomposition; the other eigh validates the sequential product.
-    # Each of the two pairs then maps each side once and takes one spectrum
-    # for the pair and one for its images: 4 applications, 4 eigvalsh.
+    # The two entries of a group (one map each, conj 0 and 1) share one
+    # n = 3 block, and it costs what one entry's block costs.  One sampler
+    # call draws the block's four effects: one QR and one eigendecomposition;
+    # the other eigh validates the sequential product.  Each of the two
+    # pairs then maps each side once, every member by its entry's map, and
+    # takes one spectrum for the pair and one for its images: 4 map
+    # applications, 4 eigvalsh.
     from effectkit import autos
-    from effectkit.autos import verify_order
 
-    phi = random_automorphism(3, 0.5, False, 1)
+    maps = [random_automorphism(3, 0.5, False, 1), random_automorphism(3, 0.5, True, 2)]
     calls = []
     for name in ("qr", "eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
-    real_apply = autos.apply
-    monkeypatch.setattr(autos, "apply", lambda *a, **k: calls.append("apply") or real_apply(*a, **k))
-    report = verify_order(phi, 10, 3)
-    assert report.failures == 0
-    assert sorted(calls) == ["apply"] * 4 + ["eigh", "eigh"] + ["eigvalsh"] * 4 + ["qr"]
+    real_map = autos._map_members
+    monkeypatch.setattr(autos, "_map_members", lambda *a, **k: calls.append("map") or real_map(*a, **k))
+    reports = autos._order_suite(maps, 10, [3, 4], 3, DEFAULT_TOL)
+    assert [report.failures for report in reports] == [0, 0]
+    assert sorted(calls) == ["eigh", "eigh"] + ["eigvalsh"] * 4 + ["map"] * 4 + ["qr"]
+    # Each entry's report is the one it gets alone.
+    assert [r.to_dict() for r in reports] == [autos.verify_order(m, 10, s).to_dict() for m, s in zip(maps, [3, 4])]
+
+
+# At seeds 7 and 17 of the second list a shared block meets another
+# entry's failing member first: without the rerun the message differs.
+@pytest.mark.parametrize("ps, seed", [("0,0.5", s) for s in range(1, 6)] + [("0,0.5,-3", 7), ("0,0.5,-3", 17)])
+def test_a_group_that_raises_gives_the_error_of_an_entry_by_entry_run(monkeypatch, capsys, ps, seed):
+    # At --tol 1e-7 a built effect's round-off eigenvalue fails eps_psd.  A
+    # shared block may meet another entry's failing member first, so a
+    # group that raises runs again one entry at a time: the exit code and
+    # the message are those of running the entries one by one, in report
+    # order, at the same block cap.  Which member a stacked step names
+    # first depends on the block size, so each cap has its own reference.
+    import itertools
+
+    from effectkit import suites
+    from effectkit.cli import SUITES, main
+    from effectkit.errors import InputError
+
+    tol = DEFAULT_TOL.scaled(1e-7)
+    sweep = {"n": (2, 3), "p": [float(p) for p in ps.split(",")], "conj": (False, True)}
+    cases = [(suite, case) for suite in SUITES for case in itertools.product(*(sweep[a] for a in suite.axes))]
+
+    def one_by_one():
+        for counter, (suite, case) in enumerate(cases):
+            try:
+                suite.run(10, [suites._suite_seed(seed, counter)], tol, [case])
+            except InputError as exc:
+                return f"error: {exc}\n"
+        return None
+
+    argv = ["verify", "--suite", "all", "--dims", "2,3", f"--p={ps}", "--trials", "10", "--seed", str(seed)]
+    for entries in (suites._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(suites, "_BLOCK_ENTRIES", entries)
+        assert main([*argv, "--tol", "1e-7"]) == 2
+        assert capsys.readouterr() == ("", one_by_one())
