@@ -20,10 +20,10 @@ harness can feed deliberately broken maps as negative controls.  The order
 and zero-product suites check "in both directions" through one routine,
 ``_biconditional``.
 
-The suites follow the protocol of ``effectkit.suites``: they run their
-trials as EffectStacks, in blocks, and each sampling, validation, map
-and decision step is one stacked LAPACK or matmul call for the whole
-block.  Each ``verify_*`` is the one-entry case of a group routine
+Each suite is a step and its entries' fixed controls, run by the one
+driver ``suites._run``: a step turns a block of trials (EffectStacks) into
+checks, each sampling, validation, map and decision one stacked call.
+Each ``verify_*`` is the one-entry case of a group routine
 (``_order_suite`` and the like), which ``effectkit verify`` runs once for
 all the (p, conj) entries of a suite at one dimension: every entry keeps
 its map, seed, generators and report, and the entries share blocks.
@@ -71,7 +71,7 @@ from .errors import (
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
-from .suites import VerificationReport, _Block, _record, _SuiteState, _trial_blocks
+from .suites import VerificationReport, _Block, _run
 
 __all__ = [
     "EffectAutomorphism",
@@ -239,12 +239,10 @@ def _fit_family(
     return FpParam(1.0 - fit.a), fit
 
 
-def _biconditional(
-    states: list[_SuiteState], maps: list[EffectMap], block: _Block, check: str, pairs, decide
-) -> None:
-    """For each stack pair (L, R), whether every decision in ``decide(L, R)``
-    holds for the images exactly when it holds for the pair; recorded in
-    trial order and, within a trial, pair by pair, into each entry's state."""
+def _biconditional(maps: list[EffectMap], block: _Block, check: str, pairs, decide) -> list[tuple]:
+    """For each stack pair (L, R), the check that every decision in
+    ``decide(L, R)`` holds for the images exactly when it holds for the
+    pair: within a trial, pair by pair."""
     image = _block_image(maps, block)
     checks = []
     for L, R in pairs:
@@ -253,7 +251,7 @@ def _biconditional(
         _same_dim(image_L, image_R)  # a black-box map may change the dimension
         ok = np.all(np.equal(before, decide(image_L, image_R)), axis=0)
         checks.append((check, ~ok, 0.0, {"A": L.matrix, "B": R.matrix}))
-    _record(states, block, *checks)
+    return checks
 
 
 def _block_image(maps: list[EffectMap], block: _Block) -> Callable[[EffectStack], EffectStack]:
@@ -297,15 +295,14 @@ def _order_suite(
     maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
 ) -> list[VerificationReport]:
     """``verify_order`` for each entry (map, seed) of a group, sharing blocks."""
-    states = [_SuiteState("order", trials, seed) for seed in seeds]
-    for block in _trial_blocks(seeds, range(trials), n):
+    def step(block: _Block) -> list[tuple]:
         B, C, X, Y = _sample_effect_stack(n, block.rngs, tol, 4)
         pairs = ((seq_product(B, C, tol), B), (X, Y))
-        _biconditional(
-            states, maps, block, "order-biconditional", pairs,
-            lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol),
+        return _biconditional(
+            maps, block, "order-biconditional", pairs, lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol)
         )
-    return [state.report() for state in states]
+
+    return _run("order", trials, seeds, n, step)
 
 
 def verify_zero_product(
@@ -328,34 +325,29 @@ def _zero_product_suite(
     maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
 ) -> list[VerificationReport]:
     """``verify_zero_product`` for each entry (map, seed) of a group, sharing blocks."""
-    states = [_SuiteState("zero-product", trials, seed) for seed in seeds]
-    _zero_product_trials(states, maps, n, trials, seeds, tol)
-    return [state.report() for state in states]
+    return _run("zero-product", trials, seeds, n, functools.partial(_zero_product_step, maps, n, tol))
 
 
-def _zero_product_trials(
-    states: list[_SuiteState], maps: list[EffectMap], n: int, trials: int, seeds: list[int], tol: ToleranceConfig
-) -> None:
-    """The trials of ``verify_zero_product`` for each entry, recorded into its state."""
+def _zero_product_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
+    """The checks of a block of ``verify_zero_product`` trials, which scalar-pair runs too."""
     if n < 2:
         raise DimensionError("zero-product suite needs dimension at least 2")
-    for block in _trial_blocks(seeds, range(trials), n):
-        rngs = block.rngs
-        V = numkern._haar_unitary_stack(n, rngs)
-        splits = np.array([int(rng.integers(1, n)) for rng in rngs])
-        weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
-        M = np.empty((4,) + V.shape, dtype=V.dtype)
-        # Trials are stacked per split: padding the frames with zero
-        # weights would change the matmul's inner dimension and its bits.
-        for split in np.unique(splits):
-            group = np.flatnonzero(splits == split)
-            M[0, group] = numkern._from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
-            M[1, group] = numkern._from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
-        # The frames and the generic pair, validated as one stack.
-        M[2:] = numkern._random_effect_stack(n, rngs, 2)
-        A, B, X, Y = _spectral(M, tol)
-        pairs = ((A, B), (X, Y))
-        _biconditional(states, maps, block, "zero-product-biconditional", pairs, lambda L, R: [zero_product(L, R, tol)])
+    rngs = block.rngs
+    V = numkern._haar_unitary_stack(n, rngs)
+    splits = np.array([int(rng.integers(1, n)) for rng in rngs])
+    weights = [(rng.uniform(0.0, 1.0, s), rng.uniform(0.0, 1.0, n - s)) for rng, s in zip(rngs, splits)]
+    M = np.empty((4,) + V.shape, dtype=V.dtype)
+    # Trials are stacked per split: padding the frames with zero
+    # weights would change the matmul's inner dimension and its bits.
+    for split in np.unique(splits):
+        group = np.flatnonzero(splits == split)
+        M[0, group] = numkern._from_spectrum(V[group][..., :split], np.stack([weights[k][0] for k in group]))
+        M[1, group] = numkern._from_spectrum(V[group][..., split:], np.stack([weights[k][1] for k in group]))
+    # The frames and the generic pair, validated as one stack.
+    M[2:] = numkern._random_effect_stack(n, rngs, 2)
+    A, B, X, Y = _spectral(M, tol)
+    pairs = ((A, B), (X, Y))
+    return _biconditional(maps, block, "zero-product-biconditional", pairs, lambda L, R: [zero_product(L, R, tol)])
 
 
 def verify_ortho(
@@ -378,17 +370,17 @@ def _ortho_suite(
     maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
 ) -> list[VerificationReport]:
     """``verify_ortho`` for each entry (map, seed) of a group, sharing blocks."""
-    states = [_SuiteState("ortho", trials, seed) for seed in seeds]
     half = scalar_effect(n, 0.5)
-    for phi, state in zip(maps, states):
-        res0 = numkern.frobenius(phi(half).matrix - half.matrix)
-        state.record(("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]}))
-    for block in _trial_blocks(seeds, range(trials), n):
+    residuals = [numkern.frobenius(phi(half).matrix - half.matrix) for phi in maps]
+    controls = [[("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]})] for res0 in residuals]
+
+    def step(block: _Block) -> list[tuple]:
         image = _block_image(maps, block)
         A = _sample_effect_stack(n, block.rngs, tol)
         residuals = numkern.frobenius(image(orthocomplement(A)).matrix - orthocomplement(image(A)).matrix)
-        _record(states, block, ("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix}))
-    return [state.report() for state in states]
+        return [("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix})]
+
+    return _run("ortho", trials, seeds, n, step, controls)
 
 
 def verify_sequential(
@@ -411,20 +403,23 @@ def _sequential_suite(
     maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
 ) -> list[VerificationReport]:
     """``verify_sequential`` for each entry (map, seed) of a group, sharing blocks."""
-    states = [_SuiteState("sequential", trials, seed) for seed in seeds]
     half = scalar_effect(n, 0.5)
-    for phi, state in zip(maps, states):
+    pair = {"A": half.matrix[None], "B": half.matrix[None]}
+    controls = []
+    for phi in maps:
         image = phi(half)
         res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
-        state.record(("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]}))
-    for block in _trial_blocks(seeds, range(trials), n):
+        controls.append([("sequential-scalar-pair", [res0], tol.eps_eq, pair)])
+
+    def step(block: _Block) -> list[tuple]:
         image = _block_image(maps, block)
         A, B = _sample_effect_stack(n, block.rngs, tol, 2)
         residuals = numkern.frobenius(
             image(seq_product(A, B, tol)).matrix - seq_product(image(A), image(B), tol).matrix
         )
-        _record(states, block, ("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix}))
-    return [state.report() for state in states]
+        return [("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix})]
+
+    return _run("sequential", trials, seeds, n, step, controls)
 
 
 def _transition(P: EffectStack, Q: EffectStack) -> np.ndarray:
@@ -452,13 +447,13 @@ def _transition_suite(
     maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
 ) -> list[VerificationReport]:
     """``verify_transition`` for each entry (map, seed) of a group, sharing blocks."""
-    states = [_SuiteState("transition", trials, seed) for seed in seeds]
-    for block in _trial_blocks(seeds, range(trials), n):
+    def step(block: _Block) -> list[tuple]:
         image = _block_image(maps, block)
         P, Q = _sample_ray_stack(n, block.rngs, 2)
         residuals = np.abs(_transition(P, Q) - _transition(image(P), image(Q)))
-        _record(states, block, ("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix}))
-    return [state.report() for state in states]
+        return [("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix})]
+
+    return _run("transition", trials, seeds, n, step)
 
 
 def verify_scalar_pair(
@@ -485,14 +480,13 @@ def _scalar_pair_suite(
     maps: list[EffectMap], lam: float, trials: int, seeds: list[int], n: int, tol: ToleranceConfig
 ) -> list[VerificationReport]:
     """``verify_scalar_pair`` for each entry (map, seed) of a group, sharing blocks."""
-    states = [_SuiteState("scalar-pair", trials, seed) for seed in seeds]
-    for phi, state in zip(maps, states):
+    controls = []
+    for phi in maps:
         image = phi(scalar_effect(n, lam))
         ok, mu = is_scalar(image, tol)
         if ok and isinstance(phi, EffectAutomorphism):
             check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
         else:
             check = ("scalar-image", [not ok], 0.0)
-        state.record((*check, {"A": image.matrix[None]}))
-    _zero_product_trials(states, maps, n, trials, seeds, tol)
-    return [state.report() for state in states]
+        controls.append([(*check, {"A": image.matrix[None]})])
+    return _run("scalar-pair", trials, seeds, n, functools.partial(_zero_product_step, maps, n, tol), controls)

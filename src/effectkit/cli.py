@@ -19,8 +19,8 @@ verify     --suite NAME --dims LIST --p LIST [--trials N] [--seed S]
            counterexample and the suite entry is annotated accordingly.
            Each entry draws its child seed in report order; the entries of
            a suite that share a dimension then run as one group, in shared
-           trial blocks, and a group that raises is run again one entry at
-           a time, so the error is the one an entry-by-entry run gives.
+           trial blocks.  A --tol below the round-off of the values verify
+           builds exits 2 naming --tol; --json FILE is written before stdout.
 apply      --map FILE --effect FILE
            Image of the effect under the map, printed as a matrix
            document.
@@ -85,7 +85,7 @@ from .autos import (
 )
 from .coexist import _coexist_suite
 from .effects import Effect, _ray_matrix, make_effect
-from .errors import CheckFailed, InputError
+from .errors import CheckFailed, InputError, OrthogonalityError, SpanError, SpectrumOutOfRange
 from .fracfun import FpParam, _pexider_suite
 from .numkern import DEFAULT_TOL, ToleranceConfig
 from .strength import _bisect, _closed_value, _oracle_gap_limit, _strength_oracle_suite
@@ -295,28 +295,15 @@ def map_to_doc(phi: EffectAutomorphism) -> dict:
 # the suites of ``verify``
 
 
-def _family_suite(run_group):
-    """Run ``run_group`` on the family members (n, p, conj) of a group's
-    entries, each drawn from its entry's seed: one pass for all of them."""
+def _family_suite(run_group, *args):
+    """Run ``run_group(maps, *args, trials, seeds, n, tol)`` on the family
+    members (n, p, conj) of a group's entries, each from its entry's seed."""
 
     def run(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]):
         maps = [random_automorphism(n, p, conjugate, seed) for seed, (n, p, conjugate) in zip(seeds, cases)]
-        return run_group(maps, trials, seeds, cases[0][0], tol)
+        return run_group(maps, *args, trials, seeds, cases[0][0], tol)
 
     return run
-
-
-def _one_by_one(run_entry):
-    """Run ``run_entry(trials, seed, tol, *case)`` for each entry of a group."""
-
-    def run(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]):
-        return [run_entry(trials, seed, tol, *case) for seed, case in zip(seeds, cases)]
-
-    return run
-
-
-def _scalar_pair_group(maps, trials, seeds, n, tol):
-    return _scalar_pair_suite(maps, SCALAR_PAIR_LAMBDA, trials, seeds, n, tol)
 
 
 _FAMILY = ("n", "p", "conj")
@@ -328,10 +315,10 @@ SUITES = (
     Suite("ortho", _FAMILY, _family_suite(_ortho_suite)),
     Suite("sequential", _FAMILY, _family_suite(_sequential_suite)),
     Suite("transition", _FAMILY, _family_suite(_transition_suite)),
-    Suite("scalar-pair", _FAMILY, _family_suite(_scalar_pair_group)),
-    Suite("coexist", ("n",), _one_by_one(_coexist_suite)),
-    Suite("strength-oracle", ("n",), _one_by_one(_strength_oracle_suite)),
-    Suite("pexider", (), _one_by_one(_pexider_suite)),
+    Suite("scalar-pair", _FAMILY, _family_suite(_scalar_pair_suite, SCALAR_PAIR_LAMBDA)),
+    Suite("coexist", ("n",), _coexist_suite),
+    Suite("strength-oracle", ("n",), _strength_oracle_suite),
+    Suite("pexider", (), _pexider_suite),
 )
 _AXIS_LABELS = {"n": "n={}".format, "p": "p={:g}".format, "conj": lambda c: f"conj={int(c)}"}
 
@@ -440,10 +427,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seeds, cases = map(list, zip(*group))
         try:
             reports = suite.run(args.trials, seeds, tol, cases)
-        except (CheckFailed, InputError, ValueError):
-            # A shared block may meet another entry's failing member first:
-            # one entry at a time, the error is the one of an entry-by-entry run.
-            reports = [suite.run(args.trials, [s], tol, [case])[0] for s, case in group]
+        except (SpectrumOutOfRange, OrthogonalityError, SpanError) as exc:
+            # Every value a suite checks is built here: only a --tol below its round-off
+            # refuses one.  Which member a block refuses first varies, so none is named.
+            raise ParseFailure(f"--tol {args.tol!r} is below the round-off of the values verify builds") from exc
         for case, report in zip(cases, reports):
             labels = [_AXIS_LABELS[axis](value) for axis, value in zip(suite.axes, case)]
             expected = _expected_for(suite.name, dict(zip(suite.axes, case)).get("p"), args.expect)
@@ -462,13 +449,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "overall": "pass" if overall else "fail",
     }
     text = dump_json(run_report) + "\n"
-    sys.stdout.write(text)
-    if args.json:
+    if args.json:  # written first: a file that cannot be written exits 2 with nothing on stdout
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             raise ParseFailure(f"cannot write {args.json}: {exc}") from exc
+    sys.stdout.write(text)
     return 0 if overall else 1
 
 

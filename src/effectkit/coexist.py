@@ -42,7 +42,7 @@ from .effects import (
 from .errors import DegenerateRanges, DimensionError, DomainError
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .strength import _closed
-from .suites import VerificationReport, _SuiteState, _suite_seed, _trial_blocks
+from .suites import VerificationReport, _Block, _run, _suite_seed, _trial_blocks
 
 __all__ = [
     "CoexistenceWitness",
@@ -203,29 +203,14 @@ def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
     return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)
 
 
-def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
+def _coexist_suite(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]) -> list[VerificationReport]:
     """The trivial witness, the rank-one criterion, and the scalar probe."""
+    n = cases[0][0]
     if n < 2:
         raise DimensionError("coexist suite needs dimension at least 2")
-    state = _SuiteState("coexist", trials, seed)
-    # Fixed controls: the overlapping weighted pair known not to coexist,
-    # a scalar (coexists with everything) and a weak atom (does not).
-    rng = np.random.default_rng([seed, 0])
-    p_vec = numkern.random_ray(n, rng)
-    perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
-    p, P0 = _ray_matrix(p_vec)
-    q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
-    apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
-    scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
-    atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
-    refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
-    state.record(
-        ("overlapping-0.9-pair-reported-coexistent", [not apart], 0.0, {}),
-        ("scalar-probe-returned-false", [not scalar], 0.0, {}),
-        ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
-    )
 
-    for rngs, _ in _trial_blocks([seed], range(3, 3 + trials), n):
+    def step(block: _Block) -> list[tuple]:
+        rngs = block.rngs
         A, B = _sample_effect_stack(n, rngs, tol, 2)
         # Scale each pair with A + B above I to just under it; a positive
         # real keeps the matrices exactly Hermitian, and 1.0 keeps them as they are.
@@ -241,9 +226,27 @@ def _coexist_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> Veri
         (p, q), (P, Q) = _ray_matrix(numkern._random_ray_stack(n, rngs, 2))
         distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
         split = ~witness | ~distinct | fits
-        state.record(
+        return [
             ("trivial-witness-missing-for-substochastic-pair", ~witness, 0.0, {}),
             ("convex-split-pair-reported-incompatible", ~split, 0.0, {}),
-        )
-    return state.report()
+        ]
 
+    controls = []
+    for seed in seeds:
+        # Fixed controls: the overlapping weighted pair known not to coexist,
+        # a scalar (coexists with everything) and a weak atom (does not).
+        rng = np.random.default_rng([seed, 0])
+        p_vec = numkern.random_ray(n, rng)
+        perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
+        p, P0 = _ray_matrix(p_vec)
+        q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
+        apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
+        scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
+        atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
+        refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
+        controls.append([
+            ("overlapping-0.9-pair-reported-coexistent", [not apart], 0.0, {}),
+            ("scalar-probe-returned-false", [not scalar], 0.0, {}),
+            ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
+        ])
+    return _run("coexist", trials, seeds, n, step, controls, first_stream=3)

@@ -35,7 +35,7 @@ import numpy as np
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
 from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum
-from .suites import VerificationReport, _SuiteState
+from .suites import VerificationReport, _Block, _run
 
 __all__ = [
     "FracParams",
@@ -348,27 +348,29 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
     return PexiderDecomposition(F=F, G=F, H=H)
 
 
-def _pexider_suite(trials: int, seed: int, tol: ToleranceConfig) -> VerificationReport:
-    """Functional equation residuals, fit recovery, and the symmetry pin."""
-    state = _SuiteState("pexider", trials, seed)
+def _pexider_suite(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]) -> list[VerificationReport]:
+    """Functional equation residuals, fit recovery, and the symmetry pin;
+    a trial is a scalar problem, run in blocks as at n = 1."""
     symmetric = _symmetry_defect(1.0, 1.0, 50) <= tol.eps_eq
-    state.record(("symmetry-rejects-identity-pair", [not symmetric], 0.0, {}))
+    control = [("symmetry-rejects-identity-pair", [not symmetric], 0.0, {})]
     xs = interior_grid(12)
-    residuals, errors, pinned = [], [], []
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        a = float(np.exp(rng.uniform(-1.6, 1.6)))
-        c = float(np.exp(rng.uniform(-0.9, 0.9)))
-        params = FracParams(a=a, b=1.0, c=c)
-        residuals.append(verify_pexider(params, 1.0, c, 20))
-        fit = fit_frac(zip(xs.tolist(), _f_values(params, xs).tolist()))
-        errors.append(max(abs(fit.a - a), abs(fit.c - c)))
-        sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-        sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-        pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
-    state.record(
-        ("functional-equation-residual", residuals, tol.eps_herm, {}),
-        ("fit-recovery", errors, 100 * tol.eps_rank, {}),
-        ("symmetry-accepts-off-family-pair", pinned, 0.0, {}),
-    )
-    return state.report()
+
+    def step(block: _Block) -> list[tuple]:
+        residuals, errors, pinned = [], [], []
+        for rng in block.rngs:
+            a = float(np.exp(rng.uniform(-1.6, 1.6)))
+            c = float(np.exp(rng.uniform(-0.9, 0.9)))
+            params = FracParams(a=a, b=1.0, c=c)
+            residuals.append(verify_pexider(params, 1.0, c, 20))
+            fit = fit_frac(zip(xs.tolist(), _f_values(params, xs).tolist()))
+            errors.append(max(abs(fit.a - a), abs(fit.c - c)))
+            sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
+            sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
+            pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
+        return [
+            ("functional-equation-residual", residuals, tol.eps_herm, {}),
+            ("fit-recovery", errors, 100 * tol.eps_rank, {}),
+            ("symmetry-accepts-off-family-pair", pinned, 0.0, {}),
+        ]
+
+    return _run("pexider", trials, seeds, 1, step, [control] * len(seeds))

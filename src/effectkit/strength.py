@@ -40,7 +40,7 @@ from .errors import (
     SpanError,
 )
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .suites import VerificationReport, _SuiteState, _trial_blocks
+from .suites import VerificationReport, _Block, _run
 
 __all__ = [
     "StrengthValue",
@@ -272,10 +272,14 @@ def _oracle_gap_limit(tol: ToleranceConfig) -> float:
     return 100 * tol.eps_rank
 
 
-def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int) -> VerificationReport:
+def _strength_oracle_suite(
+    trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]
+) -> list[VerificationReport]:
     """Closed form against bisection, and the two-block reduction."""
-    state = _SuiteState("strength-oracle", trials, seed)
-    for rngs, _ in _trial_blocks([seed], range(trials), n):
+    n = cases[0][0]
+
+    def step(block: _Block) -> list[tuple]:
+        rngs = block.rngs
         A = _sample_effect_stack(n, rngs, tol)
         vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
         bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
@@ -295,5 +299,6 @@ def _strength_oracle_suite(trials: int, seed: int, tol: ToleranceConfig, n: int)
             closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
             two_block = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
             checks.append(("two-block", two_block, tol.eps_rank, {"E": E.matrix}))
-        state.record(*checks)
-    return state.report()
+        return checks
+
+    return _run("strength-oracle", trials, seeds, n, step)

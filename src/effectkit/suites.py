@@ -9,15 +9,14 @@ share blocks: a block holds their trials concatenated entry by entry, and
 each member keeps its entry's generator, map and state.  A block takes
 all its sampled effects from one sampler call (one QR, one
 eigendecomposition), and built effects skip the hermiticity check.  A
-suite hands each check to ``_SuiteState.record`` as data, each entry its
-slice of the block (``_record``): the check's name, one residual per
-trial, a limit, and the input stacks.  The recorder alone judges checks
-and builds counterexamples, taking them in trial order, and
-``_SuiteState.report`` is the one builder of reports, so a report depends
-neither on the block size, nor on the entries it shares blocks with, nor
-on the order of evaluation; a suite that runs another suite's trials
-records them into its own state.  ``Suite`` names a suite for
-``effectkit verify`` and the axes it sweeps.
+suite is a step, which turns a block into its checks, plus each entry's
+fixed controls; ``_run`` is the one driver, which hands each entry's
+``_SuiteState`` its controls and its part of every block's checks.  A
+check is data: its name, one residual per trial, a limit, and the input
+stacks.  The recorder alone judges checks and builds counterexamples, in
+trial order, and ``_SuiteState.report`` is the one builder of reports, so
+a report depends neither on the block size nor on the entries it shares
+blocks with.  ``Suite`` names a suite for ``effectkit verify``.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .errors import DomainError
 
 __all__ = ["VerificationReport", "Suite"]
 
@@ -89,7 +90,7 @@ class _SuiteState:
         self.worst = 0.0
         self.counterexample: dict | None = None
 
-    def record(self, *checks: tuple[str, Sequence[float], float, dict[str, np.ndarray]]) -> None:
+    def record(self, *checks: tuple[str, Sequence[float], float, dict], part: slice = slice(None)) -> None:
         """The checks of a block of trials, in trial order and, within a
         trial, in the order given.  Each is ``(name, residuals, limit,
         inputs)``: one residual per trial, a residual above ``limit``
@@ -98,21 +99,19 @@ class _SuiteState:
         where it fails and 0.0 where it holds, against limit 0.0.  Every
         residual raises the worst violation (NaN is skipped, as ``max``
         skips it); a failure counts, and the first gives the
-        counterexample."""
-        checks = [(name, np.asarray(r, dtype=float).tolist(), limit, inputs) for name, r, limit, inputs in checks]
+        counterexample.  Only the trials in ``part`` of the block count."""
+        checks = [(name, np.asarray(r, dtype=float)[part].tolist(), limit, inputs) for name, r, limit, inputs in checks]
         for k in range(len(checks[0][1])):
             for name, residuals, limit, inputs in checks:
                 self.worst = max(self.worst, residuals[k])
                 if residuals[k] > limit:
                     self.failures += 1
                     if self.counterexample is None:
-                        rows = {key: _matrix_rows(stack[k]) for key, stack in inputs.items()}
+                        rows = {key: _matrix_rows(stack[part][k]) for key, stack in inputs.items()}
                         self.counterexample = {"check": name, "inputs": rows}
 
     def report(self) -> VerificationReport:
-        return VerificationReport(
-            self.name, self.trials, self.failures, self.worst, self.counterexample, self.seed
-        )
+        return VerificationReport(self.name, self.trials, self.failures, self.worst, self.counterexample, self.seed)
 
 
 # A block of stacked trials holds at most this many matrix entries per
@@ -157,16 +156,24 @@ def _trial_blocks(
         start, block = stop, min(cap, 2 * block)
 
 
-def _record(states: Sequence[_SuiteState], block: _Block, *checks) -> None:
-    """The checks of a block, as ``_SuiteState.record`` takes them, each
-    entry's slice of residuals and inputs into that entry's state."""
-    for entry, part in block.parts:
-        states[entry].record(
-            *(
-                (name, np.asarray(residuals)[part], limit, {key: stack[part] for key, stack in inputs.items()})
-                for name, residuals, limit, inputs in checks
-            )
-        )
+def _run(
+    name: str, trials: int, seeds: Sequence[int], n: int, step: Callable[[_Block], list[tuple]],
+    controls: Sequence[list[tuple]] = (), first_stream: int = 0,
+) -> list[VerificationReport]:
+    """The one driver of the suites: a report per entry (seed), in order.
+    Each entry records its fixed controls first.  Then trial k of each entry
+    draws from stream ``first_stream + k``: ``step`` turns each block of
+    ``_trial_blocks`` into its checks, and each entry records its part."""
+    if type(trials) is not int or trials < 1:  # a bool is refused too
+        raise DomainError(f"trials must be a positive integer, got {trials!r}")
+    states = [_SuiteState(name, trials, seed) for seed in seeds]
+    for state, checks in zip(states, controls):
+        state.record(*checks)
+    for block in _trial_blocks(seeds, range(first_stream, first_stream + trials), n):
+        checks = step(block)
+        for entry, part in block.parts:
+            states[entry].record(*checks, part=part)
+    return [state.report() for state in states]
 
 
 def _suite_seed(seed: int, index: int) -> int:

@@ -224,7 +224,7 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
         )
 
     before = answers()
-    assert coexist._coexist_suite(20, 1, DEFAULT_TOL, 3).failures == 0
+    assert coexist._coexist_suite(20, [1], DEFAULT_TOL, [(3,)])[0].failures == 0
     real = getattr(coexist, core)
     if core == "_rank_one":
         def inverted(*args):
@@ -236,4 +236,4 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
     monkeypatch.setattr(coexist, core, inverted)
     assert answers() != before
     if core != "_witness_valid":
-        assert coexist._coexist_suite(20, 1, DEFAULT_TOL, 3).failures > 0
+        assert coexist._coexist_suite(20, [1], DEFAULT_TOL, [(3,)])[0].failures > 0

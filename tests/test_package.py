@@ -104,12 +104,20 @@ def test_every_private_definition_is_used_in_package_code():
 def test_suites_hand_the_recorder_data_and_only_it_serializes_matrices():
     # A check reaches _SuiteState.record as (name, residuals, limit, inputs),
     # never as a closure; the recorder and the CLI are the two writers of
-    # matrix rows.
+    # matrix rows.  Only the driver in suites.py keeps states and records
+    # into them: a suite is a step and its controls, one protocol.
     package = Path(effectkit.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
+            recorder = (
+                (isinstance(node, ast.Name) and node.id == "_SuiteState")
+                or (isinstance(node, ast.Attribute) and node.attr in ("_SuiteState", "record"))
+                or (isinstance(node, ast.alias) and node.name == "_SuiteState")
+            )
+            if recorder and path.name != "suites.py":
+                found.append(f"{path.name}:{node.lineno}: a suite state or record outside suites.py")
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "record":
                 args = node.args + [k.value for k in node.keywords]
                 if any(isinstance(sub, ast.Lambda) for arg in args for sub in ast.walk(arg)):

@@ -394,8 +394,8 @@ def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch, tmp_path):
     atom = make_effect(0.9 * sample_ray(3, 5).projection.matrix)
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(atom, 40, 3)) == 0
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(sample_effect(3, 5), 40, 3)) == 0
-    assert complete_qrs(lambda: strength._strength_oracle_suite(20, 3, DEFAULT_TOL, 3)) == 0
-    assert complete_qrs(lambda: coexist._coexist_suite(20, 3, DEFAULT_TOL, 3)) == 1
+    assert complete_qrs(lambda: strength._strength_oracle_suite(20, [3], DEFAULT_TOL, [(3,)])[0]) == 0
+    assert complete_qrs(lambda: coexist._coexist_suite(20, [3], DEFAULT_TOL, [(3,)])[0]) == 1
 
     eff, ray = tmp_path / "eff.json", tmp_path / "ray.json"
     eff.write_text(json.dumps(matrix_to_doc(random_effect(3, 5))))
@@ -498,35 +498,57 @@ def test_an_order_block_samples_under_one_qr_and_one_eigh(monkeypatch):
 
 
 # At seeds 7 and 17 of the second list a shared block meets another
-# entry's failing member first: without the rerun the message differs.
-@pytest.mark.parametrize("ps, seed", [("0,0.5", s) for s in range(1, 6)] + [("0,0.5,-3", 7), ("0,0.5,-3", 17)])
-def test_a_group_that_raises_gives_the_error_of_an_entry_by_entry_run(monkeypatch, capsys, ps, seed):
-    # At --tol 1e-7 a built effect's round-off eigenvalue fails eps_psd.  A
-    # shared block may meet another entry's failing member first, so a
-    # group that raises runs again one entry at a time: the exit code and
-    # the message are those of running the entries one by one, in report
-    # order, at the same block cap.  Which member a stacked step names
-    # first depends on the block size, so each cap has its own reference.
+# entry's failing member first; at caps 1 and 7 the strength-oracle step
+# can meet a failing ray pair before a failing effect.
+@pytest.mark.parametrize(
+    "suite, dims, ps, tol, seed",
+    [pytest.param("all", "2,3", ps, 1e-7, s, id=f"{ps}-{s}") for ps, s in
+     [("0,0.5", s) for s in range(1, 6)] + [("0,0.5,-3", 7), ("0,0.5,-3", 17)]]
+    + [
+        pytest.param("coexist", "2,3,8", "0,0.5", 1e-9, 5, id="coexist-1e-9-5"),
+        pytest.param("strength-oracle", "2,3,8", "0,0.5", 1e-7, 5, id="strength-oracle-1e-7-5"),
+    ],
+)
+def test_a_group_that_raises_gives_the_error_of_an_entry_by_entry_run(monkeypatch, capsys, suite, dims, ps, tol, seed):
+    # At these --tol a built effect's round-off eigenvalue fails eps_psd.
+    # Every effect verify checks is built by the program, so the error
+    # names --tol and no member: exit 2, nothing on stdout, one message at
+    # every block cap, whichever member a stacked step refuses first.  Run
+    # entry by entry, in report order, an entry still refuses its effect.
     import itertools
 
     from effectkit import suites
     from effectkit.cli import SUITES, main
-    from effectkit.errors import InputError
 
-    tol = DEFAULT_TOL.scaled(1e-7)
-    sweep = {"n": (2, 3), "p": [float(p) for p in ps.split(",")], "conj": (False, True)}
-    cases = [(suite, case) for suite in SUITES for case in itertools.product(*(sweep[a] for a in suite.axes))]
-
-    def one_by_one():
-        for counter, (suite, case) in enumerate(cases):
-            try:
-                suite.run(10, [suites._suite_seed(seed, counter)], tol, [case])
-            except InputError as exc:
-                return f"error: {exc}\n"
-        return None
-
-    argv = ["verify", "--suite", "all", "--dims", "2,3", f"--p={ps}", "--trials", "10", "--seed", str(seed)]
-    for entries in (suites._BLOCK_ENTRIES, 1):
+    sweep = {"n": [int(n) for n in dims.split(",")], "p": [float(p) for p in ps.split(",")]}
+    sweep["conj"] = (False, True)
+    chosen = [s for s in SUITES if suite in ("all", s.name)]
+    cases = [(s, case) for s in chosen for case in itertools.product(*(sweep[a] for a in s.axes))]
+    argv = ["verify", "--suite", suite, "--dims", dims, f"--p={ps}", "--trials", "10", "--seed", str(seed)]
+    message = f"error: --tol {tol!r} is below the round-off of the values verify builds\n"
+    for entries in (suites._BLOCK_ENTRIES, 1, 7):
         monkeypatch.setattr(suites, "_BLOCK_ENTRIES", entries)
+        assert main([*argv, "--tol", str(tol)]) == 2
+        assert capsys.readouterr() == ("", message)
+        with pytest.raises(SpectrumOutOfRange):
+            for counter, (s, case) in enumerate(cases):
+                s.run(10, [suites._suite_seed(seed, counter)], DEFAULT_TOL.scaled(tol), [case])
+
+
+def test_a_refused_ray_pair_gives_the_same_tol_message(monkeypatch, capsys):
+    # At n = 2 the first refusal of this run is an effect's spectrum at the
+    # default cap, and the two-block check's ray pair (OrthogonalityError)
+    # at caps 1 and 7: both are round-off of built values, one message.
+    from effectkit import strength, suites
+    from effectkit.cli import main
+    from effectkit.errors import OrthogonalityError
+
+    argv = ["verify", "--suite", "strength-oracle", "--dims", "1,2,3,8", "--trials", "10", "--seed", "2"]
+    message = "error: --tol 1e-07 is below the round-off of the values verify builds\n"
+    refusals = {suites._BLOCK_ENTRIES: SpectrumOutOfRange, 1: OrthogonalityError, 7: OrthogonalityError}
+    for entries, refusal in refusals.items():
+        monkeypatch.setattr(suites, "_BLOCK_ENTRIES", entries)
+        with pytest.raises(refusal):  # the n = 2 entry, the second child seed
+            strength._strength_oracle_suite(10, [suites._suite_seed(2, 1)], DEFAULT_TOL.scaled(1e-7), [(2,)])
         assert main([*argv, "--tol", "1e-7"]) == 2
-        assert capsys.readouterr() == ("", one_by_one())
+        assert capsys.readouterr() == ("", message)

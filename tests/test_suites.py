@@ -1,4 +1,5 @@
-"""The suite recorder against a reference written from its documented rule.
+"""The suite recorder against a reference written from its documented rule,
+and the driver's refusal of a trial count that would run no trial.
 
 The reference keeps the two kinds of check the recorder once took: an
 analog check fails where its residual is above the limit (NaN passes) and
@@ -12,9 +13,13 @@ by entry.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from effectkit import autos, coexist, fracfun, strength
+from effectkit.errors import DomainError
+from effectkit.numkern import DEFAULT_TOL
 from effectkit.suites import _SuiteState
 
 LIMITS = [0.0, 1e-9, 0.5, 1e3]
@@ -100,3 +105,25 @@ def test_the_recorder_follows_the_reference_rule(blocks):
     assert state.worst.hex() == reference.worst.hex()
     assert state.counterexample == reference.counterexample
 
+
+
+_PHI = autos.random_automorphism(2, 0.5, False, 1)
+SUITES = {
+    "verify_order": lambda trials: autos.verify_order(_PHI, trials, 1),
+    "verify_zero_product": lambda trials: autos.verify_zero_product(_PHI, trials, 1),
+    "verify_ortho": lambda trials: autos.verify_ortho(_PHI, trials, 1),
+    "verify_sequential": lambda trials: autos.verify_sequential(_PHI, trials, 1),
+    "verify_transition": lambda trials: autos.verify_transition(_PHI, trials, 1),
+    "verify_scalar_pair": lambda trials: autos.verify_scalar_pair(_PHI, 0.3, trials, 1),
+    "coexist": lambda trials: coexist._coexist_suite(trials, [1], DEFAULT_TOL, [(2,)]),
+    "strength-oracle": lambda trials: strength._strength_oracle_suite(trials, [1], DEFAULT_TOL, [(2,)]),
+    "pexider": lambda trials: fracfun._pexider_suite(trials, [1], DEFAULT_TOL, [()]),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, True])
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_suite_refuses_a_trial_count_that_is_not_a_positive_int(suite, trials):
+    # Without trials a report would pass vacuously; 2.5 and True are not counts.
+    with pytest.raises(DomainError, match="trials must be a positive integer"):
+        SUITES[suite](trials)
