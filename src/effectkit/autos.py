@@ -20,13 +20,13 @@ harness can feed deliberately broken maps as negative controls.  The order
 and zero-product suites check "in both directions" through one routine,
 ``_biconditional``.
 
-Each suite is a step and its entries' fixed controls, run by the one
-driver ``suites._run``: a step turns a block of trials (EffectStacks) into
-checks, each sampling, validation, map and decision one stacked call.
-Each ``verify_*`` is the one-entry case of a group routine
-(``_order_suite`` and the like), which ``effectkit verify`` runs once for
-all the (p, conj) entries of a suite at one dimension: every entry keeps
-its map, seed, generators and report, and the entries share blocks.
+Each suite is a ``suites.Suite`` value (``_ORDER`` and the like), a step
+and its entries' fixed controls, run by the one driver ``Suite.run``: a
+step turns a block of trials (EffectStacks) into checks, each sampling,
+validation, map and decision one stacked call.  Each ``verify_*`` is the
+one-entry run of its suite, and ``effectkit verify`` runs a suite once for
+all the (p, conj) entries at one dimension: every entry keeps its map,
+seed, generators and report, and the entries share blocks.
 Family members map a block in one pass (``_map_members``, with U, the
 conjugation flag and p per member; ``apply`` is its one-map case), and a
 black-box map is applied to each member as an Effect.  Every member is
@@ -71,7 +71,7 @@ from .errors import (
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
-from .suites import VerificationReport, _Block, _run
+from .suites import Suite, VerificationReport, _Block
 
 __all__ = [
     "EffectAutomorphism",
@@ -170,6 +170,8 @@ def inverse(phi: EffectAutomorphism) -> EffectAutomorphism:
 
 
 EffectMap = Callable[[Effect], Effect]
+# The axes of a family suite's entries: dimension, order parameter, conjugation flag.
+_FAMILY = ("n", "p", "conj")
 
 
 def _map_dim(phi: EffectMap, dim: int | None) -> int:
@@ -288,21 +290,18 @@ def verify_order(
     quotient construction, not rejection sampling) and one generic pair,
     then demands leq agree with leq-of-images in both directions.
     """
-    return _order_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+    return _ORDER.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _order_suite(
-    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
-) -> list[VerificationReport]:
-    """``verify_order`` for each entry (map, seed) of a group, sharing blocks."""
-    def step(block: _Block) -> list[tuple]:
-        B, C, X, Y = _sample_effect_stack(n, block.rngs, tol, 4)
-        pairs = ((seq_product(B, C, tol), B), (X, Y))
-        return _biconditional(
-            maps, block, "order-biconditional", pairs, lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol)
-        )
+def _order_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
+    B, C, X, Y = _sample_effect_stack(n, block.rngs, tol, 4)
+    pairs = ((seq_product(B, C, tol), B), (X, Y))
+    return _biconditional(
+        maps, block, "order-biconditional", pairs, lambda L, R: numkern._psd_leq_both(L.matrix, R.matrix, tol)
+    )
 
-    return _run("order", trials, seeds, n, step)
+
+_ORDER = Suite("order", _FAMILY, _order_step)
 
 
 def verify_zero_product(
@@ -318,14 +317,7 @@ def verify_zero_product(
     Each trial checks one orthogonal pair assembled from complementary
     blocks of a Haar basis and one generic pair.
     """
-    return _zero_product_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
-
-
-def _zero_product_suite(
-    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
-) -> list[VerificationReport]:
-    """``verify_zero_product`` for each entry (map, seed) of a group, sharing blocks."""
-    return _run("zero-product", trials, seeds, n, functools.partial(_zero_product_step, maps, n, tol))
+    return _ZERO_PRODUCT.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
 def _zero_product_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
@@ -350,6 +342,9 @@ def _zero_product_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, bloc
     return _biconditional(maps, block, "zero-product-biconditional", pairs, lambda L, R: [zero_product(L, R, tol)])
 
 
+_ZERO_PRODUCT = Suite("zero-product", _FAMILY, _zero_product_step)
+
+
 def verify_ortho(
     phi: EffectMap,
     trials: int,
@@ -363,24 +358,23 @@ def verify_ortho(
     Checks phi(I - A) = I - phi(A) on random effects, plus the fixed
     point phi(I/2) = I/2 that any complement-preserving member must have.
     """
-    return _ortho_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+    return _ORTHO.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _ortho_suite(
-    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
-) -> list[VerificationReport]:
-    """``verify_ortho`` for each entry (map, seed) of a group, sharing blocks."""
+def _ortho_controls(phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
     half = scalar_effect(n, 0.5)
-    residuals = [numkern.frobenius(phi(half).matrix - half.matrix) for phi in maps]
-    controls = [[("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]})] for res0 in residuals]
+    res0 = numkern.frobenius(phi(half).matrix - half.matrix)
+    return [("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]})]
 
-    def step(block: _Block) -> list[tuple]:
-        image = _block_image(maps, block)
-        A = _sample_effect_stack(n, block.rngs, tol)
-        residuals = numkern.frobenius(image(orthocomplement(A)).matrix - orthocomplement(image(A)).matrix)
-        return [("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix})]
 
-    return _run("ortho", trials, seeds, n, step, controls)
+def _ortho_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
+    image = _block_image(maps, block)
+    A = _sample_effect_stack(n, block.rngs, tol)
+    residuals = numkern.frobenius(image(orthocomplement(A)).matrix - orthocomplement(image(A)).matrix)
+    return [("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix})]
+
+
+_ORTHO = Suite("ortho", _FAMILY, _ortho_step, _ortho_controls)
 
 
 def verify_sequential(
@@ -396,30 +390,24 @@ def verify_sequential(
     The scalar pair (I/2, I/2) is checked first since it already
     witnesses failure for every p != 0; random pairs follow.
     """
-    return _sequential_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+    return _SEQUENTIAL.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _sequential_suite(
-    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
-) -> list[VerificationReport]:
-    """``verify_sequential`` for each entry (map, seed) of a group, sharing blocks."""
+def _sequential_controls(phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
     half = scalar_effect(n, 0.5)
-    pair = {"A": half.matrix[None], "B": half.matrix[None]}
-    controls = []
-    for phi in maps:
-        image = phi(half)
-        res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
-        controls.append([("sequential-scalar-pair", [res0], tol.eps_eq, pair)])
+    image = phi(half)
+    res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
+    return [("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]})]
 
-    def step(block: _Block) -> list[tuple]:
-        image = _block_image(maps, block)
-        A, B = _sample_effect_stack(n, block.rngs, tol, 2)
-        residuals = numkern.frobenius(
-            image(seq_product(A, B, tol)).matrix - seq_product(image(A), image(B), tol).matrix
-        )
-        return [("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix})]
 
-    return _run("sequential", trials, seeds, n, step, controls)
+def _sequential_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
+    image = _block_image(maps, block)
+    A, B = _sample_effect_stack(n, block.rngs, tol, 2)
+    residuals = numkern.frobenius(image(seq_product(A, B, tol)).matrix - seq_product(image(A), image(B), tol).matrix)
+    return [("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix})]
+
+
+_SEQUENTIAL = Suite("sequential", _FAMILY, _sequential_step, _sequential_controls)
 
 
 def _transition(P: EffectStack, Q: EffectStack) -> np.ndarray:
@@ -440,20 +428,17 @@ def verify_transition(
     Family members of every parameter preserve these, unitary and
     antiunitary alike.
     """
-    return _transition_suite([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
+    return _TRANSITION.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _transition_suite(
-    maps: list[EffectMap], trials: int, seeds: list[int], n: int, tol: ToleranceConfig
-) -> list[VerificationReport]:
-    """``verify_transition`` for each entry (map, seed) of a group, sharing blocks."""
-    def step(block: _Block) -> list[tuple]:
-        image = _block_image(maps, block)
-        P, Q = _sample_ray_stack(n, block.rngs, 2)
-        residuals = np.abs(_transition(P, Q) - _transition(image(P), image(Q)))
-        return [("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix})]
+def _transition_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
+    image = _block_image(maps, block)
+    P, Q = _sample_ray_stack(n, block.rngs, 2)
+    residuals = np.abs(_transition(P, Q) - _transition(image(P), image(Q)))
+    return [("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix})]
 
-    return _run("transition", trials, seeds, n, step)
+
+_TRANSITION = Suite("transition", _FAMILY, _transition_step)
 
 
 def verify_scalar_pair(
@@ -473,20 +458,19 @@ def verify_scalar_pair(
     """
     if not (0.0 <= lam <= 1.0):
         raise DomainError(f"lam must lie in [0, 1], got {lam!r}")
-    return _scalar_pair_suite([phi], lam, trials, [seed], _map_dim(phi, dim), tol)[0]
+    return _scalar_pair_suite(lam).run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _scalar_pair_suite(
-    maps: list[EffectMap], lam: float, trials: int, seeds: list[int], n: int, tol: ToleranceConfig
-) -> list[VerificationReport]:
-    """``verify_scalar_pair`` for each entry (map, seed) of a group, sharing blocks."""
-    controls = []
-    for phi in maps:
-        image = phi(scalar_effect(n, lam))
-        ok, mu = is_scalar(image, tol)
-        if ok and isinstance(phi, EffectAutomorphism):
-            check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
-        else:
-            check = ("scalar-image", [not ok], 0.0)
-        controls.append([(*check, {"A": image.matrix[None]})])
-    return _run("scalar-pair", trials, seeds, n, functools.partial(_zero_product_step, maps, n, tol), controls)
+def _scalar_pair_suite(lam: float) -> Suite:
+    """The scalar-pair suite at lam: its scalar image control, then the zero-product step."""
+    return Suite("scalar-pair", _FAMILY, _zero_product_step, functools.partial(_scalar_pair_controls, lam))
+
+
+def _scalar_pair_controls(lam: float, phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
+    image = phi(scalar_effect(n, lam))
+    ok, mu = is_scalar(image, tol)
+    if ok and isinstance(phi, EffectAutomorphism):
+        check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
+    else:
+        check = ("scalar-image", [not ok], 0.0)
+    return [(*check, {"A": image.matrix[None]})]

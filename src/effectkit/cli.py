@@ -19,8 +19,9 @@ verify     --suite NAME --dims LIST --p LIST [--trials N] [--seed S]
            counterexample and the suite entry is annotated accordingly.
            Each entry draws its child seed in report order; the entries of
            a suite that share a dimension then run as one group, in shared
-           trial blocks.  A --tol below the round-off of the values verify
-           builds exits 2 naming --tol; --json FILE is written before stdout.
+           trial blocks, through ``Suite.run``.  A --tol below the
+           round-off of the values verify builds exits 2 naming --tol;
+           --json FILE is written before stdout.
 apply      --map FILE --effect FILE
            Image of the effect under the map, printed as a matrix
            document.
@@ -72,24 +73,24 @@ import numpy as np
 
 from . import __version__
 from .autos import (
+    _ORDER,
+    _ORTHO,
+    _SEQUENTIAL,
+    _TRANSITION,
+    _ZERO_PRODUCT,
     EffectAutomorphism,
     _fit_family,
-    _order_suite,
-    _ortho_suite,
     _scalar_pair_suite,
-    _sequential_suite,
-    _transition_suite,
-    _zero_product_suite,
     apply as apply_map,
     random_automorphism,
 )
-from .coexist import _coexist_suite
+from .coexist import _COEXIST
 from .effects import Effect, _ray_matrix, make_effect
 from .errors import CheckFailed, InputError, OrthogonalityError, SpanError, SpectrumOutOfRange
-from .fracfun import FpParam, _pexider_suite
+from .fracfun import _PEXIDER, FpParam
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import _bisect, _closed_value, _oracle_gap_limit, _strength_oracle_suite
-from .suites import Suite, _matrix_rows, _suite_seed
+from .strength import _STRENGTH_ORACLE, _bisect, _closed_value, _oracle_gap_limit
+from .suites import _matrix_rows, _suite_seed
 
 RIGIDITY_SUITES = ("ortho", "sequential")
 SCALAR_PAIR_LAMBDA = 0.3
@@ -295,30 +296,11 @@ def map_to_doc(phi: EffectAutomorphism) -> dict:
 # the suites of ``verify``
 
 
-def _family_suite(run_group, *args):
-    """Run ``run_group(maps, *args, trials, seeds, n, tol)`` on the family
-    members (n, p, conj) of a group's entries, each from its entry's seed."""
-
-    def run(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]):
-        maps = [random_automorphism(n, p, conjugate, seed) for seed, (n, p, conjugate) in zip(seeds, cases)]
-        return run_group(maps, *args, trials, seeds, cases[0][0], tol)
-
-    return run
-
-
-_FAMILY = ("n", "p", "conj")
 # In report order; each entry of a suite draws the next child seed.  The
 # entries of a suite that share a dimension form one group, run together.
 SUITES = (
-    Suite("order", _FAMILY, _family_suite(_order_suite)),
-    Suite("zero-product", _FAMILY, _family_suite(_zero_product_suite)),
-    Suite("ortho", _FAMILY, _family_suite(_ortho_suite)),
-    Suite("sequential", _FAMILY, _family_suite(_sequential_suite)),
-    Suite("transition", _FAMILY, _family_suite(_transition_suite)),
-    Suite("scalar-pair", _FAMILY, _family_suite(_scalar_pair_suite, SCALAR_PAIR_LAMBDA)),
-    Suite("coexist", ("n",), _coexist_suite),
-    Suite("strength-oracle", ("n",), _strength_oracle_suite),
-    Suite("pexider", (), _pexider_suite),
+    _ORDER, _ZERO_PRODUCT, _ORTHO, _SEQUENTIAL, _TRANSITION, _scalar_pair_suite(SCALAR_PAIR_LAMBDA),
+    _COEXIST, _STRENGTH_ORACLE, _PEXIDER,
 )
 _AXIS_LABELS = {"n": "n={}".format, "p": "p={:g}".format, "conj": lambda c: f"conj={int(c)}"}
 
@@ -425,8 +407,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     overall = True
     for suite, group in groups:
         seeds, cases = map(list, zip(*group))
+        # A family entry's subject is its map (n, p, conj), drawn from its
+        # seed; any other entry's is its seed.  Pexider sweeps no axis: n = 1.
+        subjects = [random_automorphism(*case, s) for s, case in zip(seeds, cases)] if "p" in suite.axes else seeds
         try:
-            reports = suite.run(args.trials, seeds, tol, cases)
+            reports = suite.run(subjects, args.trials, seeds, cases[0][0] if suite.axes else 1, tol)
         except (SpectrumOutOfRange, OrthogonalityError, SpanError) as exc:
             # Every value a suite checks is built here: only a --tol below its round-off
             # refuses one.  Which member a block refuses first varies, so none is named.

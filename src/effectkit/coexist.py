@@ -42,7 +42,7 @@ from .effects import (
 from .errors import DegenerateRanges, DimensionError, DomainError
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .strength import _closed
-from .suites import VerificationReport, _Block, _run, _suite_seed, _trial_blocks
+from .suites import Suite, _Block, _suite_seed, _trial_blocks
 
 __all__ = [
     "CoexistenceWitness",
@@ -133,8 +133,11 @@ def coexists_with_all_probe(
     one).  Even probe numbers are left unused.  The probes run in stacked
     blocks of doubling size; returns False after the first block with a
     refutation, True if none turned up.  Scalars always return True; for a
-    generic non-scalar a refuting weak atom appears quickly.
+    generic non-scalar a refuting weak atom appears quickly.  A count
+    that runs no probe (below 2), or is not an int, raises DomainError.
     """
+    if type(trials) is not int or trials < 2:  # a bool is refused too
+        raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
     n = A.dim
     rank_one = rank_of(A, tol) == 1
     if rank_one:
@@ -203,50 +206,51 @@ def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
     return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)
 
 
-def _coexist_suite(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]) -> list[VerificationReport]:
-    """The trivial witness, the rank-one criterion, and the scalar probe."""
-    n = cases[0][0]
+def _coexist_controls(seed: int, n: int, tol: ToleranceConfig) -> list[tuple]:
+    """Fixed controls: the overlapping weighted pair known not to coexist,
+    a scalar (coexists with everything) and a weak atom (does not)."""
     if n < 2:
         raise DimensionError("coexist suite needs dimension at least 2")
+    rng = np.random.default_rng([seed, 0])
+    p_vec = numkern.random_ray(n, rng)
+    perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
+    p, P0 = _ray_matrix(p_vec)
+    q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
+    apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
+    scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
+    atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
+    refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
+    return [
+        ("overlapping-0.9-pair-reported-coexistent", [not apart], 0.0, {}),
+        ("scalar-probe-returned-false", [not scalar], 0.0, {}),
+        ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
+    ]
 
-    def step(block: _Block) -> list[tuple]:
-        rngs = block.rngs
-        A, B = _sample_effect_stack(n, rngs, tol, 2)
-        # Scale each pair with A + B above I to just under it; a positive
-        # real keeps the matrices exactly Hermitian, and 1.0 keeps them as they are.
-        top = np.linalg.eigvalsh(A.matrix + B.matrix)[:, -1]
-        scale = np.where(top > 1.0, (1.0 - 1e-12) / top, 1.0)[:, None, None]
-        A, B = _spectral(np.stack([A.matrix, B.matrix]) * scale, tol)
-        # The trivial witness (A, B, 0), present iff A + B <= I.  It solves the
-        # witness equations exactly, and A + B >= 0 holds for effects: no more to check.
-        witness = _below_identity(A.matrix + B.matrix, tol)
-        # Every trial draws a split, a witness or not: its own generator draws
-        # nothing after it, and a trial without a witness passes this check.
-        lam = np.array([rng.uniform(0.02, 0.98) for rng in rngs])[:, None, None]
-        (p, q), (P, Q) = _ray_matrix(numkern._random_ray_stack(n, rngs, 2))
-        distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
-        split = ~witness | ~distinct | fits
-        return [
-            ("trivial-witness-missing-for-substochastic-pair", ~witness, 0.0, {}),
-            ("convex-split-pair-reported-incompatible", ~split, 0.0, {}),
-        ]
 
-    controls = []
-    for seed in seeds:
-        # Fixed controls: the overlapping weighted pair known not to coexist,
-        # a scalar (coexists with everything) and a weak atom (does not).
-        rng = np.random.default_rng([seed, 0])
-        p_vec = numkern.random_ray(n, rng)
-        perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
-        p, P0 = _ray_matrix(p_vec)
-        q, Q0 = _ray_matrix(math.sqrt(0.96) * p_vec + math.sqrt(0.04) * perp)
-        apart = not _rank_one(0.9, p, P0, 0.9, q, Q0, tol)[1]  # the rays differ: they overlap 0.96
-        scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
-        atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
-        refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
-        controls.append([
-            ("overlapping-0.9-pair-reported-coexistent", [not apart], 0.0, {}),
-            ("scalar-probe-returned-false", [not scalar], 0.0, {}),
-            ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
-        ])
-    return _run("coexist", trials, seeds, n, step, controls, first_stream=3)
+def _coexist_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
+    """The trivial witness and the rank-one criterion on sampled pairs."""
+    rngs = block.rngs
+    A, B = _sample_effect_stack(n, rngs, tol, 2)
+    # Scale each pair with A + B above I to just under it; a positive
+    # real keeps the matrices exactly Hermitian, and 1.0 keeps them as they are.
+    top = np.linalg.eigvalsh(A.matrix + B.matrix)[:, -1]
+    scale = np.where(top > 1.0, (1.0 - 1e-12) / top, 1.0)[:, None, None]
+    A, B = _spectral(np.stack([A.matrix, B.matrix]) * scale, tol)
+    # The trivial witness (A, B, 0), present iff A + B <= I.  It solves the
+    # witness equations exactly, and A + B >= 0 holds for effects: no more to check.
+    witness = _below_identity(A.matrix + B.matrix, tol)
+    # Every trial draws a split, a witness or not: its own generator draws
+    # nothing after it, and a trial without a witness passes this check.
+    lam = np.array([rng.uniform(0.02, 0.98) for rng in rngs])[:, None, None]
+    (p, q), (P, Q) = _ray_matrix(numkern._random_ray_stack(n, rngs, 2))
+    distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
+    split = ~witness | ~distinct | fits
+    return [
+        ("trivial-witness-missing-for-substochastic-pair", ~witness, 0.0, {}),
+        ("convex-split-pair-reported-incompatible", ~split, 0.0, {}),
+    ]
+
+
+# An entry's subject is its seed, which its controls draw from (stream 0
+# and two child seeds); its trials draw from streams 3 on.
+_COEXIST = Suite("coexist", ("n",), _coexist_step, _coexist_controls, first_stream=3)

@@ -35,7 +35,7 @@ import numpy as np
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
 from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum
-from .suites import VerificationReport, _Block, _run
+from .suites import Suite, _Block
 
 __all__ = [
     "FracParams",
@@ -206,7 +206,7 @@ def _coerce_members(pv: np.ndarray) -> np.ndarray:
 
 def interior_grid(grid: int) -> np.ndarray:
     """grid points i/(grid+1), i = 1..grid: uniform and endpoint-free."""
-    if grid < 1:
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid!r}")
     return np.arange(1, grid + 1) / (grid + 1.0)
 
@@ -348,29 +348,31 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
     return PexiderDecomposition(F=F, G=F, H=H)
 
 
-def _pexider_suite(trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]) -> list[VerificationReport]:
+def _pexider_controls(seed: int, n: int, tol: ToleranceConfig) -> list[tuple]:
+    symmetric = _symmetry_defect(1.0, 1.0, 50) <= tol.eps_eq
+    return [("symmetry-rejects-identity-pair", [not symmetric], 0.0, {})]
+
+
+def _pexider_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
     """Functional equation residuals, fit recovery, and the symmetry pin;
     a trial is a scalar problem, run in blocks as at n = 1."""
-    symmetric = _symmetry_defect(1.0, 1.0, 50) <= tol.eps_eq
-    control = [("symmetry-rejects-identity-pair", [not symmetric], 0.0, {})]
     xs = interior_grid(12)
+    residuals, errors, pinned = [], [], []
+    for rng in block.rngs:
+        a = float(np.exp(rng.uniform(-1.6, 1.6)))
+        c = float(np.exp(rng.uniform(-0.9, 0.9)))
+        params = FracParams(a=a, b=1.0, c=c)
+        residuals.append(verify_pexider(params, 1.0, c, 20))
+        fit = fit_frac(zip(xs.tolist(), _f_values(params, xs).tolist()))
+        errors.append(max(abs(fit.a - a), abs(fit.c - c)))
+        sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
+        sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
+        pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
+    return [
+        ("functional-equation-residual", residuals, tol.eps_herm, {}),
+        ("fit-recovery", errors, 100 * tol.eps_rank, {}),
+        ("symmetry-accepts-off-family-pair", pinned, 0.0, {}),
+    ]
 
-    def step(block: _Block) -> list[tuple]:
-        residuals, errors, pinned = [], [], []
-        for rng in block.rngs:
-            a = float(np.exp(rng.uniform(-1.6, 1.6)))
-            c = float(np.exp(rng.uniform(-0.9, 0.9)))
-            params = FracParams(a=a, b=1.0, c=c)
-            residuals.append(verify_pexider(params, 1.0, c, 20))
-            fit = fit_frac(zip(xs.tolist(), _f_values(params, xs).tolist()))
-            errors.append(max(abs(fit.a - a), abs(fit.c - c)))
-            sb = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-            sc = 1.0 + float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.5e-3, 0.5))
-            pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
-        return [
-            ("functional-equation-residual", residuals, tol.eps_herm, {}),
-            ("fit-recovery", errors, 100 * tol.eps_rank, {}),
-            ("symmetry-accepts-off-family-pair", pinned, 0.0, {}),
-        ]
 
-    return _run("pexider", trials, seeds, 1, step, [control] * len(seeds))
+_PEXIDER = Suite("pexider", (), _pexider_step, _pexider_controls)

@@ -308,7 +308,7 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
 
 
 def _require_dim(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise DimensionError(f"dimension must be a positive integer, got {n!r}")
 
 

@@ -40,7 +40,7 @@ from .errors import (
     SpanError,
 )
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .suites import VerificationReport, _Block, _run
+from .suites import Suite, _Block
 
 __all__ = [
     "StrengthValue",
@@ -272,33 +272,29 @@ def _oracle_gap_limit(tol: ToleranceConfig) -> float:
     return 100 * tol.eps_rank
 
 
-def _strength_oracle_suite(
-    trials: int, seeds: list[int], tol: ToleranceConfig, cases: list[tuple]
-) -> list[VerificationReport]:
+def _strength_oracle_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
     """Closed form against bisection, and the two-block reduction."""
-    n = cases[0][0]
+    rngs = block.rngs
+    A = _sample_effect_stack(n, rngs, tol)
+    vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
+    bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
+    gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - bisected)
+    checks = [("closed-vs-bisect", gap, _oracle_gap_limit(tol), {"A": A.matrix})]
+    if n >= 2:
+        V = numkern._haar_unitary_stack(n, rngs)
+        theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
+        phase = [rng.uniform(0.0, 2.0 * math.pi) for rng in rngs]
+        mu = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
+        p, P = _ray_matrix(V[..., 0])
+        q, Q = _ray_matrix(V[..., 1])
+        cos = np.array([math.cos(t) for t in theta])[:, None]
+        sin = np.array([math.sin(t) * np.exp(1j * f) for t, f in zip(theta, phase)])[:, None]
+        r, _ = _ray_matrix(cos * V[..., 0] + sin * V[..., 1])
+        E = _spectral(mu[:, None, None] * P + Q, tol)
+        closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
+        two_block = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
+        checks.append(("two-block", two_block, tol.eps_rank, {"E": E.matrix}))
+    return checks
 
-    def step(block: _Block) -> list[tuple]:
-        rngs = block.rngs
-        A = _sample_effect_stack(n, rngs, tol)
-        vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
-        bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
-        gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - bisected)
-        checks = [("closed-vs-bisect", gap, _oracle_gap_limit(tol), {"A": A.matrix})]
-        if n >= 2:
-            V = numkern._haar_unitary_stack(n, rngs)
-            theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
-            phase = [rng.uniform(0.0, 2.0 * math.pi) for rng in rngs]
-            mu = np.array([rng.uniform(0.05, 0.95) for rng in rngs])
-            p, P = _ray_matrix(V[..., 0])
-            q, Q = _ray_matrix(V[..., 1])
-            cos = np.array([math.cos(t) for t in theta])[:, None]
-            sin = np.array([math.sin(t) * np.exp(1j * f) for t, f in zip(theta, phase)])[:, None]
-            r, _ = _ray_matrix(cos * V[..., 0] + sin * V[..., 1])
-            E = _spectral(mu[:, None, None] * P + Q, tol)
-            closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
-            two_block = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
-            checks.append(("two-block", two_block, tol.eps_rank, {"E": E.matrix}))
-        return checks
 
-    return _run("strength-oracle", trials, seeds, n, step)
+_STRENGTH_ORACLE = Suite("strength-oracle", ("n",), _strength_oracle_step)

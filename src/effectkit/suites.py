@@ -6,27 +6,28 @@ a VerificationReport per entry.  Each trial draws from its own generator
 trials run in blocks (``_trial_blocks``) as stacked LAPACK and matmul
 calls.  The entries of one group, which share a suite and a dimension,
 share blocks: a block holds their trials concatenated entry by entry, and
-each member keeps its entry's generator, map and state.  A block takes
-all its sampled effects from one sampler call (one QR, one
+each member keeps its entry's generator, subject and state.  A block
+takes all its sampled effects from one sampler call (one QR, one
 eigendecomposition), and built effects skip the hermiticity check.  A
-suite is a step, which turns a block into its checks, plus each entry's
-fixed controls; ``_run`` is the one driver, which hands each entry's
-``_SuiteState`` its controls and its part of every block's checks.  A
-check is data: its name, one residual per trial, a limit, and the input
-stacks.  The recorder alone judges checks and builds counterexamples, in
-trial order, and ``_SuiteState.report`` is the one builder of reports, so
-a report depends neither on the block size nor on the entries it shares
-blocks with.  ``Suite`` names a suite for ``effectkit verify``.
+suite is one ``Suite`` value: a step, which turns a block into its
+checks, plus each entry's fixed controls; ``Suite.run`` is the one
+driver, which hands each entry's ``_SuiteState`` its controls and its
+part of every block's checks.  A check is data: its name, one residual
+per trial, a limit, and the input stacks.  The recorder alone judges
+checks and builds counterexamples, in trial order, and
+``_SuiteState.report`` is the one builder of reports, so a report depends
+neither on the block size nor on the entries it shares blocks with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError
+from .numkern import ToleranceConfig
 
 __all__ = ["VerificationReport", "Suite"]
 
@@ -56,18 +57,6 @@ class VerificationReport:
             "counterexample": self.counterexample,
             "seed": self.seed,
         }
-
-
-@dataclass(frozen=True)
-class Suite:
-    """A verify suite: its name, the axes it sweeps (of "n", "p" and
-    "conj", in that order) and ``run(trials, seeds, tol, cases)``, which
-    runs one group of entries, points of the axes that share a dimension,
-    each with its seed, and returns their reports in order."""
-
-    name: str
-    axes: tuple[str, ...]
-    run: Callable[..., list[VerificationReport]]
 
 
 def _matrix_rows(M: np.ndarray) -> list:
@@ -156,24 +145,42 @@ def _trial_blocks(
         start, block = stop, min(cap, 2 * block)
 
 
-def _run(
-    name: str, trials: int, seeds: Sequence[int], n: int, step: Callable[[_Block], list[tuple]],
-    controls: Sequence[list[tuple]] = (), first_stream: int = 0,
-) -> list[VerificationReport]:
-    """The one driver of the suites: a report per entry (seed), in order.
-    Each entry records its fixed controls first.  Then trial k of each entry
-    draws from stream ``first_stream + k``: ``step`` turns each block of
-    ``_trial_blocks`` into its checks, and each entry records its part."""
-    if type(trials) is not int or trials < 1:  # a bool is refused too
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
-    states = [_SuiteState(name, trials, seed) for seed in seeds]
-    for state, checks in zip(states, controls):
-        state.record(*checks)
-    for block in _trial_blocks(seeds, range(first_stream, first_stream + trials), n):
-        checks = step(block)
-        for entry, part in block.parts:
-            states[entry].record(*checks, part=part)
-    return [state.report() for state in states]
+@dataclass(frozen=True)
+class Suite:
+    """A verify suite: its name, the axes its entries sweep (of "n", "p"
+    and "conj", in that order), its step and its fixed controls.
+
+    An entry's subject is its map when the suite maps effects, and its
+    seed otherwise.  ``step(subjects, n, tol, block)`` turns a block of
+    trials into its checks, and ``controls(subject, n, tol)`` gives an
+    entry the checks it records before its trials.  Trial k of an entry
+    draws from stream ``first_stream + k``.
+    """
+
+    name: str
+    axes: tuple[str, ...]
+    step: Callable[[Sequence[Any], int, ToleranceConfig, _Block], list[tuple]]
+    controls: Callable[[Any, int, ToleranceConfig], list[tuple]] | None = None
+    first_stream: int = 0
+
+    def run(
+        self, subjects: Sequence[Any], trials: int, seeds: Sequence[int], n: int, tol: ToleranceConfig
+    ) -> list[VerificationReport]:
+        """The one driver of the suites: a report per entry (subject,
+        seed) of a group at dimension n, in order.  Each entry records its
+        fixed controls first, then its part of every block's checks."""
+        if type(trials) is not int or trials < 1:  # a bool is refused too
+            raise DomainError(f"trials must be a positive integer, got {trials!r}")
+        states = [_SuiteState(self.name, trials, seed) for seed in seeds]
+        if self.controls is not None:
+            for state, subject in zip(states, subjects):
+                state.record(*self.controls(subject, n, tol))
+        streams = range(self.first_stream, self.first_stream + trials)
+        for block in _trial_blocks(seeds, streams, n):
+            checks = self.step(subjects, n, tol, block)
+            for entry, part in block.parts:
+                states[entry].record(*checks, part=part)
+        return [state.report() for state in states]
 
 
 def _suite_seed(seed: int, index: int) -> int:

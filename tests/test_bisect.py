@@ -78,7 +78,7 @@ def test_bisection_equals_running_every_test(monkeypatch, n):
 
     monkeypatch.setattr(strength, "_bisect", recording)
     for tol in TOLS.values():
-        strength._strength_oracle_suite(4, [12], tol, [(n,)])
+        strength._STRENGTH_ORACLE.run([12], 4, [12], n, tol)
     assert len(members) == 2 * 4
     for P, A, tol, got in members:
         want = _bisect_reference(A, P, tol)

@@ -155,6 +155,37 @@ def test_verify_expect_preserve_fails(docs, capsys):
     assert report["overall"] == "fail"
 
 
+LIBRARY_SUITES = {
+    "order": autos.verify_order,
+    "zero-product": autos.verify_zero_product,
+    "ortho": autos.verify_ortho,
+    "sequential": autos.verify_sequential,
+    "transition": autos.verify_transition,
+    "scalar-pair": lambda phi, trials, seed: autos.verify_scalar_pair(phi, cli.SCALAR_PAIR_LAMBDA, trials, seed),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_SUITES)
+def test_verify_entries_are_the_library_reports(capsys, name):
+    # Each entry of a family suite is its verify_* report on the entry's
+    # family member, drawn from its child seed, with its expectation added.
+    from effectkit.suites import _suite_seed
+
+    main(["verify", "--suite", name, "--dims", "3", "--p", "0.5", "--trials", "10", "--seed", "1"])
+    entries = json.loads(capsys.readouterr().out)["suites"]
+    assert len(entries) == 2
+    for counter, (conj, entry) in enumerate(zip((False, True), entries)):
+        child = _suite_seed(1, counter)
+        want = LIBRARY_SUITES[name](random_automorphism(3, 0.5, conj, child), 10, child).to_dict()
+        expected = "counterexample" if name in cli.RIGIDITY_SUITES else "preserve"
+        want.update(
+            suite=f"{name}[n=3,p=0.5,conj={int(conj)}]",
+            expected=expected,
+            satisfied=(want["failures"] == 0) == (expected == "preserve"),
+        )
+        assert entry == want
+
+
 def test_env_seed_default(docs, capsys, monkeypatch):
     monkeypatch.setenv("EFFECTKIT_SEED", "4")
     main(["verify", "--suite", "order", "--dims", "2", "--p", "0", "--trials", "5"])

@@ -142,6 +142,14 @@ def test_probe_refutes_projection():
     assert not coexists_with_all_probe(P, 200, 11)
 
 
+@pytest.mark.parametrize("trials", [0, -5, 1, True, 2.5])
+def test_probe_refuses_a_count_that_runs_no_probe(trials):
+    # Probe 0 is even and unused, so a count below 2 would pass vacuously.
+    atom = make_effect(0.9 * make_ray(np.array([1.0, 0.0])).projection.matrix)
+    with pytest.raises(DomainError, match=f"trials must be an integer of at least 2, got {trials!r}"):
+        coexists_with_all_probe(atom, trials, 5)
+
+
 def test_probe_deterministic():
     A = sample_effect(2, np.random.default_rng(31))
     r1 = coexists_with_all_probe(A, 60, 13)
@@ -224,7 +232,7 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
         )
 
     before = answers()
-    assert coexist._coexist_suite(20, [1], DEFAULT_TOL, [(3,)])[0].failures == 0
+    assert coexist._COEXIST.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures == 0
     real = getattr(coexist, core)
     if core == "_rank_one":
         def inverted(*args):
@@ -236,4 +244,4 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
     monkeypatch.setattr(coexist, core, inverted)
     assert answers() != before
     if core != "_witness_valid":
-        assert coexist._coexist_suite(20, [1], DEFAULT_TOL, [(3,)])[0].failures > 0
+        assert coexist._COEXIST.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures > 0

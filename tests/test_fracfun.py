@@ -154,8 +154,14 @@ def test_interior_grid():
     g = interior_grid(4)
     assert np.allclose(g, [0.2, 0.4, 0.6, 0.8])
     assert 0.0 < g[0] and g[-1] < 1.0
-    with pytest.raises(DomainError):
-        interior_grid(0)
+    for grid in (0, 2.5, True):
+        with pytest.raises(DomainError, match=f"grid must be a positive integer, got {grid!r}"):
+            interior_grid(grid)
+    # Callers that take a grid size refuse it through interior_grid.
+    with pytest.raises(DomainError, match="grid must be a positive integer"):
+        verify_pexider(FracParams(a=1.0, b=1.0, c=1.0), 1.0, 1.0, 2.5)
+    with pytest.raises(DomainError, match="grid must be a positive integer"):
+        rigidity_probe(0.5, "fixed-point", 2.5)
 
 
 def test_verify_pexider_solution_family():

@@ -165,7 +165,7 @@ def test_mutated_closed_form_fails_the_oracle_suite(monkeypatch, n, failures, si
         return value * (1.0 + 1e-5), in_range, near
 
     monkeypatch.setattr(strength, "_closed", off)
-    report = strength._strength_oracle_suite(70, [7], DEFAULT_TOL, [(n,)])[0]
+    report = strength._STRENGTH_ORACLE.run([7], 70, [7], n, DEFAULT_TOL)[0]
     text = dump_json(report.to_dict()).encode("utf-8")
     assert report.failures == failures
     assert len(text) == size

@@ -49,8 +49,8 @@ def test_tol_reaches_the_oracle_gap(tmp_path, capsys):
 def test_tol_reaches_the_two_block_gap(monkeypatch):
     real = strength._two_block
     monkeypatch.setattr(strength, "_two_block", lambda *args: real(*args) + 1e-7)
-    assert strength._strength_oracle_suite(10, [3], DEFAULT_TOL, [(3,)])[0].failures == 10
-    assert strength._strength_oracle_suite(10, [3], DEFAULT_TOL.scaled(100), [(3,)])[0].failures == 0
+    assert strength._STRENGTH_ORACLE.run([3], 10, [3], 3, DEFAULT_TOL)[0].failures == 10
+    assert strength._STRENGTH_ORACLE.run([3], 10, [3], 3, DEFAULT_TOL.scaled(100))[0].failures == 0
 
 
 def test_tol_reaches_the_fit_exponent():
@@ -93,5 +93,5 @@ def _exponent_plus(amount):
 )
 def test_tol_reaches_the_pexider_limits(monkeypatch, name, mutation, factor):
     monkeypatch.setattr(fracfun, name, mutation(getattr(fracfun, name)))
-    assert fracfun._pexider_suite(10, [3], DEFAULT_TOL, [()])[0].failures > 0
-    assert fracfun._pexider_suite(10, [3], DEFAULT_TOL.scaled(factor), [()])[0].failures == 0
+    assert fracfun._PEXIDER.run([3], 10, [3], 1, DEFAULT_TOL)[0].failures > 0
+    assert fracfun._PEXIDER.run([3], 10, [3], 1, DEFAULT_TOL.scaled(factor))[0].failures == 0

@@ -147,6 +147,14 @@ def test_random_effect_spectrum():
         random_effect(0, 1)
 
 
+@pytest.mark.parametrize("sampler", [haar_unitary, random_ray, random_effect, sample_effect])
+@pytest.mark.parametrize("n", [0, True, 2.5])
+def test_a_sampler_refuses_a_dimension_that_is_not_a_positive_int(sampler, n):
+    # True is an int to isinstance, but not a dimension.
+    with pytest.raises(DimensionError, match=f"positive integer, got {n!r}"):
+        sampler(n, 0)
+
+
 def test_random_ray_normalized():
     rng = np.random.default_rng(9)
     v = random_ray(6, rng)

@@ -1,10 +1,12 @@
 """The package surface: its exported names, the exit code of each error,
 the dimension rule of the functions that take two operands, that no
 module keeps a check limit outside ToleranceConfig, that no private
-name is left without a use, and that suites hand their checks to the
-recorder as data."""
+name is left without a use, that suites hand their checks to the
+recorder as data, and that every suite is one ``Suite`` value run by
+``Suite.run``."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -16,6 +18,7 @@ import pytest
 import effectkit
 from effectkit import autos, cli, coexist, effects, errors, numkern, sequential, strength
 from effectkit.errors import CheckFailed, DimensionError, EffectKitError, InputError
+from effectkit.suites import Suite
 
 # The names the package exported when its export list was written out by
 # hand, plus the two error bases that sort every error by its exit code.
@@ -130,6 +133,58 @@ def test_suites_hand_the_recorder_data_and_only_it_serializes_matrices():
             if named and path.name not in ("suites.py", "cli.py"):
                 found.append(f"{path.name}: references _matrix_rows")
     assert found == []
+
+
+def _loads(node, scope=()):
+    """(enclosing function, name) for each name or attribute the tree loads,
+    the function qualified by its class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _loads(child, scope + (child.name,))
+            continue
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield ".".join(scope), child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield ".".join(scope), child.attr
+        yield from _loads(child, scope)
+
+
+def test_only_the_driver_and_the_probe_walk_trial_blocks():
+    # Suite.run is the one suite driver; the coexistence probe, a search
+    # that stops at its first find, is the one other reader of the blocks.
+    package = Path(effectkit.__file__).parent
+    readers = sorted(
+        f"{path.name}:{scope}"
+        for path in package.glob("*.py")
+        for scope, name in _loads(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "_trial_blocks"
+    )
+    assert readers == ["coexist.py:coexists_with_all_probe", "suites.py:Suite.run"]
+
+
+REPORT_ORDER = [
+    "order", "zero-product", "ortho", "sequential", "transition", "scalar-pair",
+    "coexist", "strength-oracle", "pexider",
+]
+
+
+def test_the_cli_runs_the_package_suites_in_report_order():
+    # The eight module-level Suite values, and scalar-pair, which its factory
+    # builds at the CLI's lambda, are cli.SUITES, in report order.
+    values = {}
+    for info in pkgutil.iter_modules(effectkit.__path__):
+        module = importlib.import_module(f"effectkit.{info.name}")
+        values.update((id(v), v) for v in vars(module).values() if isinstance(v, Suite))
+    scalar_pair = autos._scalar_pair_suite(cli.SCALAR_PAIR_LAMBDA)
+    suites = sorted([*values.values(), scalar_pair], key=lambda s: REPORT_ORDER.index(s.name))
+    assert [s.name for s in suites] == REPORT_ORDER
+    assert len(cli.SUITES) == len(suites)
+    for got, want in zip(cli.SUITES, suites):
+        if want is scalar_pair:
+            assert dataclasses.replace(got, controls=None) == dataclasses.replace(want, controls=None)
+            assert (got.controls.func, got.controls.args) == (want.controls.func, want.controls.args)
+        else:
+            assert got is want
 
 
 # Exit codes of the CLI for each error, as the two hand-kept tuples of

@@ -394,8 +394,8 @@ def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch, tmp_path):
     atom = make_effect(0.9 * sample_ray(3, 5).projection.matrix)
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(atom, 40, 3)) == 0
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(sample_effect(3, 5), 40, 3)) == 0
-    assert complete_qrs(lambda: strength._strength_oracle_suite(20, [3], DEFAULT_TOL, [(3,)])[0]) == 0
-    assert complete_qrs(lambda: coexist._coexist_suite(20, [3], DEFAULT_TOL, [(3,)])[0]) == 1
+    assert complete_qrs(lambda: strength._STRENGTH_ORACLE.run([3], 20, [3], 3, DEFAULT_TOL)[0]) == 0
+    assert complete_qrs(lambda: coexist._COEXIST.run([3], 20, [3], 3, DEFAULT_TOL)[0]) == 1
 
     eff, ray = tmp_path / "eff.json", tmp_path / "ray.json"
     eff.write_text(json.dumps(matrix_to_doc(random_effect(3, 5))))
@@ -490,7 +490,7 @@ def test_an_order_block_samples_under_one_qr_and_one_eigh(monkeypatch):
         monkeypatch.setattr(np.linalg, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     real_map = autos._map_members
     monkeypatch.setattr(autos, "_map_members", lambda *a, **k: calls.append("map") or real_map(*a, **k))
-    reports = autos._order_suite(maps, 10, [3, 4], 3, DEFAULT_TOL)
+    reports = autos._ORDER.run(maps, 10, [3, 4], 3, DEFAULT_TOL)
     assert [report.failures for report in reports] == [0, 0]
     assert sorted(calls) == ["eigh", "eigh"] + ["eigvalsh"] * 4 + ["map"] * 4 + ["qr"]
     # Each entry's report is the one it gets alone.
@@ -532,7 +532,9 @@ def test_a_group_that_raises_gives_the_error_of_an_entry_by_entry_run(monkeypatc
         assert capsys.readouterr() == ("", message)
         with pytest.raises(SpectrumOutOfRange):
             for counter, (s, case) in enumerate(cases):
-                s.run(10, [suites._suite_seed(seed, counter)], DEFAULT_TOL.scaled(tol), [case])
+                child = suites._suite_seed(seed, counter)
+                subject = random_automorphism(*case, child) if "p" in s.axes else child
+                s.run([subject], 10, [child], case[0] if case else 1, DEFAULT_TOL.scaled(tol))
 
 
 def test_a_refused_ray_pair_gives_the_same_tol_message(monkeypatch, capsys):
@@ -546,9 +548,10 @@ def test_a_refused_ray_pair_gives_the_same_tol_message(monkeypatch, capsys):
     argv = ["verify", "--suite", "strength-oracle", "--dims", "1,2,3,8", "--trials", "10", "--seed", "2"]
     message = "error: --tol 1e-07 is below the round-off of the values verify builds\n"
     refusals = {suites._BLOCK_ENTRIES: SpectrumOutOfRange, 1: OrthogonalityError, 7: OrthogonalityError}
+    seed = suites._suite_seed(2, 1)  # the n = 2 entry, the second child seed
     for entries, refusal in refusals.items():
         monkeypatch.setattr(suites, "_BLOCK_ENTRIES", entries)
-        with pytest.raises(refusal):  # the n = 2 entry, the second child seed
-            strength._strength_oracle_suite(10, [suites._suite_seed(2, 1)], DEFAULT_TOL.scaled(1e-7), [(2,)])
+        with pytest.raises(refusal):
+            strength._STRENGTH_ORACLE.run([seed], 10, [seed], 2, DEFAULT_TOL.scaled(1e-7))
         assert main([*argv, "--tol", "1e-7"]) == 2
         assert capsys.readouterr() == ("", message)

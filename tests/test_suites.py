@@ -115,9 +115,9 @@ SUITES = {
     "verify_sequential": lambda trials: autos.verify_sequential(_PHI, trials, 1),
     "verify_transition": lambda trials: autos.verify_transition(_PHI, trials, 1),
     "verify_scalar_pair": lambda trials: autos.verify_scalar_pair(_PHI, 0.3, trials, 1),
-    "coexist": lambda trials: coexist._coexist_suite(trials, [1], DEFAULT_TOL, [(2,)]),
-    "strength-oracle": lambda trials: strength._strength_oracle_suite(trials, [1], DEFAULT_TOL, [(2,)]),
-    "pexider": lambda trials: fracfun._pexider_suite(trials, [1], DEFAULT_TOL, [()]),
+    "coexist": lambda trials: coexist._COEXIST.run([1], trials, [1], 2, DEFAULT_TOL),
+    "strength-oracle": lambda trials: strength._STRENGTH_ORACLE.run([1], trials, [1], 2, DEFAULT_TOL),
+    "pexider": lambda trials: fracfun._PEXIDER.run([1], trials, [1], 1, DEFAULT_TOL),
 }
 
 
