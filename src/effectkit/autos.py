@@ -31,7 +31,9 @@ Family members map a block in one pass (``_map_members``, with U, the
 conjugation flag and p per member; ``apply`` is its one-map case), and a
 black-box map is applied to each member as an Effect.  Every member is
 the effect the trial would have built alone, bit for bit, so reports
-equal those of running trials one by one.
+equal those of running trials one by one.  ``fit_p`` maps its grid of
+scalar effects x I the same way, in blocks under the suites' cap, and
+decides each block with the one stacked scalar rule of ``is_scalar``.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from .effects import (
     _same_dim,
     _sample_effect_stack,
     _sample_ray_stack,
+    _scalar_rule,
+    _scalar_stack,
     _spectral,
     _stack_effects,
     is_scalar,
@@ -71,7 +75,7 @@ from .errors import (
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
-from .suites import Suite, VerificationReport, _Block
+from .suites import Suite, VerificationReport, _Block, _block_cap
 
 __all__ = [
     "EffectAutomorphism",
@@ -176,6 +180,8 @@ _FAMILY = ("n", "p", "conj")
 
 def _map_dim(phi: EffectMap, dim: int | None) -> int:
     if dim is not None:
+        if not numkern._is_count(dim):
+            raise DimensionError(f"dimension must be a positive integer, got {dim!r}")
         return int(dim)
     if isinstance(phi, EffectAutomorphism):
         return phi.dim
@@ -216,7 +222,10 @@ def fit_p(
     a scalar, and fits the general family in logit coordinates.  The
     fitted exponent must equal 1 within 100 * eps_rank (1e-6 at the
     default tolerances), otherwise the map is not in the order-form family
-    and NotInFamily is raised; the multiplier gives p = 1 - a.
+    and NotInFamily is raised; the multiplier gives p = 1 - a.  The grid is
+    mapped in blocks of bounded memory: a family member maps up to the
+    verify suites' block cap of points per call, a black-box map one point
+    at a time.  A grid below 3 raises DomainError before any map is applied.
     """
     return _fit_family(phi, grid, dim, tol)[0]
 
@@ -226,14 +235,25 @@ def _fit_family(
 ) -> tuple[FpParam, FracFit]:
     """The work of ``fit_p``; also returns the fit it accepted."""
     n = _map_dim(phi, dim)
+    if not numkern._is_count(grid, 3):
+        raise DomainError(f"grid must be an integer of at least 3, got {grid!r}")
+    xs = interior_grid(grid)
+    # A family member maps up to the suites' block cap of grid points in
+    # one pass; a black-box map gets one scalar effect at a time, in order.
+    family = isinstance(phi, EffectAutomorphism)
+    cap = _block_cap(n) if family else 1
     samples = []
-    for x in interior_grid(grid):
-        ok, mu = is_scalar(phi(scalar_effect(n, float(x))), tol)
-        if not ok:
-            raise NotInFamily(f"image of {x:.6g} * I is not scalar")
-        if not (0.0 < mu < 1.0):
-            raise NotInFamily(f"scalar image {mu!r} leaves the open unit interval")
-        samples.append((float(x), float(mu)))
+    for start in range(0, grid, cap):
+        block = xs[start : start + cap]
+        S = _scalar_stack(n, block)
+        images = phi(S).matrix if family else phi(S[0]).matrix[None]
+        ok, mus = _scalar_rule(images, tol)
+        for x, holds, mu in zip(block.tolist(), ok.tolist(), mus.tolist()):
+            if not holds:
+                raise NotInFamily(f"image of {x:.6g} * I is not scalar")
+            if not (0.0 < mu < 1.0):
+                raise NotInFamily(f"scalar image {mu!r} leaves the open unit interval")
+            samples.append((x, mu))
     fit = fit_frac(samples)
     limit = 100 * tol.eps_rank
     if abs(fit.c - 1.0) > limit:
@@ -456,6 +476,8 @@ def verify_scalar_pair(
     members), then runs the trials of verify_zero_product with the same
     budget and records them into the same report.
     """
+    if isinstance(lam, (bool, np.bool_)):
+        raise DomainError(f"lam must be a number, not a bool, got {lam!r}")
     if not (0.0 <= lam <= 1.0):
         raise DomainError(f"lam must lie in [0, 1], got {lam!r}")
     return _scalar_pair_suite(lam).run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]

@@ -134,9 +134,10 @@ def coexists_with_all_probe(
     blocks of doubling size; returns False after the first block with a
     refutation, True if none turned up.  Scalars always return True; for a
     generic non-scalar a refuting weak atom appears quickly.  A count
-    that runs no probe (below 2), or is not an int, raises DomainError.
+    that runs no probe (below 2), or is not an integer (a bool is not one),
+    raises DomainError.
     """
-    if type(trials) is not int or trials < 2:  # a bool is refused too
+    if not numkern._is_count(trials, 2):
         raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
     n = A.dim
     rank_one = rank_of(A, tol) == 1

@@ -19,9 +19,10 @@ same matrix alone.  A stacked sampler draws member k from the k-th
 generator, so each trial keeps its own random stream and a report does
 not depend on how trials are grouped; m effects per generator come as one
 (m, T, n, n) stack of stacks, under one QR and one eigendecomposition.
-``sample_effect`` is the one-member case of the stacked sampler, and
+``sample_effect`` is the one-member case of the stacked sampler,
 ``leq`` reads the first decision of the one Loewner kernel,
-``numkern._psd_leq_both``.
+``numkern._psd_leq_both``, and ``is_scalar`` is the one-matrix case of
+the scalar rule ``_scalar_rule``.
 
 Validation follows where a matrix comes from.  Outside input goes through
 ``make_effect`` one matrix at a time: hermiticity, then the spectral
@@ -187,6 +188,14 @@ def scalar_effect(n: int, lam: float) -> Effect:
         raise SpectrumOutOfRange(f"scalar {lam!r} outside [0, 1]")
     eye = np.eye(n, dtype=np.complex128)
     return _effect(lam * eye, np.full(n, float(lam)), eye.copy())
+
+
+def _scalar_stack(n: int, lams: np.ndarray) -> EffectStack:
+    """The stack of ``scalar_effect(n, lam)`` for each lam of a 1-d float
+    array, every lam in [0, 1]: each member equals it bit for bit."""
+    eye = np.eye(n, dtype=np.complex128)
+    V = np.broadcast_to(eye, (len(lams), n, n))  # made contiguous by _effect
+    return _effect(lams[:, None, None] * eye, np.repeat(lams[:, None], n, axis=1), V)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,10 +365,17 @@ def range_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
 
 def is_scalar(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float | None]:
     """Detect A = lam * I; returns (True, lam) or (False, None)."""
-    lam = A.trace() / A.dim
-    if numkern.frobenius(A.matrix - lam * np.eye(A.dim)) <= tol.eps_eq:
-        return True, float(lam)
-    return False, None
+    ok, lam = _scalar_rule(A.matrix, tol)
+    return (True, float(lam)) if ok else (False, None)
+
+
+def _scalar_rule(M: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The one scalar rule, for a matrix or each member of a stack: with
+    lam = tr(M) / n, M is lam * I when ||M - lam I||_F <= eps_eq.  Returns
+    the decisions and the lams."""
+    n = M.shape[-1]
+    lam = np.trace(M, axis1=-2, axis2=-1).real / n
+    return numkern.frobenius(M - lam[..., None, None] * np.eye(n)) <= tol.eps_eq, lam
 
 
 def scalar_multiple_of_rank_one(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> float | None:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
-from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum
+from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum, _is_count
 from .suites import Suite, _Block
 
 __all__ = [
@@ -206,7 +206,7 @@ def _coerce_members(pv: np.ndarray) -> np.ndarray:
 
 def interior_grid(grid: int) -> np.ndarray:
     """grid points i/(grid+1), i = 1..grid: uniform and endpoint-free."""
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+    if not _is_count(grid):
         raise DomainError(f"grid must be a positive integer, got {grid!r}")
     return np.arange(1, grid + 1) / (grid + 1.0)
 

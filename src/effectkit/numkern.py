@@ -307,8 +307,14 @@ def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """The one count rule of the package: an int or numpy integer of at
+    least ``least``, and not a bool (True is not a count)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
+
+
 def _require_dim(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_count(n):
         raise DimensionError(f"dimension must be a positive integer, got {n!r}")
 
 

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numkern import ToleranceConfig
+from .numkern import ToleranceConfig, _is_count
 
 __all__ = ["VerificationReport", "Suite"]
 
@@ -109,8 +109,15 @@ class _SuiteState:
 # more than one trial's temporaries: 32 trials at n = 8, one at n = 64.  A
 # sampler call that draws m effects per trial holds up to 4 times as many
 # entries (m = 4 for the order suite).  Reports do not depend on the block
-# size.
+# size.  ``autos.fit_p`` maps its grid of scalar effects in blocks under the
+# same cap.
 _BLOCK_ENTRIES = 2048
+
+
+def _block_cap(n: int) -> int:
+    """The most members a stacked block of n x n matrices holds:
+    ``_BLOCK_ENTRIES // n**2``, and at least one."""
+    return max(1, _BLOCK_ENTRIES // (n * n))
 
 
 class _Block(NamedTuple):
@@ -130,7 +137,7 @@ def _trial_blocks(
     entry's trials and begin the next one's.  With ``first``, the blocks
     start at that many trials and double, for a search that stops at its
     first find."""
-    cap = max(1, _BLOCK_ENTRIES // (n * n))
+    cap = _block_cap(n)
     block = cap if first is None else min(first, cap)
     per = len(streams)
     start, total = 0, per * len(seeds)
@@ -169,8 +176,9 @@ class Suite:
         """The one driver of the suites: a report per entry (subject,
         seed) of a group at dimension n, in order.  Each entry records its
         fixed controls first, then its part of every block's checks."""
-        if type(trials) is not int or trials < 1:  # a bool is refused too
+        if not _is_count(trials):
             raise DomainError(f"trials must be a positive integer, got {trials!r}")
+        trials = int(trials)  # a report holds a Python int
         states = [_SuiteState(self.name, trials, seed) for seed in seeds]
         if self.controls is not None:
             for state, subject in zip(states, subjects):

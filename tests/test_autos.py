@@ -1,5 +1,7 @@
 """Automorphism family and the seeded verification suites."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,22 @@ def test_fit_p_rejects_non_family_maps():
         fit_p(lambda A: scalar_effect(A.dim, 0.0), 25, dim=2)
 
 
+@pytest.mark.parametrize("grid", [2, 1, 0, 2.5, True, np.int64(2)])
+def test_fit_p_refuses_a_grid_below_three_before_mapping(grid):
+    # Fewer than three samples can never fit: unusable input, not a failed check.
+    calls = []
+
+    def identity(A):
+        calls.append(A)
+        return A
+
+    message = re.escape(f"grid must be an integer of at least 3, got {grid!r}")
+    for phi, dim in ((identity, 2), (random_automorphism(2, 0.5, False, 1), None)):
+        with pytest.raises(DomainError, match=message):
+            fit_p(phi, grid, dim=dim)
+    assert calls == []
+
+
 def test_fit_p_needs_dim_for_callables():
     with pytest.raises(DimensionError):
         fit_p(lambda A: A, 10)
@@ -231,6 +249,16 @@ def test_negative_control_smear_breaks_scalar_pair():
     for lam in (-0.1, 1.5):
         with pytest.raises(DomainError, match="lam must lie in"):
             verify_scalar_pair(smear, lam, 10, 67, dim=3)
+
+
+@pytest.mark.parametrize("lam", [True, False, np.True_])
+def test_verify_scalar_pair_refuses_a_bool_weight(lam):
+    # True would otherwise run as lam = 1.
+    calls = []
+    phi = random_automorphism(3, 0.5, False, 1)
+    with pytest.raises(DomainError, match=re.escape(f"lam must be a number, not a bool, got {lam!r}")):
+        verify_scalar_pair(lambda A: calls.append(A) or phi(A), lam, 5, 1, dim=3)
+    assert calls == []
 
 
 def test_reports_are_deterministic():

@@ -555,3 +555,135 @@ def test_a_refused_ray_pair_gives_the_same_tol_message(monkeypatch, capsys):
             strength._STRENGTH_ORACLE.run([seed], 10, [seed], 2, DEFAULT_TOL.scaled(1e-7))
         assert main([*argv, "--tol", "1e-7"]) == 2
         assert capsys.readouterr() == ("", message)
+
+
+def _is_scalar_reference(M, tol):
+    """``is_scalar`` as first written, on a lone matrix."""
+    lam = float(np.trace(M).real) / M.shape[0]
+    if frobenius(M - lam * np.eye(M.shape[0])) <= tol.eps_eq:
+        return True, float(lam)
+    return False, None
+
+
+@pytest.mark.parametrize("n", DIMS + (32, 64))
+def test_the_scalar_rule_and_stack_match_per_matrix(n):
+    # np.trace on a stack sums each member's diagonal as on a lone matrix,
+    # so the stacked rule decides each member as the lone rule does.
+    from effectkit.effects import _effect, _scalar_rule, _scalar_stack, is_scalar, scalar_effect
+
+    xs = np.arange(1, T + 1) / (T + 1.0)
+    S = _scalar_stack(n, xs)
+    for k, x in enumerate(xs.tolist()):
+        assert same_effect(S[k], scalar_effect(n, x))
+    images = apply(random_automorphism(n, 0.5, True, n), S).matrix
+    near = S.matrix + 1e-9 * _random_effect_stack(n, rngs(1))  # a perturbed scalar, near the eps_eq bound
+    for M in (images, near, _random_effect_stack(n, rngs(n))):
+        traces = np.trace(M, axis1=-2, axis2=-1)
+        ok, lams = _scalar_rule(M, DEFAULT_TOL)
+        for k in range(T):
+            assert same(traces[k], np.trace(M[k]))
+            expected = _is_scalar_reference(M[k], DEFAULT_TOL)
+            assert (bool(ok[k]), float(lams[k]) if ok[k] else None) == expected
+            assert is_scalar(_effect(M[k], np.zeros(n), np.eye(n)), DEFAULT_TOL) == expected
+
+
+def _fit_reference(phi, grid, dim, tol):
+    """``autos._fit_family`` as first written: per grid point one
+    ``scalar_effect``, one map call and one lone scalar decision."""
+    from effectkit import autos
+    from effectkit.effects import scalar_effect
+    from effectkit.errors import NotInFamily
+    from effectkit.fracfun import FpParam, fit_frac, interior_grid
+
+    n = autos._map_dim(phi, dim)
+    samples = []
+    for x in interior_grid(grid):
+        ok, mu = _is_scalar_reference(phi(scalar_effect(n, float(x))).matrix, tol)
+        if not ok:
+            raise NotInFamily(f"image of {x:.6g} * I is not scalar")
+        if not (0.0 < mu < 1.0):
+            raise NotInFamily(f"scalar image {mu!r} leaves the open unit interval")
+        samples.append((float(x), float(mu)))
+    fit = fit_frac(samples)
+    limit = 100 * tol.eps_rank
+    if abs(fit.c - 1.0) > limit:
+        raise NotInFamily(f"fitted exponent {fit.c!r} deviates from 1 beyond {limit}")
+    return FpParam(1.0 - fit.a), fit
+
+
+def _fit_outcome(fit, *args):
+    """The bytes of every figure ``effectkit fit`` prints, or the type and
+    message of what the fit raised."""
+    try:
+        param, found = fit(*args)
+    except Exception as error:
+        return type(error), str(error)
+    return np.array([param.p, found.a, found.c, abs(found.c - 1.0), found.residual]).tobytes()
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 8, 32, 64))
+def test_a_stacked_fit_equals_the_per_point_fit(monkeypatch, n):
+    # At the scaled tolerance many fits fail: an image is not scalar (at a
+    # grid point of a later block too) or the exponent is off 1.  Caps 1
+    # and 7 * n**2 split the grid into blocks of 1 and 7 points.
+    import itertools
+
+    from effectkit import autos, suites
+
+    mapped = []
+    real_map = autos._map_members
+
+    def recording_map(U, conjugate, p, A):
+        mapped.append(len(A))
+        return real_map(U, conjugate, p, A)
+
+    tols = (DEFAULT_TOL, DEFAULT_TOL.scaled(1e-6))
+    for p, conj in itertools.product((-1e6, -1.0, 0.0, 0.5, 0.999999), (False, True)):
+        phi = random_automorphism(n, p, conj, n)
+        for grid, tol in itertools.product((3, 25, 50), tols):
+            expected = _fit_outcome(_fit_reference, phi, grid, None, tol)
+            # One run per distinct cap: at n = 64 the default cap is 1, as is 7's.
+            caps = {max(1, entries // (n * n)): entries for entries in (suites._BLOCK_ENTRIES, 1, 7, 7 * n * n)}
+            for cap, entries in caps.items():
+                monkeypatch.setattr(suites, "_BLOCK_ENTRIES", entries)
+                monkeypatch.setattr(autos, "_map_members", recording_map)
+                mapped.clear()
+                assert _fit_outcome(autos._fit_family, phi, grid, None, tol) == expected
+                monkeypatch.undo()
+                assert mapped and max(mapped) <= cap  # at n = 64, one point per call
+                assert mapped[:-1] == [cap] * (len(mapped) - 1)
+
+
+def test_a_black_box_fit_maps_one_point_per_call_in_grid_order():
+    # Each black-box map sees the scalar effects of the per-point fit, one
+    # call per point in grid order, and the fit raises what it raised: the
+    # negative controls of test_autos.py, a map that fails on its fifth
+    # call, and the identity (p = 0).
+    from effectkit import autos
+    from effectkit.effects import scalar_effect
+
+    P = make_effect(np.diag([1.0, 0.0])).matrix
+    controls = {
+        "orthocomplement": orthocomplement,
+        "square": lambda A: make_effect(A.matrix @ A.matrix),
+        "smear": lambda A: make_effect(0.5 * A.matrix + 0.25 * P),
+        "zero": lambda A: scalar_effect(A.dim, 0.0),
+        "fifth": lambda A: A,
+        "identity": lambda A: A,
+    }
+    for name, control in controls.items():
+        runs = []
+        for fit in (_fit_reference, autos._fit_family):
+            calls = []
+
+            def phi(A, calls=calls, control=control, name=name):
+                calls.append(A)
+                if name == "fifth" and len(calls) == 5:
+                    raise RuntimeError("fifth call")
+                return control(A)
+
+            runs.append((_fit_outcome(fit, phi, 25, 2, DEFAULT_TOL), calls))
+        (expected, reference_calls), (outcome, calls) = runs
+        assert outcome == expected, name
+        assert len(calls) == len(reference_calls), name
+        assert all(same_effect(A, B) for A, B in zip(calls, reference_calls)), name

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectkit import autos, coexist, fracfun, strength
-from effectkit.errors import DomainError
+from effectkit import autos, coexist, fracfun, numkern, strength
+from effectkit.effects import make_effect
+from effectkit.errors import DimensionError, DomainError
 from effectkit.numkern import DEFAULT_TOL
 from effectkit.suites import _SuiteState
 
@@ -127,3 +128,33 @@ def test_a_suite_refuses_a_trial_count_that_is_not_a_positive_int(suite, trials)
     # Without trials a report would pass vacuously; 2.5 and True are not counts.
     with pytest.raises(DomainError, match="trials must be a positive integer"):
         SUITES[suite](trials)
+
+
+_ATOM = make_effect(0.9 * np.diag([1.0, 0.0]))
+# Each caller that takes a count, with the count it is called with, its
+# error and the start of its message.
+COUNT_CALLERS = {
+    "Suite.run": (lambda k: autos.verify_order(_PHI, k, 1), 3, DomainError, "trials must be a positive integer"),
+    "coexists_with_all_probe": (
+        lambda k: coexist.coexists_with_all_probe(_ATOM, k, 5), 20, DomainError, "trials must be an integer of at least 2"
+    ),
+    "interior_grid": (fracfun.interior_grid, 4, DomainError, "grid must be a positive integer"),
+    "_require_dim": (lambda k: numkern.random_effect(k, 3), 3, DimensionError, "dimension must be a positive integer"),
+    "fit_p": (lambda k: autos.fit_p(_PHI, k), 25, DomainError, "grid must be an integer of at least 3"),
+    "dim=": (lambda k: autos.verify_order(_PHI, 3, 1, dim=k), 2, DimensionError, "dimension must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("caller", COUNT_CALLERS)
+def test_one_count_rule_takes_numpy_integers_and_refuses_bools(caller):
+    call, count, error, message = COUNT_CALLERS[caller]
+    expected, got = call(count), call(np.int64(count))
+    if isinstance(expected, np.ndarray):
+        assert got.tobytes() == expected.tobytes()
+    else:
+        assert got == expected
+    if caller == "Suite.run":
+        assert type(got.trials) is int  # a report holds a Python int
+    for flag in (True, np.True_):
+        with pytest.raises(error, match=message):
+            call(flag)
