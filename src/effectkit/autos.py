@@ -27,20 +27,21 @@ validation, map and decision one stacked call.  Each ``verify_*`` is the
 one-entry run of its suite, and ``effectkit verify`` runs a suite once for
 all the (p, conj) entries at one dimension: every entry keeps its map,
 seed, generators and report, and the entries share blocks.
-Family members map a block in one pass (``_map_members``, with U, the
-conjugation flag and p per member; ``apply`` is its one-map case), and a
-black-box map is applied to each member as an Effect.  Every member is
-the effect the trial would have built alone, bit for bit, so reports
-equal those of running trials one by one.  ``fit_p`` maps its grid of
-scalar effects x I the same way, in blocks under the suites' cap, and
-decides each block with the one stacked scalar rule of ``is_scalar``.
+One routine, ``_images``, makes every image of a caller's map: family
+members map a stack in one ``_map_members`` pass (``apply`` is its
+one-map case), and a black-box map is called on each member as an
+Effect, its image held to the member's dimension.  Every member is the
+effect the trial would have built alone, bit for bit, so reports equal
+those of running trials one by one.  ``fit_p`` maps its grid of scalar
+effects x I in blocks under the suites' cap, deciding each block with
+the one stacked scalar rule of ``is_scalar``.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from .effects import (
     RayProjection,
     WeakAtom,
     _effect,
-    _same_dim,
     _sample_effect_stack,
     _sample_ray_stack,
     _scalar_rule,
@@ -188,6 +188,37 @@ def _map_dim(phi: EffectMap, dim: int | None) -> int:
     raise DimensionError("dim= is required when verifying a black-box map")
 
 
+def _images(runs: Sequence[tuple[EffectMap, int]]) -> EffectMap:
+    """The one routine that applies a caller's maps: ``runs`` gives the maps
+    of a stack's members, (map, count) in member order, and the result maps
+    such a stack (or a lone Effect, under one map) to its images.  Family
+    members map in one ``_map_members`` pass, several maps with U, flag and
+    p per member; any other map is called on each member as an Effect, in
+    order, and an image not of its member's dimension raises DimensionError."""
+    maps, counts = zip(*runs)
+    if all(isinstance(phi, EffectAutomorphism) for phi in maps):
+        # One map maps as ``apply`` does: at n = 64, where a block holds
+        # one trial, per-member arrays cost about 6% of a verify run.
+        if len(maps) == 1:
+            return functools.partial(_map_members, maps[0].U, maps[0].conjugate, maps[0].p)
+        U = np.repeat(np.stack([phi.U for phi in maps]), counts, axis=0)
+        conjugate = np.repeat([phi.conjugate for phi in maps], counts)
+        p = np.repeat([phi.p.p for phi in maps], counts)
+        return functools.partial(_map_members, U, conjugate, p)
+    members = [phi for phi, count in runs for _ in range(count)]
+
+    def images(S: Effect) -> Effect:
+        if isinstance(S, Effect):
+            return images(_stack_effects([S]))[0]
+        out = [phi(S[k]) for k, phi in enumerate(members)]
+        wrong = [B.dim for B in out if B.dim != S.dim]
+        if wrong:
+            raise DimensionError(f"the map sends an effect of dimension {S.dim} to dimension {wrong[0]}")
+        return _stack_effects(out)
+
+    return images
+
+
 def extract_scalar_action(
     phi: EffectMap, P: RayProjection, t: float, tol: ToleranceConfig = DEFAULT_TOL
 ) -> float:
@@ -198,12 +229,11 @@ def extract_scalar_action(
     NotScalarAction is raised.  For family members the value is f_p(t)
     for every ray.
     """
-    if not (0.0 <= t <= 1.0):
-        raise DomainError(f"weight t must lie in [0, 1], got {t!r}")
-    img_atom = phi(WeakAtom(t, P).to_effect())
-    img_proj = phi(P.projection)
-    value = float(np.trace(img_atom.matrix @ img_proj.matrix).real)
-    residual = numkern.frobenius(img_atom.matrix - value * img_proj.matrix)
+    if not numkern._is_weight(t):
+        raise DomainError(f"weight t must be a number in [0, 1], got {t!r}")
+    img_atom, img_proj = _images([(phi, 2)])(_stack_effects([WeakAtom(t, P).to_effect(), P.projection])).matrix
+    value = float(np.trace(img_atom @ img_proj).real)
+    residual = numkern.frobenius(img_atom - value * img_proj)
     if residual > tol.eps_eq:
         raise NotScalarAction(f"residual {residual:.3e} exceeds eps_eq on the tested ray")
     return value
@@ -223,9 +253,9 @@ def fit_p(
     fitted exponent must equal 1 within 100 * eps_rank (1e-6 at the
     default tolerances), otherwise the map is not in the order-form family
     and NotInFamily is raised; the multiplier gives p = 1 - a.  The grid is
-    mapped in blocks of bounded memory: a family member maps up to the
-    verify suites' block cap of points per call, a black-box map one point
-    at a time.  A grid below 3 raises DomainError before any map is applied.
+    mapped as the suites map, in blocks of bounded memory: a family member
+    maps up to the suites' block cap of points per call, a black-box map
+    one point at a time.  A grid below 3 raises DomainError before any map.
     """
     return _fit_family(phi, grid, dim, tol)[0]
 
@@ -238,16 +268,12 @@ def _fit_family(
     if not numkern._is_count(grid, 3):
         raise DomainError(f"grid must be an integer of at least 3, got {grid!r}")
     xs = interior_grid(grid)
-    # A family member maps up to the suites' block cap of grid points in
-    # one pass; a black-box map gets one scalar effect at a time, in order.
-    family = isinstance(phi, EffectAutomorphism)
-    cap = _block_cap(n) if family else 1
+    # A black-box map is called once per point, so no further than a failing one.
+    cap = _block_cap(n) if isinstance(phi, EffectAutomorphism) else 1
     samples = []
     for start in range(0, grid, cap):
         block = xs[start : start + cap]
-        S = _scalar_stack(n, block)
-        images = phi(S).matrix if family else phi(S[0]).matrix[None]
-        ok, mus = _scalar_rule(images, tol)
+        ok, mus = _scalar_rule(_images([(phi, len(block))])(_scalar_stack(n, block)).matrix, tol)
         for x, holds, mu in zip(block.tolist(), ok.tolist(), mus.tolist()):
             if not holds:
                 raise NotInFamily(f"image of {x:.6g} * I is not scalar")
@@ -265,35 +291,12 @@ def _biconditional(maps: list[EffectMap], block: _Block, check: str, pairs, deci
     """For each stack pair (L, R), the check that every decision in
     ``decide(L, R)`` holds for the images exactly when it holds for the
     pair: within a trial, pair by pair."""
-    image = _block_image(maps, block)
+    image = _images(block.runs(maps))
     checks = []
     for L, R in pairs:
-        before = decide(L, R)
-        image_L, image_R = image(L), image(R)
-        _same_dim(image_L, image_R)  # a black-box map may change the dimension
-        ok = np.all(np.equal(before, decide(image_L, image_R)), axis=0)
+        ok = np.all(np.equal(decide(L, R), decide(image(L), image(R))), axis=0)
         checks.append((check, ~ok, 0.0, {"A": L.matrix, "B": R.matrix}))
     return checks
-
-
-def _block_image(maps: list[EffectMap], block: _Block) -> Callable[[EffectStack], EffectStack]:
-    """The image of each member of a block's stacks under its entry's map:
-    one stacked pass when every map is a family member, with U, the
-    conjugation flag and p per member when the block spans entries; else
-    each member is mapped as an Effect."""
-    phis = [maps[entry] for entry, _ in block.parts]
-    counts = [part.stop - part.start for _, part in block.parts]
-    if all(isinstance(phi, EffectAutomorphism) for phi in phis):
-        # A block of one entry maps as ``apply`` does: at n = 64, where a block
-        # holds one trial, per-member arrays cost about 6% of a verify run.
-        if len(phis) == 1:
-            return functools.partial(_map_members, phis[0].U, phis[0].conjugate, phis[0].p)
-        U = np.repeat(np.stack([phi.U for phi in phis]), counts, axis=0)
-        conjugate = np.repeat([phi.conjugate for phi in phis], counts)
-        p = np.repeat([phi.p.p for phi in phis], counts)
-        return functools.partial(_map_members, U, conjugate, p)
-    members = [phi for phi, count in zip(phis, counts) for _ in range(count)]
-    return lambda S: _stack_effects([phi(S[k]) for k, phi in enumerate(members)])
 
 
 def verify_order(
@@ -383,12 +386,12 @@ def verify_ortho(
 
 def _ortho_controls(phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
     half = scalar_effect(n, 0.5)
-    res0 = numkern.frobenius(phi(half).matrix - half.matrix)
+    res0 = numkern.frobenius(_images([(phi, 1)])(half).matrix - half.matrix)
     return [("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]})]
 
 
 def _ortho_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
-    image = _block_image(maps, block)
+    image = _images(block.runs(maps))
     A = _sample_effect_stack(n, block.rngs, tol)
     residuals = numkern.frobenius(image(orthocomplement(A)).matrix - orthocomplement(image(A)).matrix)
     return [("orthocomplement", residuals, tol.eps_eq, {"A": A.matrix})]
@@ -415,13 +418,13 @@ def verify_sequential(
 
 def _sequential_controls(phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
     half = scalar_effect(n, 0.5)
-    image = phi(half)
-    res0 = numkern.frobenius(phi(seq_product(half, half, tol)).matrix - seq_product(image, image, tol).matrix)
+    image_half, product = map(_images([(phi, 1)]), (half, seq_product(half, half, tol)))
+    res0 = numkern.frobenius(product.matrix - seq_product(image_half, image_half, tol).matrix)
     return [("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]})]
 
 
 def _sequential_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
-    image = _block_image(maps, block)
+    image = _images(block.runs(maps))
     A, B = _sample_effect_stack(n, block.rngs, tol, 2)
     residuals = numkern.frobenius(image(seq_product(A, B, tol)).matrix - seq_product(image(A), image(B), tol).matrix)
     return [("sequential", residuals, tol.eps_eq, {"A": A.matrix, "B": B.matrix})]
@@ -452,7 +455,7 @@ def verify_transition(
 
 
 def _transition_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
-    image = _block_image(maps, block)
+    image = _images(block.runs(maps))
     P, Q = _sample_ray_stack(n, block.rngs, 2)
     residuals = np.abs(_transition(P, Q) - _transition(image(P), image(Q)))
     return [("transition", residuals, tol.eps_eq, {"P": P.matrix, "Q": Q.matrix})]
@@ -476,10 +479,9 @@ def verify_scalar_pair(
     members), then runs the trials of verify_zero_product with the same
     budget and records them into the same report.
     """
-    if isinstance(lam, (bool, np.bool_)):
-        raise DomainError(f"lam must be a number, not a bool, got {lam!r}")
-    if not (0.0 <= lam <= 1.0):
-        raise DomainError(f"lam must lie in [0, 1], got {lam!r}")
+    if not numkern._is_weight(lam):
+        rule = "be a number, not a bool" if isinstance(lam, (bool, np.bool_)) else "lie in [0, 1]"
+        raise DomainError(f"lam must {rule}, got {lam!r}")
     return _scalar_pair_suite(lam).run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
@@ -489,7 +491,7 @@ def _scalar_pair_suite(lam: float) -> Suite:
 
 
 def _scalar_pair_controls(lam: float, phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
-    image = phi(scalar_effect(n, lam))
+    image = _images([(phi, 1)])(scalar_effect(n, lam))
     ok, mu = is_scalar(image, tol)
     if ok and isinstance(phi, EffectAutomorphism):
         check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)

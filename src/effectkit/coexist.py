@@ -11,7 +11,8 @@ here; the module provides the decidable pieces:
   t <= strength(A, q) + strength(I - A, q), a consequence of rank-one
   dominance applied to the shared part G;
 * a randomized probe for "coexists with everything", which can refute
-  but never prove (only scalars survive it).
+  but never prove (only scalars survive it); it decides every weak atom by
+  the strength budget above, which agrees with the rank-one criterion.
 
 Each decision is computed for one pair or for stacks of them: the public
 functions are its lone case, and the probe and the coexist suite of
@@ -35,7 +36,6 @@ from .effects import (
     _sample_effect_stack,
     _spectral,
     orthocomplement,
-    rank_of,
     scalar_effect,
     zero_effect,
 )
@@ -129,33 +129,21 @@ def coexists_with_all_probe(
 
     Probe k of 0..trials-1 draws from ``default_rng([seed, k])``; an odd
     probe draws a ray and a weight t, and coexistence of A with that weak
-    atom is decided exactly (by the rank-one criterion when A has rank
-    one).  Even probe numbers are left unused.  The probes run in stacked
-    blocks of doubling size; returns False after the first block with a
-    refutation, True if none turned up.  Scalars always return True; for a
-    generic non-scalar a refuting weak atom appears quickly.  A count
-    that runs no probe (below 2), or is not an integer (a bool is not one),
-    raises DomainError.
+    atom is decided exactly by the strength budget of
+    ``coexists_with_weak_atom``, whatever the rank of A.  Even probe
+    numbers are left unused.  The probes run in stacked blocks of doubling
+    size; returns False after the first block with a refutation, True if
+    none turned up.  Scalars always return True; for a generic non-scalar
+    a refuting weak atom appears quickly.  A count that runs no probe
+    (below 2), or is not an integer (a bool is not one), raises DomainError.
     """
     if not numkern._is_count(trials, 2):
         raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
-    n = A.dim
-    rank_one = rank_of(A, tol) == 1
-    if rank_one:
-        # Dispatch rank-one pairs to the sum criterion.
-        p, P = _ray_matrix(A.eigenvectors[:, -1])
-        s = float(A.eigenvalues[-1])
-    else:
-        complement = orthocomplement(A)
-    for rngs, _ in _trial_blocks([seed], range(1, trials, 2), n, first=1):
-        vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
+    complement = orthocomplement(A)
+    for rngs, _ in _trial_blocks([seed], range(1, trials, 2), A.dim, first=1):
+        vec = _ray_matrix(numkern._random_ray_stack(A.dim, rngs))[0]
         t = np.array([rng.uniform(0.0, 1.0) for rng in rngs])
-        if rank_one:
-            distinct, fits = _rank_one(s, p, P, t[:, None, None], vec, ray, tol)
-            refuted = distinct & ~fits
-        else:
-            refuted = ~_weak_atoms_fit(A, complement, t, vec, tol)
-        if (refuted & (t > 0.0)).any():
+        if (~_weak_atoms_fit(A, complement, t, vec, tol) & (t > 0.0)).any():
             return False
     return True
 

@@ -249,8 +249,8 @@ class WeakAtom:
     ray: RayProjection
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.weight <= 1.0):
-            raise DomainError(f"weak atom weight {self.weight!r} outside [0, 1]")
+        if not numkern._is_weight(self.weight):
+            raise DomainError(f"weak atom weight must be a number in [0, 1], got {self.weight!r}")
 
     def to_effect(self) -> Effect:
         P = self.ray.projection

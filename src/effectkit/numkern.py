@@ -313,6 +313,11 @@ def _is_count(value, least: int = 1) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def _is_weight(value) -> bool:
+    """The one weight rule of the package: a number in [0, 1], not a bool."""
+    return not isinstance(value, (bool, np.bool_)) and 0.0 <= value <= 1.0
+
+
 def _require_dim(n: int) -> None:
     if not _is_count(n):
         raise DimensionError(f"dimension must be a positive integer, got {n!r}")

@@ -127,6 +127,10 @@ class _Block(NamedTuple):
     rngs: list[np.random.Generator]
     parts: list[tuple[int, slice]]
 
+    def runs(self, subjects: Sequence[Any]) -> list[tuple[Any, int]]:
+        """``(subject, count of members)`` for each entry with trials in the block, in order."""
+        return [(subjects[entry], part.stop - part.start) for entry, part in self.parts]
+
 
 def _trial_blocks(
     seeds: Sequence[int], streams: range, n: int, first: int | None = None

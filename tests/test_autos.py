@@ -21,6 +21,7 @@ from effectkit.autos import (
     verify_zero_product,
 )
 from effectkit.effects import (
+    WeakAtom,
     effects_equal,
     make_effect,
     make_ray,
@@ -259,6 +260,47 @@ def test_verify_scalar_pair_refuses_a_bool_weight(lam):
     with pytest.raises(DomainError, match=re.escape(f"lam must be a number, not a bool, got {lam!r}")):
         verify_scalar_pair(lambda A: calls.append(A) or phi(A), lam, 5, 1, dim=3)
     assert calls == []
+
+
+@pytest.mark.parametrize("weight", [True, False, np.True_, np.False_])
+def test_a_bool_weight_is_refused(weight):
+    # One weight rule: True would otherwise run as the weight 1, False as 0.
+    calls = []
+    phi = random_automorphism(3, 0.5, False, 1)
+    ray = sample_ray(3, np.random.default_rng(2))
+    with pytest.raises(DomainError, match=re.escape(f"weak atom weight must be a number in [0, 1], got {weight!r}")):
+        WeakAtom(weight, ray)
+    with pytest.raises(DomainError, match=re.escape(f"weight t must be a number in [0, 1], got {weight!r}")):
+        extract_scalar_action(lambda A: calls.append(A) or phi(A), ray, weight)
+    with pytest.raises(DomainError, match=re.escape(f"lam must be a number, not a bool, got {weight!r}")):
+        verify_scalar_pair(lambda A: calls.append(A) or phi(A), weight, 5, 1, dim=3)
+    assert calls == []
+
+
+def _widen(A):
+    """A -> A (x) I_2: an effect of twice the dimension of its argument."""
+    return make_effect(np.kron(A.matrix, np.eye(2)))
+
+
+WIDEN_PATHS = {
+    "order": lambda: verify_order(_widen, 5, 1, dim=2),
+    "zero-product": lambda: verify_zero_product(_widen, 5, 1, dim=2),
+    "ortho": lambda: verify_ortho(_widen, 5, 1, dim=2),
+    "sequential": lambda: verify_sequential(_widen, 5, 1, dim=2),
+    "transition": lambda: verify_transition(_widen, 5, 1, dim=2),
+    "scalar-pair": lambda: verify_scalar_pair(_widen, 0.3, 5, 1, dim=2),
+    "fit_p": lambda: fit_p(_widen, 10, dim=2),
+    "extract_scalar_action": lambda: extract_scalar_action(_widen, sample_ray(2, np.random.default_rng(3)), 0.5),
+}
+
+
+@pytest.mark.parametrize("path", list(WIDEN_PATHS))
+def test_a_map_that_changes_the_dimension_is_refused(path):
+    # A black box whose image has another dimension than its argument is
+    # not a map on E(H): every path refuses it, where order and sequential
+    # reported no failure, fit_p found p = 0 and ortho failed inside numpy.
+    with pytest.raises(DimensionError, match="the map sends an effect of dimension 2 to dimension 4"):
+        WIDEN_PATHS[path]()
 
 
 def test_reports_are_deterministic():

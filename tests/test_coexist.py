@@ -192,6 +192,9 @@ def _probe_cases():
         (make_effect(np.diag([1.0, 0.0])), 200, 11),
         (sample_effect(2, np.random.default_rng(31)), 60, 13),
     ]
+    # Projections of rank one, weight 1: the reference decides them by the
+    # rank-one criterion, the probe by the strength budget.
+    cases += [(sample_ray(n, np.random.default_rng([59, n])).projection, 200, n) for n in range(2, 9)]
     for k in range(16):
         rng = np.random.default_rng([53, k])
         n = int(rng.integers(2, 9))

@@ -2,8 +2,8 @@
 the dimension rule of the functions that take two operands, that no
 module keeps a check limit outside ToleranceConfig, that no private
 name is left without a use, that suites hand their checks to the
-recorder as data, and that every suite is one ``Suite`` value run by
-``Suite.run``."""
+recorder as data, that every suite is one ``Suite`` value run by
+``Suite.run``, and that one routine makes the images of a caller's map."""
 
 import ast
 import dataclasses
@@ -160,6 +160,19 @@ def test_only_the_driver_and_the_probe_walk_trial_blocks():
         if name == "_trial_blocks"
     )
     assert readers == ["coexist.py:coexists_with_all_probe", "suites.py:Suite.run"]
+
+
+def test_only_apply_and_the_image_routine_map_through_the_family_kernel():
+    # autos._images makes every image of a caller's map; apply is the
+    # public map of one member.  No other function reads _map_members.
+    package = Path(effectkit.__file__).parent
+    readers = {
+        f"{path.name}:{scope}"
+        for path in package.glob("*.py")
+        for scope, name in _loads(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "_map_members"
+    }
+    assert readers == {"autos.py:_images", "autos.py:apply"}
 
 
 REPORT_ORDER = [
