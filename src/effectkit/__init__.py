@@ -11,6 +11,18 @@ the names in ``_MODULE_ONLY``, which stay reachable through their module.
 
 __version__ = "0.1.0"
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads it, so this runs
+# before any submodule imports numpy; a count the user set is kept.  The
+# matrices here are small: extra BLAS threads only contend with each other
+# and with the suites' own worker threads (``suites._THREAD_DIM``).  With
+# another process busy on the second core, ``verify --dims 64`` over the
+# nine suites took 12.7-20.7 s at the default count, 0.6 s with one thread.
+if not any(var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del os
+
 from . import autos, coexist, effects, errors, fracfun, numkern, sequential, strength
 
 # Kept to their modules: ``apply`` reads as a generic verb at package level,

@@ -94,13 +94,13 @@ def coexist_rank_one(
 ) -> bool:
     """Coexistence of s*P and t*Q for rank-one projections with P != Q.
 
-    Decided by whether the sum is still an effect.  Weights must lie in
-    (0, 1]; coinciding rays are rejected because the criterion needs
-    distinct ranges.
+    Decided by whether the sum is still an effect.  Weights must be
+    numbers in (0, 1], not bools; coinciding rays are rejected because the
+    criterion needs distinct ranges.
     """
     for name, value in (("s", s), ("t", t)):
-        if not (0.0 < value <= 1.0):
-            raise DomainError(f"weight {name} must lie in (0, 1], got {value!r}")
+        if not (numkern._is_weight(value) and value > 0.0):
+            raise DomainError(f"weight {name} must be a number in (0, 1], got {value!r}")
     _same_dim(P, Q)
     distinct, fits = _rank_one(s, P.vector, P.projection.matrix, t, Q.vector, Q.projection.matrix, tol)
     if not distinct[0]:

@@ -183,9 +183,9 @@ def zero_effect(n: int) -> Effect:
 
 
 def scalar_effect(n: int, lam: float) -> Effect:
-    """The effect lam * I; lam must lie in [0, 1]."""
-    if not (0.0 <= lam <= 1.0):
-        raise SpectrumOutOfRange(f"scalar {lam!r} outside [0, 1]")
+    """The effect lam * I; lam must be a number in [0, 1], not a bool."""
+    if not numkern._is_weight(lam):
+        raise SpectrumOutOfRange(f"scalar must be a number in [0, 1], got {lam!r}")
     eye = np.eye(n, dtype=np.complex128)
     return _effect(lam * eye, np.full(n, float(lam)), eye.copy())
 

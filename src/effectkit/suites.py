@@ -17,10 +17,21 @@ per trial, a limit, and the input stacks.  The recorder alone judges
 checks and builds counterexamples, in trial order, and
 ``_SuiteState.report`` is the one builder of reports, so a report depends
 neither on the block size nor on the entries it shares blocks with.
+
+From ``_THREAD_DIM`` up, where a block holds one trial and the LAPACK and
+matmul calls (which release the GIL) outweigh the Python glue, a group of
+more than one entry runs on worker threads, as many as the entries or the
+usable CPUs allow: each entry walks its own blocks, in order, on one
+thread and records into its own ``_SuiteState``, so its report is the one
+the serial loop gives.  Every public ``verify_*`` runs one entry, so a
+caller's map is only ever called on the caller's thread; only
+``effectkit verify`` runs groups, of maps the program builds.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -114,6 +125,25 @@ class _SuiteState:
 _BLOCK_ENTRIES = 2048
 
 
+# From this dimension up, ``Suite.run`` runs the entries of a group on
+# worker threads, one entry at a time each.  There a block holds one trial,
+# and the eigh, QR and matmul calls of a step, inside which numpy releases
+# the GIL, outweigh its Python glue.  Chosen by timing the six family suites
+# (p = 0.5, 4 trials) serial and threaded in one process, alternating, on 2
+# cores with one BLAS thread: the threaded side lost at n = 32-40 (e.g. n = 40,
+# median 160 -> 180 ms), broke even at 44-48, won narrowly at 52 (7 of 9 and 9
+# of 11 pairs), and won from 56 up (56: 10 of 11 pairs, 225 -> 202 ms; 64: 349
+# -> 309 ms; 96: 914 -> 655 ms).  A cap-based rule would thread from n = 33.
+_THREAD_DIM = 56
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _block_cap(n: int) -> int:
     """The most members a stacked block of n x n matrices holds:
     ``_BLOCK_ENTRIES // n**2``, and at least one."""
@@ -179,7 +209,13 @@ class Suite:
     ) -> list[VerificationReport]:
         """The one driver of the suites: a report per entry (subject,
         seed) of a group at dimension n, in order.  Each entry records its
-        fixed controls first, then its part of every block's checks."""
+        fixed controls first, then its part of every block's checks.
+
+        The controls run on the caller's thread.  At n >= ``_THREAD_DIM``
+        with more than one entry and more than one usable CPU, the blocks
+        run on worker threads, each entry's in order on one of them
+        (``_run_threaded``); the reports, and the error raised if an entry
+        raises (the first failing entry's), are the serial loop's."""
         if not _is_count(trials):
             raise DomainError(f"trials must be a positive integer, got {trials!r}")
         trials = int(trials)  # a report holds a Python int
@@ -188,11 +224,76 @@ class Suite:
             for state, subject in zip(states, subjects):
                 state.record(*self.controls(subject, n, tol))
         streams = range(self.first_stream, self.first_stream + trials)
-        for block in _trial_blocks(seeds, streams, n):
-            checks = self.step(subjects, n, tol, block)
-            for entry, part in block.parts:
-                states[entry].record(*checks, part=part)
+        workers = min(len(states), _usable_cpus()) if n >= _THREAD_DIM else 1
+        # Serial, the group shares its blocks; threaded, each entry walks its own.
+        parts = [[seed] for seed in seeds] if workers > 1 else [seeds]
+        runs = [_trial_blocks(part, streams, n) for part in parts]
+        if workers > 1:
+            self._run_threaded(subjects, states, runs, n, tol, workers)
+        else:
+            for block in runs[0]:
+                self._record(subjects, states, n, tol, block)
         return [state.report() for state in states]
+
+    def _record(
+        self, subjects: Sequence[Any], states: Sequence[_SuiteState], n: int, tol: ToleranceConfig, block: _Block
+    ) -> None:
+        """Record each entry's part of one block's checks."""
+        checks = self.step(subjects, n, tol, block)
+        for entry, part in block.parts:
+            states[entry].record(*checks, part=part)
+
+    def _run_threaded(
+        self,
+        subjects: Sequence[Any],
+        states: Sequence[_SuiteState],
+        entry_blocks: Sequence[Iterator[_Block]],
+        n: int,
+        tol: ToleranceConfig,
+        workers: int,
+    ) -> None:
+        """Each entry's blocks, in order, on one of ``workers`` threads.
+
+        Workers take the entries in order.  An entry that raises stops the
+        entries after it at their next block, and the first failing entry's
+        exception is raised, as in the serial loop; an interrupt of the
+        caller stops every entry at its next block."""
+        lock = threading.Lock()
+        pending = iter(range(len(states)))
+        errors: list[BaseException | None] = [None] * len(states)
+        stop = [len(states)]  # entries after this one stop at their next block
+
+        def work() -> None:
+            while True:
+                with lock:
+                    i = next(pending, None)
+                if i is None:
+                    return
+                try:
+                    for block in entry_blocks[i]:
+                        if stop[0] < i:
+                            return
+                        self._record([subjects[i]], [states[i]], n, tol, block)
+                except BaseException as exc:  # handed to the caller below
+                    errors[i] = exc
+                    with lock:
+                        stop[0] = min(stop[0], i)
+
+        threads = [threading.Thread(target=work, name=f"effectkit-{self.name}-{k}") for k in range(workers)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        except BaseException:  # an interrupt: every entry stops at its next block
+            stop[0] = -1
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+            raise
+        for exc in errors:
+            if exc is not None:
+                raise exc
 
 
 def _suite_seed(seed: int, index: int) -> int:

@@ -20,6 +20,7 @@ from effectkit.autos import (
     verify_transition,
     verify_zero_product,
 )
+from effectkit.coexist import coexist_rank_one
 from effectkit.effects import (
     WeakAtom,
     effects_equal,
@@ -35,6 +36,7 @@ from effectkit.errors import (
     DomainError,
     NotInFamily,
     NotScalarAction,
+    SpectrumOutOfRange,
     UnitarityViolation,
 )
 from effectkit.fracfun import FpParam, fp_eval
@@ -275,6 +277,13 @@ def test_a_bool_weight_is_refused(weight):
     with pytest.raises(DomainError, match=re.escape(f"lam must be a number, not a bool, got {weight!r}")):
         verify_scalar_pair(lambda A: calls.append(A) or phi(A), weight, 5, 1, dim=3)
     assert calls == []
+    with pytest.raises(SpectrumOutOfRange, match=re.escape(f"scalar must be a number in [0, 1], got {weight!r}")):
+        scalar_effect(2, weight)
+    other = sample_ray(3, np.random.default_rng(3))
+    with pytest.raises(DomainError, match=re.escape(f"weight s must be a number in (0, 1], got {weight!r}")):
+        coexist_rank_one(weight, ray, 0.1, other)
+    with pytest.raises(DomainError, match=re.escape(f"weight t must be a number in (0, 1], got {weight!r}")):
+        coexist_rank_one(0.1, ray, weight, other)
 
 
 def _widen(A):

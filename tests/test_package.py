@@ -1,4 +1,4 @@
-"""The package surface: its exported names, the exit code of each error,
+"""The package surface: its exported names, its BLAS thread default, the exit code of each error,
 the dimension rule of the functions that take two operands, that no
 module keeps a check limit outside ToleranceConfig, that no private
 name is left without a use, that suites hand their checks to the
@@ -9,7 +9,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +61,18 @@ def test_exports_are_the_module_objects():
     assert effectkit.leq is effectkit.effects.leq
     assert effectkit.VerificationReport is effectkit.suites.VerificationReport
     assert effectkit.DimensionError is errors.DimensionError
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "1"), ("2", "2")])
+def test_importing_the_package_sets_one_blas_thread_unless_a_count_is_set(preset, expected):
+    counts = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in counts}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(effectkit.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    code = "import os, effectkit; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == expected
 
 
 def test_every_check_limit_is_owned_by_tolerance_config():
