@@ -70,6 +70,7 @@ from .errors import (
     DomainError,
     NotInFamily,
     NotScalarAction,
+    ParamError,
     UnitarityViolation,
 )
 from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
@@ -104,6 +105,9 @@ class EffectAutomorphism:
     p: FpParam
 
     def __post_init__(self) -> None:
+        if not isinstance(self.conjugate, (bool, np.bool_)):
+            raise ParamError(f"conjugate must be a bool, got {self.conjugate!r}")
+        object.__setattr__(self, "conjugate", bool(self.conjugate))  # a map document holds a JSON boolean
         U = numkern.as_complex_matrix(self.U)
         if not np.isfinite(U).all():
             raise UnitarityViolation("U has non-finite entries")

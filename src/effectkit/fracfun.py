@@ -86,7 +86,8 @@ class FpParam:
     p: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and self.p < 1.0):
+        # A bool is not a number here, as in ``numkern._is_weight``.
+        if isinstance(self.p, (bool, np.bool_)) or not (math.isfinite(self.p) and self.p < 1.0):
             raise ParamError(f"p must be a finite real below 1, got {self.p!r}")
 
     def as_frac(self) -> FracParams:

@@ -20,12 +20,13 @@ neither on the block size nor on the entries it shares blocks with.
 
 From ``_THREAD_DIM`` up, where a block holds one trial and the LAPACK and
 matmul calls (which release the GIL) outweigh the Python glue, a group of
-more than one entry runs on worker threads, as many as the entries or the
-usable CPUs allow: each entry walks its own blocks, in order, on one
-thread and records into its own ``_SuiteState``, so its report is the one
-the serial loop gives.  Every public ``verify_*`` runs one entry, so a
-caller's map is only ever called on the caller's thread; only
-``effectkit verify`` runs groups, of maps the program builds.
+more than one entry is cut into shares of consecutive entries, as many as
+the entries or the usable CPUs allow, and each share runs the same block
+loop over its own blocks on a thread of its own.  A block holds one trial
+there, so a share's blocks are the ones the whole group's loop gives its
+entries, and every report is the serial loop's.  Every public ``verify_*``
+runs one entry, so a caller's map is only ever called on the caller's
+thread; only ``effectkit verify`` runs groups, of maps the program builds.
 """
 
 from __future__ import annotations
@@ -125,15 +126,16 @@ class _SuiteState:
 _BLOCK_ENTRIES = 2048
 
 
-# From this dimension up, ``Suite.run`` runs the entries of a group on
-# worker threads, one entry at a time each.  There a block holds one trial,
-# and the eigh, QR and matmul calls of a step, inside which numpy releases
-# the GIL, outweigh its Python glue.  Chosen by timing the six family suites
-# (p = 0.5, 4 trials) serial and threaded in one process, alternating, on 2
-# cores with one BLAS thread: the threaded side lost at n = 32-40 (e.g. n = 40,
-# median 160 -> 180 ms), broke even at 44-48, won narrowly at 52 (7 of 9 and 9
-# of 11 pairs), and won from 56 up (56: 10 of 11 pairs, 225 -> 202 ms; 64: 349
-# -> 309 ms; 96: 914 -> 655 ms).  A cap-based rule would thread from n = 33.
+# From this dimension up, ``Suite.run`` cuts a group into shares of
+# consecutive entries, one per worker thread.  There a block holds one
+# trial, and the eigh, QR and matmul calls of a step, inside which numpy
+# releases the GIL, outweigh its Python glue.  Chosen by timing the six
+# family suites (p = 0.5, 4 trials) serial and threaded in one process,
+# alternating, on 2 cores with one BLAS thread: the threaded side lost at
+# n = 32-40 (e.g. n = 40, median 160 -> 180 ms), broke even at 44-48, won
+# narrowly at 52 (7 of 9 and 9 of 11 pairs), and won from 56 up (56: 10 of
+# 11 pairs, 225 -> 202 ms; 64: 349 -> 309 ms; 96: 914 -> 655 ms).  A
+# cap-based rule would thread from n = 33.
 _THREAD_DIM = 56
 
 
@@ -173,7 +175,7 @@ def _trial_blocks(
     first find."""
     cap = _block_cap(n)
     block = cap if first is None else min(first, cap)
-    per = len(streams)
+    per = max(0, -((streams.start - streams.stop) // streams.step))  # len(streams), past sys.maxsize too
     start, total = 0, per * len(seeds)
     while start < total:
         stop = min(total, start + block)
@@ -211,11 +213,13 @@ class Suite:
         seed) of a group at dimension n, in order.  Each entry records its
         fixed controls first, then its part of every block's checks.
 
-        The controls run on the caller's thread.  At n >= ``_THREAD_DIM``
-        with more than one entry and more than one usable CPU, the blocks
-        run on worker threads, each entry's in order on one of them
-        (``_run_threaded``); the reports, and the error raised if an entry
-        raises (the first failing entry's), are the serial loop's."""
+        The controls run on the caller's thread, and so does the block
+        loop, over the whole group.  At n >= ``_THREAD_DIM`` with more than
+        one entry and more than one usable CPU, the group is cut into
+        shares of consecutive entries, one per worker thread, and each
+        share runs the same loop over its own blocks (``_run_shares``);
+        the reports, and the error raised if an entry raises (the first
+        failing entry's), are the serial loop's."""
         if not _is_count(trials):
             raise DomainError(f"trials must be a positive integer, got {trials!r}")
         trials = int(trials)  # a report holds a Python int
@@ -224,69 +228,54 @@ class Suite:
             for state, subject in zip(states, subjects):
                 state.record(*self.controls(subject, n, tol))
         streams = range(self.first_stream, self.first_stream + trials)
-        workers = min(len(states), _usable_cpus()) if n >= _THREAD_DIM else 1
-        # Serial, the group shares its blocks; threaded, each entry walks its own.
-        parts = [[seed] for seed in seeds] if workers > 1 else [seeds]
-        runs = [_trial_blocks(part, streams, n) for part in parts]
-        if workers > 1:
-            self._run_threaded(subjects, states, runs, n, tol, workers)
+
+        def walk(a: int, b: int, blocks: Iterator[_Block]) -> Iterator[None]:
+            """Record, for each entry from a to b - 1, its part of every block's checks."""
+            for block in blocks:
+                yield  # a stopped share ends here, before the block's step
+                checks = self.step(subjects[a:b], n, tol, block)
+                for entry, part in block.parts:
+                    states[a + entry].record(*checks, part=part)
+
+        shares = max(1, min(len(states), _usable_cpus())) if n >= _THREAD_DIM else 1
+        cuts = [len(states) * k // shares for k in range(shares + 1)]
+        walks = [walk(a, b, _trial_blocks(seeds[a:b], streams, n)) for a, b in zip(cuts, cuts[1:])]
+        if shares > 1:
+            self._run_shares(walks)
         else:
-            for block in runs[0]:
-                self._record(subjects, states, n, tol, block)
+            for _ in walks[0]:
+                pass
         return [state.report() for state in states]
 
-    def _record(
-        self, subjects: Sequence[Any], states: Sequence[_SuiteState], n: int, tol: ToleranceConfig, block: _Block
-    ) -> None:
-        """Record each entry's part of one block's checks."""
-        checks = self.step(subjects, n, tol, block)
-        for entry, part in block.parts:
-            states[entry].record(*checks, part=part)
+    def _run_shares(self, walks: Sequence[Iterator[None]]) -> None:
+        """Each share's walk on a thread of its own.
 
-    def _run_threaded(
-        self,
-        subjects: Sequence[Any],
-        states: Sequence[_SuiteState],
-        entry_blocks: Sequence[Iterator[_Block]],
-        n: int,
-        tol: ToleranceConfig,
-        workers: int,
-    ) -> None:
-        """Each entry's blocks, in order, on one of ``workers`` threads.
+        A share that raises stops the shares after it at their next
+        block, and the first failing share's exception is raised, as in
+        the serial loop; an interrupt of the caller stops every share at
+        its next block, and every started thread is joined first."""
+        errors: list[BaseException | None] = [None] * len(walks)
+        marks = [len(walks)]  # a share stops at its next block once a mark is below its index
 
-        Workers take the entries in order.  An entry that raises stops the
-        entries after it at their next block, and the first failing entry's
-        exception is raised, as in the serial loop; an interrupt of the
-        caller stops every entry at its next block."""
-        lock = threading.Lock()
-        pending = iter(range(len(states)))
-        errors: list[BaseException | None] = [None] * len(states)
-        stop = [len(states)]  # entries after this one stop at their next block
+        def work(i: int) -> None:
+            try:
+                for _ in walks[i]:
+                    if min(marks) < i:
+                        return
+            except BaseException as exc:  # handed to the caller below
+                errors[i] = exc
+                marks.append(i)
 
-        def work() -> None:
-            while True:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                try:
-                    for block in entry_blocks[i]:
-                        if stop[0] < i:
-                            return
-                        self._record([subjects[i]], [states[i]], n, tol, block)
-                except BaseException as exc:  # handed to the caller below
-                    errors[i] = exc
-                    with lock:
-                        stop[0] = min(stop[0], i)
-
-        threads = [threading.Thread(target=work, name=f"effectkit-{self.name}-{k}") for k in range(workers)]
+        threads = [
+            threading.Thread(target=work, args=(i,), name=f"effectkit-{self.name}-{i}") for i in range(len(walks))
+        ]
         try:
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        except BaseException:  # an interrupt: every entry stops at its next block
-            stop[0] = -1
+        except BaseException:  # an interrupt: every share stops at its next block
+            marks.append(-1)
             for thread in threads:
                 if thread.ident is not None:  # started
                     thread.join()

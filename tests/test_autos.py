@@ -20,6 +20,7 @@ from effectkit.autos import (
     verify_transition,
     verify_zero_product,
 )
+from effectkit.cli import dump_json, map_to_doc
 from effectkit.coexist import coexist_rank_one
 from effectkit.effects import (
     WeakAtom,
@@ -34,6 +35,7 @@ from effectkit.effects import (
 from effectkit.errors import (
     DimensionError,
     DomainError,
+    InputError,
     NotInFamily,
     NotScalarAction,
     SpectrumOutOfRange,
@@ -54,6 +56,28 @@ def test_constructor_rejects_non_finite_unitary(bad):
     U[1, 0] = bad
     with pytest.raises(UnitarityViolation, match="non-finite entries"):
         EffectAutomorphism(U=U, conjugate=False, p=FpParam(0.0))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FpParam(False),
+        lambda: FpParam(np.True_),
+        lambda: EffectAutomorphism(U=np.eye(2), conjugate="no", p=0.0),
+        lambda: EffectAutomorphism(U=np.eye(2), conjugate=1, p=0.0),
+    ],
+    ids=["p=False", "p=np.True_", "conjugate='no'", "conjugate=1"],
+)
+def test_map_values_that_a_map_document_cannot_hold_are_refused(build):
+    # A bool p would be written as false, and a truthy string would conjugate.
+    with pytest.raises(InputError):
+        build()
+
+
+def test_a_numpy_bool_conjugate_is_stored_as_a_bool():
+    phi = EffectAutomorphism(U=np.eye(2), conjugate=np.True_, p=0.0)
+    assert phi.conjugate is True
+    assert '"conjugate": true' in dump_json(map_to_doc(phi))
 
 
 def test_apply_diagonal_known_values():

@@ -88,6 +88,31 @@ def test_strength_oracle_catches_a_mutated_closed_form(tmp_path, capsys, monkeyp
     assert json.loads(capsys.readouterr().out)["gap"] > 1e-6
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_strength_of_a_ray_whose_norm_leaves_the_float_range(tmp_path, capsys, scale):
+    # The direction of [1, 1], with squares that overflow or underflow.
+    eff = tmp_path / "eff.json"
+    eff.write_text(json.dumps(matrix_to_doc(np.diag([0.5, 0.25]).astype(complex))))
+    outputs = []
+    for x in (1.0, scale):
+        ray = tmp_path / "ray.json"
+        ray.write_text(json.dumps({"n": 2, "entries": [[x, 0.0], [x, 0.0]]}))
+        outputs.append((main(["strength", "--effect", str(eff), "--ray", str(ray), "--oracle"]), capsys.readouterr()))
+    assert outputs[1] == outputs[0]
+    assert outputs[0][0] == 0 and outputs[0][1].err == ""
+    assert json.loads(outputs[0][1].out)["value"] == pytest.approx(1.0 / 3.0)
+
+
+@pytest.mark.parametrize("conjugate", [False, True])
+def test_a_map_document_round_trips(tmp_path, conjugate):
+    phi = random_automorphism(3, 0.5, conjugate, 1)
+    path = tmp_path / "map.json"
+    path.write_text(dump_json(map_to_doc(phi)))
+    back = cli.load_map(str(path))
+    assert back.U.tobytes() == phi.U.tobytes()
+    assert back.conjugate is conjugate and back.p == phi.p
+
+
 def test_apply_matches_library(docs, capsys):
     code = main(["apply", "--map", docs["map"], "--effect", docs["eff"]])
     out = json.loads(capsys.readouterr().out)

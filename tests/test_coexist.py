@@ -150,6 +150,11 @@ def test_probe_refuses_a_count_that_runs_no_probe(trials):
         coexists_with_all_probe(atom, trials, 5)
 
 
+def test_probe_takes_a_count_past_sys_maxsize():
+    # A generic effect is refuted in the first blocks, however many probes are allowed.
+    assert not coexists_with_all_probe(sample_effect(2, 1), 10**20, 1)
+
+
 def test_probe_deterministic():
     A = sample_effect(2, np.random.default_rng(31))
     r1 = coexists_with_all_probe(A, 60, 13)

@@ -142,6 +142,21 @@ def test_make_ray_basics():
         make_ray([])
 
 
+@pytest.mark.parametrize("bad", [[np.inf, 0.0], [np.nan, 1.0], [1.0, complex(0.0, np.inf)]])
+def test_make_ray_refuses_non_finite_entries(bad):
+    with pytest.raises(DomainError, match="NaN or inf"):
+        make_ray(bad)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-320])
+@pytest.mark.parametrize("unit", [[1.0, 1.0], [complex(0.5, -1.0), complex(-0.0, 0.25)]], ids=["real", "complex"])
+def test_make_ray_normalizes_vectors_whose_norm_leaves_the_float_range(scale, unit):
+    # The squares overflow or underflow; the vector is divided by its
+    # largest part first, which gives the unit-scale vector back exactly.
+    big = [complex(z.real * scale, z.imag * scale) for z in map(complex, unit)]
+    assert make_ray(big).vector.tobytes() == make_ray(unit).vector.tobytes()
+
+
 def test_ray_projection_matches_outer_product():
     rng = np.random.default_rng(8)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)

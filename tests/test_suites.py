@@ -21,7 +21,7 @@ from effectkit import autos, coexist, fracfun, numkern, strength
 from effectkit.effects import make_effect
 from effectkit.errors import DimensionError, DomainError
 from effectkit.numkern import DEFAULT_TOL
-from effectkit.suites import _SuiteState
+from effectkit.suites import _block_cap, _SuiteState, _trial_blocks
 
 LIMITS = [0.0, 1e-9, 0.5, 1e3]
 
@@ -158,3 +158,17 @@ def test_one_count_rule_takes_numpy_integers_and_refuses_bools(caller):
     for flag in (True, np.True_):
         with pytest.raises(error, match=message):
             call(flag)
+
+
+def test_trial_blocks_take_a_range_longer_than_sys_maxsize():
+    # len() of such a range raises OverflowError; the count is read from
+    # its start, stop and step, so a search's doubling blocks stay those of
+    # a short range.
+    block = next(_trial_blocks([1], range(0, 10**20), 2))
+    assert len(block.rngs) == _block_cap(2)
+    assert block.parts == [(0, slice(0, _block_cap(2)))]
+    short, long = (_trial_blocks([1], range(1, stop, 2), 2, first=1) for stop in (200, 10**20))
+    for _ in range(4):
+        a, b = next(short), next(long)
+        assert a.parts == b.parts
+        assert [r.bit_generator.state for r in a.rngs] == [r.bit_generator.state for r in b.rngs]

@@ -1,7 +1,9 @@
-"""The threaded path of ``Suite.run``: from ``suites._THREAD_DIM`` up, the
-entries of a group run on worker threads.  Reports, exit codes and errors
-equal the serial loop's, a caller's map runs on the caller's thread, and a
-failing entry or an interrupt stops the other entries at their next block."""
+"""The threaded path of ``Suite.run``: from ``suites._THREAD_DIM`` up, a
+group is cut into shares of consecutive entries, and each share runs the
+block loop on a worker thread.  Reports, exit codes and errors equal the
+serial loop's, a caller's map runs on the caller's thread, and a failing
+entry or an interrupt stops the later shares, or every share, at their
+next block."""
 
 import signal
 import sys
@@ -20,13 +22,13 @@ from effectkit.suites import Suite
 
 def _count_threaded_runs(monkeypatch):
     calls = []
-    threaded = Suite._run_threaded
+    threaded = Suite._run_shares
 
     def spy(self, *args):
         calls.append(self.name)
         return threaded(self, *args)
 
-    monkeypatch.setattr(Suite, "_run_threaded", spy)
+    monkeypatch.setattr(Suite, "_run_shares", spy)
     return calls
 
 
@@ -39,8 +41,8 @@ def _count_threaded_runs(monkeypatch):
     ids=["reports", "tol-1e-7"],
 )
 def test_threaded_verify_equals_serial(monkeypatch, capsys, argv):
-    # The host's usable CPUs; three workers over the four (p, conj) entries
-    # of each family group, so one worker takes a second entry, whatever
+    # The host's usable CPUs; three shares of the four (p, conj) entries
+    # of each family group, so the last share holds two entries, whatever
     # the host; and one usable CPU, the serial loop.
     calls = _count_threaded_runs(monkeypatch)
     default = main(["verify", "--suite", "all", *argv]), capsys.readouterr()
@@ -81,8 +83,10 @@ def _check(block):
 
 def test_the_first_failing_entry_raises_and_stops_the_later_entries(monkeypatch):
     # Entry 3 fails at once and entry 1 after a pause: the serial loop
-    # raises entry 1's error, and so do the threads.  Entry 2 would take
-    # about a second; it stops at its next block once entry 1 fails.
+    # raises entry 1's error, and so do the threads, with shares of one
+    # entry (4 CPUs) or two (2 CPUs: [ok, slow failure] and [long, fast
+    # failure]).  Entry 2 would take about a second; it stops at its next
+    # block once entry 1 fails.
     blocks = []
 
     def step(subjects, n, tol, block):
@@ -99,7 +103,7 @@ def test_the_first_failing_entry_raises_and_stops_the_later_entries(monkeypatch)
 
     suite = Suite("failing", ("n",), step)
     subjects = ["ok", "slow failure", "long", "fast failure"]
-    for cpus in (1, 4):
+    for cpus in (1, 2, 4):
         monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
         del blocks[:]
         with pytest.raises(ValueError, match="slow failure"):
@@ -134,9 +138,10 @@ def test_an_interrupt_stops_every_entry_at_its_next_block(monkeypatch):
 
 
 def test_more_workers_than_cores_record_every_trial_of_their_entry(monkeypatch):
-    # The workers share the queue of entries and the stop mark; with the
-    # interpreter switching threads every microsecond, each entry's report
-    # still equals the serial loop's, failures and counterexample included.
+    # Eight shares of two entries each read the shared stop marks; with
+    # the interpreter switching threads every microsecond, each entry's
+    # report still equals the serial loop's, failures and counterexample
+    # included.
     def step(subjects, n, tol, block):
         r = np.array([rng.random() for rng in block.rngs])
         return [("draw", r, 0.5, {"A": r[:, None, None]})]
