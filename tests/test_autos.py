@@ -20,7 +20,6 @@ from effectkit.autos import (
     verify_transition,
     verify_zero_product,
 )
-from effectkit.cli import dump_json, map_to_doc
 from effectkit.coexist import coexist_rank_one
 from effectkit.effects import (
     WeakAtom,
@@ -72,12 +71,6 @@ def test_map_values_that_a_map_document_cannot_hold_are_refused(build):
     # A bool p would be written as false, and a truthy string would conjugate.
     with pytest.raises(InputError):
         build()
-
-
-def test_a_numpy_bool_conjugate_is_stored_as_a_bool():
-    phi = EffectAutomorphism(U=np.eye(2), conjugate=np.True_, p=0.0)
-    assert phi.conjugate is True
-    assert '"conjugate": true' in dump_json(map_to_doc(phi))
 
 
 def test_apply_diagonal_known_values():

@@ -103,14 +103,15 @@ def test_strength_of_a_ray_whose_norm_leaves_the_float_range(tmp_path, capsys, s
     assert json.loads(outputs[0][1].out)["value"] == pytest.approx(1.0 / 3.0)
 
 
-@pytest.mark.parametrize("conjugate", [False, True])
+@pytest.mark.parametrize("conjugate", [False, True, np.True_])
 def test_a_map_document_round_trips(tmp_path, conjugate):
+    # A numpy bool flag is stored, and written, as a JSON boolean.
     phi = random_automorphism(3, 0.5, conjugate, 1)
     path = tmp_path / "map.json"
     path.write_text(dump_json(map_to_doc(phi)))
     back = cli.load_map(str(path))
     assert back.U.tobytes() == phi.U.tobytes()
-    assert back.conjugate is conjugate and back.p == phi.p
+    assert phi.conjugate is back.conjugate is bool(conjugate) and back.p == phi.p
 
 
 def test_apply_matches_library(docs, capsys):
