@@ -120,7 +120,7 @@ class EffectAutomorphism:
         U.setflags(write=False)
         object.__setattr__(self, "U", U)
         if not isinstance(self.p, FpParam):
-            object.__setattr__(self, "p", FpParam(float(self.p)))
+            object.__setattr__(self, "p", FpParam(self.p))
 
     @property
     def dim(self) -> int:

@@ -285,7 +285,7 @@ def load_map(path: str) -> EffectAutomorphism:
     if not _is_finite_number(doc["p"]):
         raise ParseFailure(f"{path}: field 'p' must be a finite number")
     U = doc_to_matrix(doc["U"], f"{path}: field 'U'")
-    return EffectAutomorphism(U=U, conjugate=doc["conjugate"], p=FpParam(float(doc["p"])))
+    return EffectAutomorphism(U=U, conjugate=doc["conjugate"], p=float(doc["p"]))
 
 
 def map_to_doc(phi: EffectAutomorphism) -> dict:

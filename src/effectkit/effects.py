@@ -19,10 +19,12 @@ same matrix alone.  A stacked sampler draws member k from the k-th
 generator, so each trial keeps its own random stream and a report does
 not depend on how trials are grouped; m effects per generator come as one
 (m, T, n, n) stack of stacks, under one QR and one eigendecomposition.
-``sample_effect`` is the one-member case of the stacked sampler,
-``leq`` reads the first decision of the one Loewner kernel,
-``numkern._psd_leq_both``, and ``is_scalar`` is the one-matrix case of
-the scalar rule ``_scalar_rule``.
+``sample_effect`` and ``scalar_effect`` (``identity_effect`` and
+``zero_effect`` too) are the one-member cases of the stacked sampler and of
+``_scalar_stack``, ``leq`` reads the first decision of the one Loewner
+kernel, ``numkern._psd_leq_both``, ``is_scalar`` is the one-matrix case of
+the scalar rule ``_scalar_rule``, and ``rank_of`` and ``range_projection``
+split the spectrum at the one rank cutoff, ``numkern._rank_cutoff``.
 
 Validation follows where a matrix comes from.  Outside input goes through
 ``make_effect`` one matrix at a time: hermiticity, then the spectral
@@ -173,26 +175,23 @@ def _stack_effects(effects: Sequence[Effect]) -> EffectStack:
 
 
 def identity_effect(n: int) -> Effect:
-    eye = np.eye(n, dtype=np.complex128)
-    return _effect(eye, np.ones(n), eye.copy())
+    return scalar_effect(n, 1.0)
 
 
 def zero_effect(n: int) -> Effect:
-    eye = np.eye(n, dtype=np.complex128)
-    return _effect(np.zeros((n, n), dtype=np.complex128), np.zeros(n), eye)
+    return scalar_effect(n, 0.0)
 
 
 def scalar_effect(n: int, lam: float) -> Effect:
     """The effect lam * I; lam must be a number in [0, 1], not a bool."""
     if not numkern._is_weight(lam):
         raise SpectrumOutOfRange(f"scalar must be a number in [0, 1], got {lam!r}")
-    eye = np.eye(n, dtype=np.complex128)
-    return _effect(lam * eye, np.full(n, float(lam)), eye.copy())
+    return _scalar_stack(n, np.array([float(lam)]))[0]
 
 
 def _scalar_stack(n: int, lams: np.ndarray) -> EffectStack:
-    """The stack of ``scalar_effect(n, lam)`` for each lam of a 1-d float
-    array, every lam in [0, 1]: each member equals it bit for bit."""
+    """The one builder of lam * I: the stack of these effects for each lam
+    of a 1-d float array, every lam in [0, 1]."""
     eye = np.eye(n, dtype=np.complex128)
     V = np.broadcast_to(eye, (len(lams), n, n))  # made contiguous by _effect
     return _effect(lams[:, None, None] * eye, np.repeat(lams[:, None], n, axis=1), V)
@@ -356,19 +355,14 @@ def is_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return bool(np.all(np.minimum(w, 1.0 - w) <= tol.eps_psd))
 
 
-def _kept_mask(A: Effect, tol: ToleranceConfig) -> np.ndarray:
-    w = A.eigenvalues
-    return w > tol.eps_rank * float(w[-1])
-
-
 def rank_of(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: eigenvalues above the relative cutoff eps_rank * max."""
-    return int(np.count_nonzero(_kept_mask(A, tol)))
+    return int(np.count_nonzero(A.eigenvalues > numkern._rank_cutoff(A.eigenvalues, tol)))
 
 
 def range_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """Orthogonal projection onto the numerical range of A."""
-    kept = _kept_mask(A, tol)
+    kept = A.eigenvalues > numkern._rank_cutoff(A.eigenvalues, tol)
     V = A.eigenvectors
     Vk = V[:, kept]
     matrix = numkern.hermitize(Vk @ Vk.conj().T)

@@ -27,6 +27,7 @@ module also owns the pexider suite of ``effectkit verify``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -81,14 +82,16 @@ class FracParams:
 
 @dataclass(frozen=True)
 class FpParam:
-    """Order-form parameter p < 1; the identity map is p = 0."""
+    """Order-form parameter p < 1 (p = 0 is the identity): the one check of a p as given."""
 
     p: float
 
     def __post_init__(self) -> None:
-        # A bool is not a number here, as in ``numkern._is_weight``.
-        if isinstance(self.p, (bool, np.bool_)) or not (math.isfinite(self.p) and self.p < 1.0):
-            raise ParamError(f"p must be a finite real below 1, got {self.p!r}")
+        p = self.p
+        # Stored as a float.  numbers.Real takes a bool, but a bool is not a p.
+        if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p) and p < 1.0):
+            raise ParamError(f"p must be a finite real below 1, got {p!r}")
+        object.__setattr__(self, "p", float(p))
 
     def as_frac(self) -> FracParams:
         return FracParams(a=1.0 - self.p, b=1.0, c=1.0)
@@ -122,16 +125,12 @@ def f_eval(params: FracParams, x: float) -> float:
 
 
 def _f_values(params: FracParams, x: np.ndarray) -> np.ndarray:
-    """f_eval at each point of the array x, bit for bit.
+    """f_eval at each point of the array x, bit for bit, for x in [0, 1] (not checked).
 
     The arithmetic runs on arrays, but each power is a Python float power:
     numpy's array ``**`` need not round as ``pow`` does.  f(0) = 0 and
     f(1) = 1 come out of the arithmetic exactly.
     """
-    inside = np.isfinite(x) & (x >= -1e-12) & (x <= 1.0 + 1e-12)
-    if not inside.all():
-        raise DomainError(f"argument {x[~inside][0]!r} outside [0, 1]")
-    x = np.minimum(1.0, np.maximum(0.0, x))
     xc = _powers(x, params.c)
     return xc / (xc + params.a * _powers(1.0 - x, params.c))
 
@@ -152,9 +151,7 @@ def f_inverse(params: FracParams, y: float) -> float:
 
 
 def _coerce_p(p: FpParam | float) -> float:
-    if isinstance(p, FpParam):
-        return p.p
-    return FpParam(float(p)).p
+    return (p if isinstance(p, FpParam) else FpParam(p)).p
 
 
 def fp_eval(p: FpParam | float, x: float) -> float:
@@ -176,8 +173,7 @@ def _fp(pv: float, x):
 
 def inverse_param(p: FpParam | float) -> FpParam:
     """Parameter of the inverse map: f_p^-1 = f_q with q = 1 - 1/(1-p)."""
-    pv = _coerce_p(p)
-    return FpParam(1.0 - 1.0 / (1.0 - pv))
+    return FpParam(1.0 - 1.0 / (1.0 - _coerce_p(p)))
 
 
 def fp_apply(p: FpParam | float | np.ndarray, A: Effect) -> Effect:
@@ -199,9 +195,11 @@ def fp_apply(p: FpParam | float | np.ndarray, A: Effect) -> Effect:
 
 def _coerce_members(pv: np.ndarray) -> np.ndarray:
     """An array of parameters, each checked as FpParam checks one."""
+    if pv.dtype.kind not in "iuf":  # bools, strings, objects: member by member
+        return np.array([FpParam(v).p for v in pv.tolist()])
     bad = ~(np.isfinite(pv) & (pv < 1.0))
     if bad.any():
-        FpParam(float(pv[bad][0]))  # raises
+        FpParam(pv[bad].tolist()[0])  # raises
     return pv
 
 

@@ -294,11 +294,15 @@ def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def _pinv_sqrt_spectrum(w: np.ndarray, V: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """``pinv_sqrt`` of the matrix with ascending spectrum w >= 0 and
     eigenvectors V, for a caller that holds them, such as an Effect."""
-    cutoff = tol.eps_rank * float(w[-1])
     inv = np.zeros_like(w)
-    kept = w > cutoff
+    kept = w > _rank_cutoff(w, tol)
     inv[kept] = 1.0 / np.sqrt(w[kept])
     return _from_spectrum(V, inv)
+
+
+def _rank_cutoff(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """The one rank rule: in each ascending row of w, values at or below this are kernel."""
+    return tol.eps_rank * w[..., -1:]
 
 
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:

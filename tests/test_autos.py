@@ -23,6 +23,7 @@ from effectkit.autos import (
 from effectkit.coexist import coexist_rank_one
 from effectkit.effects import (
     WeakAtom,
+    _scalar_stack,
     effects_equal,
     make_effect,
     make_ray,
@@ -37,10 +38,11 @@ from effectkit.errors import (
     InputError,
     NotInFamily,
     NotScalarAction,
+    ParamError,
     SpectrumOutOfRange,
     UnitarityViolation,
 )
-from effectkit.fracfun import FpParam, fp_eval
+from effectkit.fracfun import FpParam, fp_apply, fp_eval, inverse_param, rigidity_probe
 from effectkit.numkern import DEFAULT_TOL, frobenius, haar_unitary
 
 
@@ -71,6 +73,39 @@ def test_map_values_that_a_map_document_cannot_hold_are_refused(build):
     # A bool p would be written as false, and a truthy string would conjugate.
     with pytest.raises(InputError):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, given",
+    [
+        (lambda: EffectAutomorphism(np.eye(2), False, False), False),
+        (lambda: fp_eval(False, 0.5), False),
+        (lambda: fp_eval(np.False_, 0.3), np.False_),
+        (lambda: inverse_param(False), False),
+        (lambda: rigidity_probe(False, "fixed-point", 5), False),
+        (lambda: fp_apply(np.array([False]), _scalar_stack(2, np.array([0.5]))), False),
+        (lambda: fp_apply(np.array([True]), _scalar_stack(2, np.array([0.5]))), True),
+        (lambda: fp_eval("0.5", 0.5), "0.5"),
+        (lambda: FpParam("0.5"), "0.5"),
+        (lambda: EffectAutomorphism(np.eye(2), False, "0"), "0"),
+    ],
+    ids=[
+        "map-p=False", "fp_eval-p=False", "fp_eval-p=np.False_", "inverse_param-p=False",
+        "rigidity_probe-p=False", "fp_apply-p=[False]", "fp_apply-p=[True]", "fp_eval-p='0.5'",
+        "FpParam-p='0.5'", "map-p='0'",
+    ],
+)
+def test_every_entry_point_refuses_a_p_that_is_not_a_number_as_given(call, given):
+    # FpParam checks p before anything turns it into a float: a bool is not
+    # 0 or 1, and a string is not the number it spells.
+    with pytest.raises(ParamError, match=re.escape(f"p must be a finite real below 1, got {given!r}") + "$"):
+        call()
+
+
+def test_a_p_is_stored_as_a_python_float():
+    # A map document writes phi.p.p; a Python float keeps its bytes.
+    assert type(EffectAutomorphism(np.eye(2), False, np.float64(0.5)).p.p) is float
+    assert type(FpParam(0).p) is float
 
 
 def test_apply_diagonal_known_values():

@@ -30,7 +30,9 @@ from effectkit.errors import (
     RankError,
     SpectrumOutOfRange,
 )
-from effectkit.numkern import frobenius, psd_leq
+from effectkit import numkern
+from effectkit.numkern import DEFAULT_TOL, frobenius, pinv_sqrt, psd_leq
+from effectkit.strength import strength_closed
 
 
 def test_make_effect_valid():
@@ -231,3 +233,34 @@ def test_sample_effect_and_ray_deterministic():
     r1 = sample_ray(3, np.random.default_rng([4, 1]))
     r2 = sample_ray(3, np.random.default_rng([4, 1]))
     assert np.array_equal(r1.vector, r2.vector)
+
+
+def _in_range_by_each_reader(w):
+    """Whether e_0, the eigenvector of w[0], lies in the range of diag(w), as
+    each reader of the rank rule decides it: rank_of, range_projection,
+    pinv_sqrt and strength_closed (a ray with weight on e_0)."""
+    M = np.diag(w).astype(complex)
+    A = make_effect(M)
+    assert np.array_equal(A.eigenvalues, w)
+    return (
+        rank_of(A) == len(w),
+        bool(range_projection(A).matrix[0, 0].real > 0.5),
+        bool(pinv_sqrt(M)[0, 0].real > 0.0),
+        strength_closed(A, make_ray(np.ones(len(w)))).in_range,
+    )
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at-cutoff", "one-ulp-above"])
+def test_an_eigenvalue_at_the_rank_cutoff_is_kernel_and_one_ulp_above_is_range(above):
+    cutoff = DEFAULT_TOL.eps_rank * 0.75
+    low = np.nextafter(cutoff, 1.0) if above else cutoff
+    assert _in_range_by_each_reader(np.array([low, 0.5, 0.75])) == (above,) * 4
+
+
+def test_the_readers_of_the_rank_rule_move_with_it(monkeypatch):
+    # numkern._rank_cutoff is the one rank rule: raised to half of lambda_max,
+    # it moves the eigenvalue 0.25 into the kernel for every reader at once.
+    w = np.array([0.25, 0.5, 0.75])
+    assert _in_range_by_each_reader(w) == (True,) * 4
+    monkeypatch.setattr(numkern, "_rank_cutoff", lambda w, tol: 0.5 * w[..., -1:])
+    assert _in_range_by_each_reader(w) == (False,) * 4

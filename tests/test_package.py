@@ -190,6 +190,29 @@ def test_only_apply_and_the_image_routine_map_through_the_family_kernel():
     assert readers == {"autos.py:_images", "autos.py:apply"}
 
 
+def _callee(call: ast.Call) -> str | None:
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def test_one_owner_each_for_the_rank_cutoff_and_the_check_of_p():
+    # numkern._rank_cutoff splits every spectrum into range and kernel, and
+    # FpParam checks every p as given: no float() runs in front of it.
+    package = Path(effectkit.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    readers = {f"{name}:{scope}" for name, tree in trees.items() for scope, loaded in _loads(tree) if loaded == "_rank_cutoff"}
+    assert readers == {
+        "effects.py:rank_of", "effects.py:range_projection", "numkern.py:_pinv_sqrt_spectrum", "strength.py:_closed",
+    }
+    wrapped = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "FpParam"
+        and any(isinstance(arg, ast.Call) and _callee(arg) == "float" for arg in [*node.args, *(k.value for k in node.keywords)])
+    ]
+    assert wrapped == []
+
+
 REPORT_ORDER = [
     "order", "zero-product", "ortho", "sequential", "transition", "scalar-pair",
     "coexist", "strength-oracle", "pexider",

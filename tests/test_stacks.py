@@ -569,12 +569,19 @@ def _is_scalar_reference(M, tol):
 def test_the_scalar_rule_and_stack_match_per_matrix(n):
     # np.trace on a stack sums each member's diagonal as on a lone matrix,
     # so the stacked rule decides each member as the lone rule does.
-    from effectkit.effects import _effect, _scalar_rule, _scalar_stack, is_scalar, scalar_effect
+    from effectkit.effects import (
+        _effect, _scalar_rule, _scalar_stack, identity_effect, is_scalar, scalar_effect, zero_effect,
+    )
 
     xs = np.arange(1, T + 1) / (T + 1.0)
     S = _scalar_stack(n, xs)
     for k, x in enumerate(xs.tolist()):
         assert same_effect(S[k], scalar_effect(n, x))
+    # identity_effect and zero_effect, built by scalar_effect, are the I and 0
+    # that np.eye and np.zeros once built directly.
+    eye = np.eye(n, dtype=np.complex128)
+    assert same_effect(identity_effect(n), _effect(eye, np.ones(n), eye.copy()))
+    assert same_effect(zero_effect(n), _effect(np.zeros((n, n), dtype=np.complex128), np.zeros(n), eye))
     images = apply(random_automorphism(n, 0.5, True, n), S).matrix
     near = S.matrix + 1e-9 * _random_effect_stack(n, rngs(1))  # a perturbed scalar, near the eps_eq bound
     for M in (images, near, _random_effect_stack(n, rngs(n))):
