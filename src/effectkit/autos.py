@@ -29,7 +29,8 @@ all the (p, conj) entries at one dimension: every entry keeps its map,
 seed, generators and report, and the entries share blocks.
 One routine, ``_images``, makes every image of a caller's map: family
 members map a stack in one ``_map_members`` pass (``apply`` is its
-one-map case), and a black-box map is called on each member as an
+one-map case; f_p acts through ``fracfun._fp_spectral``, for p already
+checked), and a black-box map is called on each member as an
 Effect, its image held to the member's dimension.  Every member is the
 effect the trial would have built alone, bit for bit, so reports equal
 those of running trials one by one.  ``fit_p`` maps its grid of scalar
@@ -73,7 +74,7 @@ from .errors import (
     ParamError,
     UnitarityViolation,
 )
-from .fracfun import FpParam, FracFit, fit_frac, fp_apply, fp_eval, interior_grid, inverse_param
+from .fracfun import FpParam, FracFit, _fp_spectral, fit_frac, fp_eval, interior_grid, inverse_param
 from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
 from .sequential import seq_product
 from .suites import Suite, VerificationReport, _Block, _block_cap
@@ -112,7 +113,8 @@ class EffectAutomorphism:
         if not np.isfinite(U).all():
             raise UnitarityViolation("U has non-finite entries")
         n = U.shape[0]
-        defect = numkern.frobenius(U.conj().T @ U - np.eye(n))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries give defect inf or nan, refused below
+            defect = numkern.frobenius(U.conj().T @ U - np.eye(n))
         # A map validates itself when built, before any tol is given: the default bound.
         if not (defect <= DEFAULT_TOL.eps_herm * n):
             raise UnitarityViolation(f"U is not unitary: defect {defect:.3e}")
@@ -142,13 +144,13 @@ def apply(phi: EffectAutomorphism, A: Effect) -> Effect:
 
     For an EffectStack, the stack of the member images.
     """
-    return _map_members(phi.U, phi.conjugate, phi.p, A)
+    return _map_members(phi.U, phi.conjugate, phi.p.p, A)
 
 
 def _map_members(U: np.ndarray, conjugate, p, A: Effect) -> Effect:
     """U f_p(K(A)) U* for an effect or each member of a (T, n, n) stack,
     with the map given once, or per member as a (T, n, n) stack of unitaries,
-    T conjugation flags and T parameters: the one routine that maps."""
+    T conjugation flags and (T, 1) floats p, each checked by an FpParam: the one routine that maps."""
     if A.dim != U.shape[-1]:
         raise DimensionError(f"dimension mismatch: effect {A.dim}, map {U.shape[-1]}")
     V = A.eigenvectors  # f_p reads only the eigensystem, so only that is conjugated
@@ -156,7 +158,7 @@ def _map_members(U: np.ndarray, conjugate, p, A: Effect) -> Effect:
         V = np.where(conjugate[:, None, None], np.conj(V), V)
     elif conjugate:
         V = np.conj(V)
-    mapped = fp_apply(p, numkern.EigenDecomp(A.eigenvalues, V))
+    mapped = _fp_spectral(p, A.eigenvalues, V)
     matrix = hermitize(U @ mapped.matrix @ U.conj().swapaxes(-1, -2))
     return _effect(matrix, mapped.eigenvalues, U @ mapped.eigenvectors)
 
@@ -204,10 +206,10 @@ def _images(runs: Sequence[tuple[EffectMap, int]]) -> EffectMap:
         # One map maps as ``apply`` does: at n = 64, where a block holds
         # one trial, per-member arrays cost about 6% of a verify run.
         if len(maps) == 1:
-            return functools.partial(_map_members, maps[0].U, maps[0].conjugate, maps[0].p)
+            return functools.partial(_map_members, maps[0].U, maps[0].conjugate, maps[0].p.p)
         U = np.repeat(np.stack([phi.U for phi in maps]), counts, axis=0)
         conjugate = np.repeat([phi.conjugate for phi in maps], counts)
-        p = np.repeat([phi.p.p for phi in maps], counts)
+        p = np.repeat([phi.p.p for phi in maps], counts)[:, None]
         return functools.partial(_map_members, U, conjugate, p)
     members = [phi for phi, count in runs for _ in range(count)]
 

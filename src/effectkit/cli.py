@@ -71,7 +71,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numkern
 from .autos import (
     _ORDER,
     _ORTHO,
@@ -203,10 +203,7 @@ def matrix_to_doc(M: np.ndarray) -> dict:
 
 
 def _is_finite_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return type(value) in (int, float) and numkern._is_number(value)
 
 
 def _read_pairs(doc, field: str, where: str) -> np.ndarray:

@@ -139,6 +139,7 @@ def coexists_with_all_probe(
     """
     if not numkern._is_count(trials, 2):
         raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
+    numkern._require_seed(seed)
     complement = orthocomplement(A)
     for rngs, _ in _trial_blocks([seed], range(1, trials, 2), A.dim, first=1):
         vec = _ray_matrix(numkern._random_ray_stack(A.dim, rngs))[0]

@@ -210,8 +210,10 @@ class RayProjection:
 
 
 def make_ray(v: np.ndarray) -> RayProjection:
-    """Build a RayProjection from any nonzero vector of finite entries (normalized here)."""
-    vec = np.asarray(v, dtype=np.complex128).reshape(-1)
+    """Build a RayProjection from any nonzero 1-D vector of finite entries (normalized here)."""
+    vec = np.asarray(v, dtype=np.complex128)
+    if vec.ndim != 1:
+        raise DimensionError(f"ray vector must be 1-D, got shape {vec.shape}")
     if vec.shape[0] < 1:
         raise DimensionError("ray vector must have positive length")
     vec, projection = _ray(vec)

@@ -21,18 +21,20 @@ passes all of them.  A probe evaluates f_p on its whole grid as arrays,
 with the floats of a loop over the points, and returns that loop's first
 witness.  ``f_eval`` stays scalar on purpose: the Pexider form calls it
 per grid pair, and a lone point costs 15-20x more as an array.  The
-module also owns the pexider suite of ``effectkit verify``.
+module also owns the pexider suite of ``effectkit verify``.  ``fp_apply``
+takes one p, checked by ``FpParam``; its kernel ``_fp_spectral`` also maps
+for ``autos``, whose family maps hold p values already checked.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from . import numkern
 from .effects import Effect, _effect
 from .errors import DomainError, FitError, ParamError
 from .numkern import DEFAULT_TOL, ToleranceConfig, _from_spectrum, _is_count
@@ -76,7 +78,7 @@ class FracParams:
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if not (numkern._is_number(value) and value > 0.0):
                 raise ParamError(f"{name} must be a positive finite real, got {value!r}")
 
 
@@ -88,8 +90,7 @@ class FpParam:
 
     def __post_init__(self) -> None:
         p = self.p
-        # Stored as a float.  numbers.Real takes a bool, but a bool is not a p.
-        if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p) and p < 1.0):
+        if not (numkern._is_number(p) and p < 1.0):
             raise ParamError(f"p must be a finite real below 1, got {p!r}")
         object.__setattr__(self, "p", float(p))
 
@@ -107,7 +108,7 @@ class FracFit:
 
 
 def _check_unit_interval(x: float) -> float:
-    if not (math.isfinite(x) and -1e-12 <= x <= 1.0 + 1e-12):
+    if not (numkern._is_number(x) and -1e-12 <= x <= 1.0 + 1e-12):
         raise DomainError(f"argument {x!r} outside [0, 1]")
     return min(1.0, max(0.0, x))
 
@@ -176,31 +177,21 @@ def inverse_param(p: FpParam | float) -> FpParam:
     return FpParam(1.0 - 1.0 / (1.0 - _coerce_p(p)))
 
 
-def fp_apply(p: FpParam | float | np.ndarray, A: Effect) -> Effect:
+def fp_apply(p: FpParam | float, A: Effect) -> Effect:
     """Apply f_p to an effect (or each member of an EffectStack) through
     the spectral calculus.
 
-    For a (T, n, n) stack, ``p`` may also be an array of T parameters, one
-    per member.  Only the eigensystem is read, so ``A`` may also be any
-    value with ``eigenvalues`` and ``eigenvectors``, such as an
-    EigenDecomp.  f_p is increasing, so the stored ascending eigenvalue
-    order (and the eigenvector pairing) survives untouched.
+    f_p is increasing, so the stored ascending eigenvalue order (and the
+    eigenvector pairing) survives untouched.
     """
-    pv = _coerce_members(p)[:, None] if isinstance(p, np.ndarray) else _coerce_p(p)
-    w = A.eigenvalues
+    return _fp_spectral(_coerce_p(p), A.eigenvalues, A.eigenvectors)
+
+
+def _fp_spectral(pv, w: np.ndarray, V: np.ndarray) -> Effect:
+    """The one f_p kernel: the effect with eigenvalues f_p(w) and eigenvectors V, for
+    a checked p, one float or a (T, 1) array of floats, one per member of a stack."""
     fw = np.clip(_fp(pv, w), 0.0, 1.0)
-    V = A.eigenvectors
     return _effect(_from_spectrum(V, fw), fw, V)
-
-
-def _coerce_members(pv: np.ndarray) -> np.ndarray:
-    """An array of parameters, each checked as FpParam checks one."""
-    if pv.dtype.kind not in "iuf":  # bools, strings, objects: member by member
-        return np.array([FpParam(v).p for v in pv.tolist()])
-    bad = ~(np.isfinite(pv) & (pv < 1.0))
-    if bad.any():
-        FpParam(pv[bad].tolist()[0])  # raises
-    return pv
 
 
 def interior_grid(grid: int) -> np.ndarray:

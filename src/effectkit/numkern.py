@@ -35,6 +35,8 @@ call.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -42,6 +44,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     HermiticityViolation,
     NotPositiveSemidefinite,
 )
@@ -64,6 +67,14 @@ __all__ = [
 ]
 
 
+def _is_number(value) -> bool:
+    """The one number rule of the package: a ``numbers.Real``, not a bool, finite and within the float range."""
+    try:
+        return not isinstance(value, (bool, np.bool_)) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range is refused, not raised
+        return False
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical tolerances shared across the package.
@@ -82,13 +93,13 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for name in ("eps_psd", "eps_rank", "eps_eq", "eps_herm"):
             value = getattr(self, name)
-            if not (0.0 < value < 1e-3):
+            if not (_is_number(value) and 0.0 < value < 1e-3):
                 raise ValueError(f"{name} must lie strictly between 0 and 1e-3, got {value!r}")
 
     def scaled(self, factor: float) -> "ToleranceConfig":
         """Return a copy with every threshold multiplied by ``factor``."""
-        if factor <= 0.0:
-            raise ValueError("tolerance scale factor must be positive")
+        if not (_is_number(factor) and factor > 0.0):
+            raise ValueError(f"tolerance scale factor must be positive, got {factor!r}")
         return replace(
             self,
             eps_psd=self.eps_psd * factor,
@@ -203,10 +214,11 @@ def require_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.n
     otherwise meet the infinite bound.
     """
     A = as_complex_matrix(M)
-    scale = frobenius(A)
-    if not np.isfinite(scale):
-        raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
-    defect = frobenius(A - A.conj().T)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused here
+        scale = frobenius(A)
+        if not np.isfinite(scale):
+            raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
+        defect = frobenius(A - A.conj().T)
     if not defect <= tol.eps_herm * max(1.0, scale):
         raise HermiticityViolation(f"matrix is not Hermitian: defect {defect:.3e}")
     return hermitize(A)
@@ -308,7 +320,14 @@ def _rank_cutoff(w: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 def _as_generator(seed: int | np.random.Generator) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    _require_seed(seed)
     return np.random.default_rng(seed)
+
+
+def _require_seed(seed) -> None:
+    """The one seed rule: a count of at least 0."""
+    if not _is_count(seed, 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -318,8 +337,8 @@ def _is_count(value, least: int = 1) -> bool:
 
 
 def _is_weight(value) -> bool:
-    """The one weight rule of the package: a number in [0, 1], not a bool."""
-    return not isinstance(value, (bool, np.bool_)) and 0.0 <= value <= 1.0
+    """The one weight rule of the package: a number (``_is_number``) in [0, 1]."""
+    return _is_number(value) and 0.0 <= value <= 1.0
 
 
 def _require_dim(n: int) -> None:

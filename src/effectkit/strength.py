@@ -244,7 +244,7 @@ def strength_two_block(
     orthogonal to P) are rejected since the two-block reduction is meant
     for genuinely mixed rays.
     """
-    if not (0.0 < mu < 1.0):
+    if not (numkern._is_number(mu) and 0.0 < mu < 1.0):
         raise DomainError(f"weight mu must lie strictly between 0 and 1, got {mu!r}")
     if P.dim != Q.dim or P.dim != R.dim:
         raise DimensionError("rays must share one dimension")

@@ -39,7 +39,7 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numkern import ToleranceConfig, _is_count
+from .numkern import ToleranceConfig, _is_count, _require_seed
 
 __all__ = ["VerificationReport", "Suite"]
 
@@ -222,8 +222,10 @@ class Suite:
         failing entry's), are the serial loop's."""
         if not _is_count(trials):
             raise DomainError(f"trials must be a positive integer, got {trials!r}")
-        trials = int(trials)  # a report holds a Python int
-        states = [_SuiteState(self.name, trials, seed) for seed in seeds]
+        for seed in seeds:
+            _require_seed(seed)
+        trials = int(trials)  # a report holds Python ints
+        states = [_SuiteState(self.name, trials, int(seed)) for seed in seeds]
         if self.controls is not None:
             for state, subject in zip(states, subjects):
                 state.record(*self.controls(subject, n, tol))

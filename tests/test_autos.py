@@ -1,6 +1,7 @@
 """Automorphism family and the seeded verification suites."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ def test_constructor_rejects_non_finite_unitary(bad):
         EffectAutomorphism(U=U, conjugate=False, p=FpParam(0.0))
 
 
+def test_a_unitary_check_that_overflows_refuses_without_a_warning():
+    # U*U overflows to inf and nan; the defect is refused, and numpy stays quiet.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnitarityViolation, match="defect nan"):
+            EffectAutomorphism(U=np.eye(2) * 1e308, conjugate=False, p=0.0)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -83,21 +92,24 @@ def test_map_values_that_a_map_document_cannot_hold_are_refused(build):
         (lambda: fp_eval(np.False_, 0.3), np.False_),
         (lambda: inverse_param(False), False),
         (lambda: rigidity_probe(False, "fixed-point", 5), False),
-        (lambda: fp_apply(np.array([False]), _scalar_stack(2, np.array([0.5]))), False),
-        (lambda: fp_apply(np.array([True]), _scalar_stack(2, np.array([0.5]))), True),
+        (lambda: fp_apply(np.array([False]), _scalar_stack(2, np.array([0.5]))), np.array([False])),
+        (lambda: fp_apply(np.array([True]), _scalar_stack(2, np.array([0.5]))), np.array([True])),
+        (lambda: fp_apply(np.array([0.5, 0.2]), scalar_effect(2, 0.5)), np.array([0.5, 0.2])),
+        (lambda: fp_apply(np.array(0.5), scalar_effect(2, 0.5)), np.array(0.5)),
         (lambda: fp_eval("0.5", 0.5), "0.5"),
         (lambda: FpParam("0.5"), "0.5"),
         (lambda: EffectAutomorphism(np.eye(2), False, "0"), "0"),
     ],
     ids=[
         "map-p=False", "fp_eval-p=False", "fp_eval-p=np.False_", "inverse_param-p=False",
-        "rigidity_probe-p=False", "fp_apply-p=[False]", "fp_apply-p=[True]", "fp_eval-p='0.5'",
+        "rigidity_probe-p=False", "fp_apply-p=[False]", "fp_apply-p=[True]", "fp_apply-p=[0.5, 0.2]",
+        "fp_apply-p=array(0.5)", "fp_eval-p='0.5'",
         "FpParam-p='0.5'", "map-p='0'",
     ],
 )
 def test_every_entry_point_refuses_a_p_that_is_not_a_number_as_given(call, given):
     # FpParam checks p before anything turns it into a float: a bool is not
-    # 0 or 1, and a string is not the number it spells.
+    # 0 or 1, a string is not the number it spells, and an array is not one p.
     with pytest.raises(ParamError, match=re.escape(f"p must be a finite real below 1, got {given!r}") + "$"):
         call()
 

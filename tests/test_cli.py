@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,30 @@ def test_exit_two_on_bad_map(docs, tmp_path, capsys):
     bad.write_text(json.dumps(doc3))
     assert main(["fit", "--map", str(bad), "--grid", "10"]) == 2
     assert capsys.readouterr().err == f"error: {bad}: field 'conjugate' must be a boolean\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("strength", "error: matrix norm is inf: non-finite entries or overflow\n"),
+        ("apply", "error: U is not unitary: defect nan\n"),
+    ],
+)
+def test_exit_two_with_one_error_line_on_entries_near_the_float_limit(docs, tmp_path, capsys, command, message):
+    # The norms of the checks overflow; numpy's RuntimeWarning must not print before the error.
+    huge = matrix_to_doc(np.eye(2) * 1e308)
+    doc = tmp_path / "huge.json"
+    if command == "strength":
+        doc.write_text(json.dumps(huge))
+        argv = ["strength", "--effect", str(doc), "--ray", docs["ray"]]
+    else:
+        doc.write_text(json.dumps({**json.loads((docs["dir"] / "map.json").read_text()), "U": huge}))
+        argv = ["apply", "--map", str(doc), "--effect", docs["eff"]]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert seen == []
+    assert capsys.readouterr() == ("", message)
 
 
 def test_exit_two_on_bad_flags(docs, capsys):

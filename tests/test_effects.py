@@ -1,5 +1,7 @@
 """Effect construction, order, complement, rays, rank helpers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,9 @@ def test_make_ray_basics():
         make_ray(np.zeros(2))
     with pytest.raises(DimensionError, match="positive length"):
         make_ray([])
+    # A matrix is not a ray: flattened, it would be a unit vector in C^4.
+    with pytest.raises(DimensionError, match=re.escape("ray vector must be 1-D, got shape (2, 2)")):
+        make_ray(np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [[np.inf, 0.0], [np.nan, 1.0], [1.0, complex(0.0, np.inf)]])

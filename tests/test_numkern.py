@@ -1,5 +1,7 @@
 """Numeric kernel: tolerances, Hermitian checks, psd order, roots, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,22 @@ def test_require_hermitian_accepts_and_rejects():
     assert frobenius(H - H.conj().T) == 0.0
     with pytest.raises(HermiticityViolation):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "M, message",
+    [
+        (np.eye(2) * 1e308, "matrix norm is inf"),
+        # The norm fits in a float, the norm of M - M* does not.
+        (np.array([[0.0, 9e153], [-9e153, 0.0]]), "not Hermitian: defect inf"),
+    ],
+    ids=["norm", "defect"],
+)
+def test_a_hermiticity_check_that_overflows_refuses_without_a_warning(M, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(HermiticityViolation, match=message):
+            make_effect(M)
 
 
 def test_eig_hermitian_known_matrix():

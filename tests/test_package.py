@@ -9,8 +9,10 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 import effectkit
-from effectkit import autos, cli, coexist, effects, errors, numkern, sequential, strength
+from effectkit import autos, cli, coexist, effects, errors, fracfun, numkern, sequential, strength
 from effectkit.errors import CheckFailed, DimensionError, EffectKitError, InputError
 from effectkit.suites import Suite
 
@@ -212,6 +214,76 @@ def test_one_owner_each_for_the_rank_cutoff_and_the_check_of_p():
     ]
     assert wrapped == []
 
+
+
+# Two orthogonal rays, a ray in their span, and a family member, at n = 2.
+_P, _Q, _R = (effects.make_ray(np.array(v)) for v in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8]))
+_MAP = autos.random_automorphism(2, 0.5, False, 1)
+# Each public entry point that takes a scalar, called with x as that scalar.
+SCALAR_ENTRY_POINTS = {
+    "scalar_effect": lambda x: effects.scalar_effect(2, x),
+    "WeakAtom": lambda x: effects.WeakAtom(x, _P),
+    "extract_scalar_action": lambda x: autos.extract_scalar_action(_MAP, _P, x),
+    "coexist_rank_one-s": lambda x: coexist.coexist_rank_one(x, _P, 0.5, _R),
+    "coexist_rank_one-t": lambda x: coexist.coexist_rank_one(0.5, _P, x, _R),
+    "verify_scalar_pair": lambda x: autos.verify_scalar_pair(_MAP, x, 2, 1),
+    "FpParam": lambda x: fracfun.FpParam(x),
+    "FracParams": lambda x: fracfun.FracParams(1.0, 1.0, x),
+    "f_eval": lambda x: fracfun.f_eval(fracfun.FracParams(2.0, 1.0, 1.0), x),
+    "f_inverse": lambda x: fracfun.f_inverse(fracfun.FracParams(2.0, 1.0, 1.0), x),
+    "fp_eval-p": lambda x: fracfun.fp_eval(x, 0.5),
+    "fp_eval-x": lambda x: fracfun.fp_eval(0.5, x),
+    "fp_apply": lambda x: fracfun.fp_apply(x, _P.projection),
+    "strength_two_block": lambda x: strength.strength_two_block(x, _P, _Q, _R),
+    "ToleranceConfig": lambda x: numkern.ToleranceConfig(eps_psd=x),
+    "scaled": lambda x: numkern.DEFAULT_TOL.scaled(x),
+}
+NOT_NUMBERS = {
+    "True": True, "np.True_": np.True_, "'0.5'": "0.5", "10**400": 10**400, "-10**400": -(10**400),
+    "nan": math.nan, "inf": math.inf,
+}
+
+
+def _refusal(entry: str) -> type[Exception]:
+    return ValueError if entry in ("ToleranceConfig", "scaled") else InputError
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("entry", SCALAR_ENTRY_POINTS)
+def test_every_scalar_entry_point_refuses_what_is_not_a_number(entry, value):
+    # A bool is not 0 or 1, a string is not the number it spells, and an int
+    # beyond the float range is refused, not left to raise OverflowError.
+    with pytest.raises(_refusal(entry), match=re.escape(repr(value))):
+        SCALAR_ENTRY_POINTS[entry](value)
+
+
+def test_one_number_rule_for_every_scalar_input(monkeypatch):
+    # numkern._is_number answers "is this a number?" for every scalar check,
+    # fp_apply checks its one p through FpParam, and only numkern imports numbers.
+    package = Path(effectkit.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    readers = {f"{name}:{scope}" for name, tree in trees.items() for scope, loaded in _loads(tree) if loaded == "_is_number"}
+    assert readers == {
+        "cli.py:_is_finite_number", "fracfun.py:FpParam.__post_init__", "fracfun.py:FracParams.__post_init__",
+        "fracfun.py:_check_unit_interval", "numkern.py:ToleranceConfig.__post_init__", "numkern.py:ToleranceConfig.scaled",
+        "numkern.py:_is_weight", "strength.py:strength_two_block",
+    }
+    importers = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+    }
+    assert importers == {"numkern.py"}
+    assert not any("_coerce_members" in path.read_text(encoding="utf-8") for path in package.glob("*.py"))
+    for call in SCALAR_ENTRY_POINTS.values():
+        call(1e-4)  # a number that every entry point takes
+    monkeypatch.setattr(numkern, "_is_number", lambda value: False)
+    for entry, call in SCALAR_ENTRY_POINTS.items():
+        with pytest.raises(_refusal(entry)):
+            call(1e-4)
+    assert not cli._is_finite_number(1e-4)
 
 REPORT_ORDER = [
     "order", "zero-product", "ortho", "sequential", "transition", "scalar-pair",

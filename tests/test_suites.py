@@ -10,14 +10,16 @@ given; the first failure gives the counterexample, its inputs read entry
 by entry.
 """
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from effectkit import autos, coexist, fracfun, numkern, strength
+from effectkit import autos, coexist, effects, fracfun, numkern, strength, suites
 from effectkit.effects import make_effect
 from effectkit.errors import DimensionError, DomainError
 from effectkit.numkern import DEFAULT_TOL
@@ -158,6 +160,43 @@ def test_one_count_rule_takes_numpy_integers_and_refuses_bools(caller):
     for flag in (True, np.True_):
         with pytest.raises(error, match=message):
             call(flag)
+
+
+# Each caller that takes a seed, called with it.
+SEED_CALLERS = {
+    "Suite.run": lambda seed: autos.verify_order(_PHI, 3, seed),
+    "coexists_with_all_probe": lambda seed: coexist.coexists_with_all_probe(_ATOM, 20, seed),
+    "_as_generator": lambda seed: effects.sample_effect(2, seed),
+    "random_automorphism": lambda seed: autos.random_automorphism(2, 0.5, False, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [True, np.True_, -1, 1.5, "1"], ids=["True", "np.True_", "-1", "1.5", "'1'"])
+@pytest.mark.parametrize("caller", SEED_CALLERS)
+def test_one_seed_rule_refuses_what_is_not_a_count_of_at_least_zero(caller, seed):
+    # True would run as seed 1, and numpy would refuse -1 and 1.5 without naming them.
+    SEED_CALLERS[caller](np.int64(0))
+    with pytest.raises(DomainError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}") + "$"):
+        SEED_CALLERS[caller](seed)
+
+
+def test_a_report_holds_a_numpy_integer_seed_as_a_python_int():
+    # The stdlib json module cannot write a numpy integer.
+    report = autos.verify_order(_PHI, 3, np.int64(1))
+    assert type(report.seed) is int and json.dumps(report.to_dict()) == json.dumps(autos.verify_order(_PHI, 3, 1).to_dict())
+
+
+def test_a_bad_seed_is_refused_before_any_map_call_or_share_thread(monkeypatch):
+    # An n = 64 group of two entries runs on two share threads; the seeds are
+    # checked before the controls, the blocks and the threads.
+    calls = []
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(suites.Suite, "_run_shares", lambda self, walks: calls.append("shares"))
+    phi = autos.random_automorphism(64, 0.5, False, 1)
+    seen = lambda A: calls.append("map") or phi(A)  # noqa: E731
+    with pytest.raises(DomainError, match="got -1"):
+        autos._ORDER.run([seen, seen], 2, [1, -1], 64, DEFAULT_TOL)
+    assert calls == []
 
 
 def test_trial_blocks_take_a_range_longer_than_sys_maxsize():
