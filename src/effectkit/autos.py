@@ -21,12 +21,13 @@ and zero-product suites check "in both directions" through one routine,
 ``_biconditional``.
 
 Each suite is a ``suites.Suite`` value (``_ORDER`` and the like), a step
-and its entries' fixed controls, run by the one driver ``Suite.run``: a
-step turns a block of trials (EffectStacks) into checks, each sampling,
-validation, map and decision one stacked call.  Each ``verify_*`` is the
-one-entry run of its suite, and ``effectkit verify`` runs a suite once for
-all the (p, conj) entries at one dimension: every entry keeps its map,
-seed, generators and report, and the entries share blocks.
+and its fixed controls, run by the one driver ``Suite.run``: a step turns
+a block of trials (EffectStacks) into checks, each sampling, validation,
+map and decision one stacked call, and the controls map one stack, a
+member per entry (I/2 or lam I).  Each ``verify_*`` is the one-entry run
+of its suite, and ``effectkit verify`` runs a suite once for all the
+(p, conj) entries at one dimension: every entry keeps its map, seed,
+generators and report, and the entries share blocks.
 One routine, ``_images``, makes every image of a caller's map: family
 members map a stack in one ``_map_members`` pass (``apply`` is its
 one-map case; f_p acts through ``fracfun._fp_spectral``, for p already
@@ -59,11 +60,9 @@ from .effects import (
     _scalar_stack,
     _spectral,
     _stack_effects,
-    is_scalar,
     leq,  # bench/selftest.py traces a call made through autos.leq
     make_ray,
     orthocomplement,
-    scalar_effect,
     zero_product,
 )
 from .errors import (
@@ -197,10 +196,10 @@ def _map_dim(phi: EffectMap, dim: int | None) -> int:
 def _images(runs: Sequence[tuple[EffectMap, int]]) -> EffectMap:
     """The one routine that applies a caller's maps: ``runs`` gives the maps
     of a stack's members, (map, count) in member order, and the result maps
-    such a stack (or a lone Effect, under one map) to its images.  Family
-    members map in one ``_map_members`` pass, several maps with U, flag and
-    p per member; any other map is called on each member as an Effect, in
-    order, and an image not of its member's dimension raises DimensionError."""
+    such a stack to its images.  Family members map in one ``_map_members``
+    pass, several maps with U, flag and p per member; any other map is
+    called on each member as an Effect, in order, and an image not of its
+    member's dimension raises DimensionError."""
     maps, counts = zip(*runs)
     if all(isinstance(phi, EffectAutomorphism) for phi in maps):
         # One map maps as ``apply`` does: at n = 64, where a block holds
@@ -213,9 +212,7 @@ def _images(runs: Sequence[tuple[EffectMap, int]]) -> EffectMap:
         return functools.partial(_map_members, U, conjugate, p)
     members = [phi for phi, count in runs for _ in range(count)]
 
-    def images(S: Effect) -> Effect:
-        if isinstance(S, Effect):
-            return images(_stack_effects([S]))[0]
+    def images(S: EffectStack) -> EffectStack:
         out = [phi(S[k]) for k, phi in enumerate(members)]
         wrong = [B.dim for B in out if B.dim != S.dim]
         if wrong:
@@ -390,10 +387,10 @@ def verify_ortho(
     return _ORTHO.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _ortho_controls(phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
-    half = scalar_effect(n, 0.5)
-    res0 = numkern.frobenius(_images([(phi, 1)])(half).matrix - half.matrix)
-    return [("half-identity-fixed-point", [res0], tol.eps_eq, {"A": half.matrix[None]})]
+def _ortho_controls(maps: list[EffectMap], n: int, tol: ToleranceConfig) -> list[tuple]:
+    half = _scalar_stack(n, np.full(len(maps), 0.5))
+    residuals = numkern.frobenius(_images([(phi, 1) for phi in maps])(half).matrix - half.matrix)
+    return [("half-identity-fixed-point", residuals, tol.eps_eq, {"A": half.matrix})]
 
 
 def _ortho_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
@@ -422,11 +419,11 @@ def verify_sequential(
     return _SEQUENTIAL.run([phi], trials, [seed], _map_dim(phi, dim), tol)[0]
 
 
-def _sequential_controls(phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
-    half = scalar_effect(n, 0.5)
-    image_half, product = map(_images([(phi, 1)]), (half, seq_product(half, half, tol)))
-    res0 = numkern.frobenius(product.matrix - seq_product(image_half, image_half, tol).matrix)
-    return [("sequential-scalar-pair", [res0], tol.eps_eq, {"A": half.matrix[None], "B": half.matrix[None]})]
+def _sequential_controls(maps: list[EffectMap], n: int, tol: ToleranceConfig) -> list[tuple]:
+    half = _scalar_stack(n, np.full(len(maps), 0.5))
+    image_half, product = map(_images([(phi, 1) for phi in maps]), (half, seq_product(half, half, tol)))
+    residuals = numkern.frobenius(product.matrix - seq_product(image_half, image_half, tol).matrix)
+    return [("sequential-scalar-pair", residuals, tol.eps_eq, {"A": half.matrix, "B": half.matrix})]
 
 
 def _sequential_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
@@ -496,11 +493,11 @@ def _scalar_pair_suite(lam: float) -> Suite:
     return Suite("scalar-pair", _FAMILY, _zero_product_step, functools.partial(_scalar_pair_controls, lam))
 
 
-def _scalar_pair_controls(lam: float, phi: EffectMap, n: int, tol: ToleranceConfig) -> list[tuple]:
-    image = _images([(phi, 1)])(scalar_effect(n, lam))
-    ok, mu = is_scalar(image, tol)
-    if ok and isinstance(phi, EffectAutomorphism):
-        check = ("scalar-image-value", [abs(mu - fp_eval(phi.p, lam))], tol.eps_eq)
-    else:
-        check = ("scalar-image", [not ok], 0.0)
-    return [(*check, {"A": image.matrix[None]})]
+def _scalar_pair_controls(lam: float, maps: list[EffectMap], n: int, tol: ToleranceConfig) -> list[tuple]:
+    """|mu - f_p(lam)| where phi(lam I) = mu I and phi is a family member
+    (NaN, which passes, elsewhere), then whether the image is a scalar."""
+    image = _images([(phi, 1) for phi in maps])(_scalar_stack(n, np.full(len(maps), float(lam)))).matrix
+    ok, mu = _scalar_rule(image, tol)
+    f = [fp_eval(phi.p, lam) if isinstance(phi, EffectAutomorphism) else np.nan for phi in maps]
+    value = np.where(ok, np.abs(mu - f), np.nan)
+    return [("scalar-image-value", value, tol.eps_eq, {"A": image}), ("scalar-image", ~ok, 0.0, {"A": image})]

@@ -63,13 +63,13 @@ class CoexistenceWitness:
 
     def residual_for(self, A: Effect, B: Effect) -> float:
         """Worst Frobenius defect of the witness equations for (A, B)."""
-        for X in (A, B):
+        for X in (self.F, self.G, A, B):
             _same_dim(self.E, X)
         return float(_witness_residual(self.E.matrix, self.F.matrix, self.G.matrix, A.matrix, B.matrix))
 
     def is_valid_for(self, A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Check the splitting equations and that E + F + G is an effect."""
-        for X in (A, B):
+        for X in (self.F, self.G, A, B):
             _same_dim(self.E, X)
         E, F, G = self.E.matrix, self.F.matrix, self.G.matrix
         return bool(_witness_valid(E, F, G, _witness_residual(E, F, G, A.matrix, B.matrix), tol))
@@ -196,11 +196,19 @@ def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
     return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)
 
 
-def _coexist_controls(seed: int, n: int, tol: ToleranceConfig) -> list[tuple]:
+def _coexist_controls(seeds: list[int], n: int, tol: ToleranceConfig) -> list[tuple]:
     """Fixed controls: the overlapping weighted pair known not to coexist,
     a scalar (coexists with everything) and a weak atom (does not)."""
     if n < 2:
         raise DimensionError("coexist suite needs dimension at least 2")
+    failed = zip(*(_coexist_control_failures(seed, n, tol) for seed in seeds))
+    names = ("overlapping-0.9-pair-reported-coexistent", "scalar-probe-returned-false",
+             "rank-one-probe-found-no-counterexample")
+    return [(name, flags, 0.0, {}) for name, flags in zip(names, failed)]
+
+
+def _coexist_control_failures(seed: int, n: int, tol: ToleranceConfig) -> tuple[bool, bool, bool]:
+    """Whether each of the three fixed controls fails for an entry's seed, in order."""
     rng = np.random.default_rng([seed, 0])
     p_vec = numkern.random_ray(n, rng)
     perp = np.linalg.qr(p_vec.reshape(n, 1), mode="complete")[0][:, 1]
@@ -210,11 +218,7 @@ def _coexist_controls(seed: int, n: int, tol: ToleranceConfig) -> list[tuple]:
     scalar = coexists_with_all_probe(scalar_effect(n, 0.37), 60, _suite_seed(seed, 1), tol)
     atom = _spectral(0.9 * P0, tol)  # a real multiple of P0 is exactly Hermitian
     refuted = not coexists_with_all_probe(atom, 200, _suite_seed(seed, 2), tol)
-    return [
-        ("overlapping-0.9-pair-reported-coexistent", [not apart], 0.0, {}),
-        ("scalar-probe-returned-false", [not scalar], 0.0, {}),
-        ("rank-one-probe-found-no-counterexample", [not refuted], 0.0, {}),
-    ]
+    return not apart, not scalar, not refuted
 
 
 def _coexist_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:

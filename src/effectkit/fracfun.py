@@ -77,9 +77,13 @@ class FracParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if not (numkern._is_number(value) and value > 0.0):
-                raise ParamError(f"{name} must be a positive finite real, got {value!r}")
+            _require_positive(name, getattr(self, name))
+
+
+def _require_positive(name: str, value) -> None:
+    """The rule of FracParams' a, b, c and of the Pexider scalars of g(y) = b y^c."""
+    if not (numkern._is_number(value) and value > 0.0):
+        raise ParamError(f"{name} must be a positive finite real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +212,11 @@ def verify_pexider(f: FracParams, g_scale: float, g_exponent: float, grid: int) 
     the endpoint-free grid x grid lattice and returns the maximum, where a
     NaN residual counts for nothing.  No consistency between f and (b, c)
     is enforced; mismatched pairs simply produce a large residual, which
-    is exactly what negative controls need.
+    is exactly what negative controls need.  g_scale and g_exponent must
+    be positive numbers.
     """
+    _require_positive("g_scale", g_scale)
+    _require_positive("g_exponent", g_exponent)
     xs = interior_grid(grid)
     x = xs[:, None]
     fx = _f_values(f, x)
@@ -249,7 +256,10 @@ def g_symmetry_check(b: float, c: float, grid: int) -> bool:
 
     Within the family the symmetry pins (b, c) = (1, 1); the check is the
     grid version of that statement, within the default tolerances' eps_eq.
+    b and c must be positive numbers.
     """
+    _require_positive("b", b)
+    _require_positive("c", c)
     return _symmetry_defect(b, c, grid) <= DEFAULT_TOL.eps_eq
 
 
@@ -326,7 +336,10 @@ class PexiderDecomposition:
 
 
 def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> PexiderDecomposition:
-    """Conjugate (f, g) into the additive Pexider form."""
+    """Conjugate (f, g) into the additive Pexider form; g_scale and
+    g_exponent must be positive numbers."""
+    _require_positive("g_scale", g_scale)
+    _require_positive("g_exponent", g_exponent)
 
     def F(u: float) -> float:
         return _beta(f_eval(f, _alpha(u)))
@@ -338,9 +351,9 @@ def pexider_decomposition(f: FracParams, g_scale: float, g_exponent: float) -> P
     return PexiderDecomposition(F=F, G=F, H=H)
 
 
-def _pexider_controls(seed: int, n: int, tol: ToleranceConfig) -> list[tuple]:
+def _pexider_controls(seeds: list[int], n: int, tol: ToleranceConfig) -> list[tuple]:
     symmetric = _symmetry_defect(1.0, 1.0, 50) <= tol.eps_eq
-    return [("symmetry-rejects-identity-pair", [not symmetric], 0.0, {})]
+    return [("symmetry-rejects-identity-pair", [not symmetric] * len(seeds), 0.0, {})]
 
 
 def _pexider_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:

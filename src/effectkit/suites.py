@@ -10,23 +10,24 @@ each member keeps its entry's generator, subject and state.  A block
 takes all its sampled effects from one sampler call (one QR, one
 eigendecomposition), and built effects skip the hermiticity check.  A
 suite is one ``Suite`` value: a step, which turns a block into its
-checks, plus each entry's fixed controls; ``Suite.run`` is the one
-driver, which hands each entry's ``_SuiteState`` its controls and its
-part of every block's checks.  A check is data: its name, one residual
-per trial, a limit, and the input stacks.  The recorder alone judges
+checks, plus fixed controls, which give the group's checks in the same
+shape, one residual per entry; ``Suite.run`` is the one driver, which
+hands each entry's ``_SuiteState`` its part of the controls and of every
+block's checks.  A check is data: its name, one residual per trial (or
+entry), a limit, and the input stacks.  The recorder alone judges
 checks and builds counterexamples, in trial order, and
 ``_SuiteState.report`` is the one builder of reports, so a report depends
 neither on the block size nor on the entries it shares blocks with.
 
-From ``_THREAD_DIM`` up, where a block holds one trial and the LAPACK and
-matmul calls (which release the GIL) outweigh the Python glue, a group of
-more than one entry is cut into shares of consecutive entries, as many as
-the entries or the usable CPUs allow, and each share runs the same block
-loop over its own blocks on a thread of its own.  A block holds one trial
-there, so a share's blocks are the ones the whole group's loop gives its
-entries, and every report is the serial loop's.  Every public ``verify_*``
-runs one entry, so a caller's map is only ever called on the caller's
-thread; only ``effectkit verify`` runs groups, of maps the program builds.
+One runner, ``Suite._run_shares``, walks every group's blocks: the first
+share on the caller's thread, each later one on a thread of its own.  A
+group is one share below ``_THREAD_DIM``; from there up, where a block
+holds one trial and the LAPACK and matmul calls (which release the GIL)
+outweigh the Python glue, it is cut into shares of consecutive entries,
+as many as the entries or the usable CPUs allow, and a share's blocks are
+the ones the whole group's loop gives its entries.  Every public
+``verify_*`` runs one entry, so a caller's map is only called on the
+caller's thread; only ``effectkit verify`` runs groups, of maps it builds.
 """
 
 from __future__ import annotations
@@ -195,15 +196,15 @@ class Suite:
 
     An entry's subject is its map when the suite maps effects, and its
     seed otherwise.  ``step(subjects, n, tol, block)`` turns a block of
-    trials into its checks, and ``controls(subject, n, tol)`` gives an
-    entry the checks it records before its trials.  Trial k of an entry
-    draws from stream ``first_stream + k``.
+    trials into its checks, and ``controls(subjects, n, tol)`` gives the
+    checks the entries record before their trials, one residual per entry.
+    Trial k of an entry draws from stream ``first_stream + k``.
     """
 
     name: str
     axes: tuple[str, ...]
     step: Callable[[Sequence[Any], int, ToleranceConfig, _Block], list[tuple]]
-    controls: Callable[[Any, int, ToleranceConfig], list[tuple]] | None = None
+    controls: Callable[[Sequence[Any], int, ToleranceConfig], list[tuple]] | None = None
     first_stream: int = 0
 
     def run(
@@ -211,24 +212,25 @@ class Suite:
     ) -> list[VerificationReport]:
         """The one driver of the suites: a report per entry (subject,
         seed) of a group at dimension n, in order.  Each entry records its
-        fixed controls first, then its part of every block's checks.
+        part of the controls first, then its part of every block's checks.
 
-        The controls run on the caller's thread, and so does the block
-        loop, over the whole group.  At n >= ``_THREAD_DIM`` with more than
-        one entry and more than one usable CPU, the group is cut into
-        shares of consecutive entries, one per worker thread, and each
-        share runs the same loop over its own blocks (``_run_shares``);
-        the reports, and the error raised if an entry raises (the first
-        failing entry's), are the serial loop's."""
+        The controls, one call for the group, run on the caller's thread.
+        The block loop runs in ``_run_shares``: as one share on the
+        caller's thread, or, at n >= ``_THREAD_DIM`` with more than one
+        entry and more than one usable CPU, in shares of consecutive
+        entries, each over its own blocks; the reports, and the error
+        raised if an entry raises (the first failing entry's), are the
+        one-share run's."""
         if not _is_count(trials):
             raise DomainError(f"trials must be a positive integer, got {trials!r}")
         for seed in seeds:
             _require_seed(seed)
         trials = int(trials)  # a report holds Python ints
         states = [_SuiteState(self.name, trials, int(seed)) for seed in seeds]
-        if self.controls is not None:
-            for state, subject in zip(states, subjects):
-                state.record(*self.controls(subject, n, tol))
+        if self.controls is not None and states:
+            controls = self.controls(subjects, n, tol)
+            for entry, state in enumerate(states):
+                state.record(*controls, part=slice(entry, entry + 1))
         streams = range(self.first_stream, self.first_stream + trials)
 
         def walk(a: int, b: int, blocks: Iterator[_Block]) -> Iterator[None]:
@@ -241,16 +243,12 @@ class Suite:
 
         shares = max(1, min(len(states), _usable_cpus())) if n >= _THREAD_DIM else 1
         cuts = [len(states) * k // shares for k in range(shares + 1)]
-        walks = [walk(a, b, _trial_blocks(seeds[a:b], streams, n)) for a, b in zip(cuts, cuts[1:])]
-        if shares > 1:
-            self._run_shares(walks)
-        else:
-            for _ in walks[0]:
-                pass
+        self._run_shares([walk(a, b, _trial_blocks(seeds[a:b], streams, n)) for a, b in zip(cuts, cuts[1:])])
         return [state.report() for state in states]
 
     def _run_shares(self, walks: Sequence[Iterator[None]]) -> None:
-        """Each share's walk on a thread of its own.
+        """Each share's walk: the first on the caller's thread, each later
+        one on a thread of its own, so one share starts no thread.
 
         A share that raises stops the shares after it at their next
         block, and the first failing share's exception is raised, as in
@@ -269,11 +267,12 @@ class Suite:
                 marks.append(i)
 
         threads = [
-            threading.Thread(target=work, args=(i,), name=f"effectkit-{self.name}-{i}") for i in range(len(walks))
+            threading.Thread(target=work, args=(i,), name=f"effectkit-{self.name}-{i}") for i in range(1, len(walks))
         ]
         try:
             for thread in threads:
                 thread.start()
+            work(0)  # an interrupt here stops the later shares as a failure of share 0
             for thread in threads:
                 thread.join()
         except BaseException:  # an interrupt: every share stops at its next block

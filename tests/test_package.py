@@ -238,6 +238,16 @@ SCALAR_ENTRY_POINTS = {
     "ToleranceConfig": lambda x: numkern.ToleranceConfig(eps_psd=x),
     "scaled": lambda x: numkern.DEFAULT_TOL.scaled(x),
 }
+# The scalars of g(y) = b y^c, which each Pexider entry point takes besides f.
+PEXIDER_SCALARS = {
+    "verify_pexider-g_scale": lambda x: fracfun.verify_pexider(fracfun.FracParams(1.0, 1.0, 1.0), x, 1.0, 3),
+    "verify_pexider-g_exponent": lambda x: fracfun.verify_pexider(fracfun.FracParams(1.0, 1.0, 1.0), 1.0, x, 3),
+    "pexider_decomposition-g_scale": lambda x: fracfun.pexider_decomposition(fracfun.FracParams(1.0, 1.0, 1.0), x, 1.0),
+    "pexider_decomposition-g_exponent": lambda x: fracfun.pexider_decomposition(fracfun.FracParams(1.0, 1.0, 1.0), 1.0, x),
+    "g_symmetry_check-b": lambda x: fracfun.g_symmetry_check(x, 1.0, 3),
+    "g_symmetry_check-c": lambda x: fracfun.g_symmetry_check(1.0, x, 3),
+}
+SCALAR_ENTRY_POINTS.update(PEXIDER_SCALARS)
 NOT_NUMBERS = {
     "True": True, "np.True_": np.True_, "'0.5'": "0.5", "10**400": 10**400, "-10**400": -(10**400),
     "nan": math.nan, "inf": math.inf,
@@ -257,6 +267,21 @@ def test_every_scalar_entry_point_refuses_what_is_not_a_number(entry, value):
         SCALAR_ENTRY_POINTS[entry](value)
 
 
+NOT_POSITIVE_NUMBERS = {"0.0": 0.0, "-1.0": -1.0, "-0.0": -0.0, "-inf": -math.inf, "array(1.0)": np.array(1.0)}
+
+
+@pytest.mark.parametrize("value", NOT_POSITIVE_NUMBERS.values(), ids=NOT_POSITIVE_NUMBERS)
+@pytest.mark.parametrize("entry", PEXIDER_SCALARS)
+def test_the_pexider_scalars_are_positive_numbers(entry, value):
+    # FracParams' rule for its own b and c.  The numbers that are not
+    # positive are refused here; what is not a number, NaN included (which
+    # made verify_pexider pass vacuously), in the cross test above.
+    name = entry.split("-")[1]
+    message = f"{name} must be a positive finite real, got {value!r}"
+    with pytest.raises(errors.ParamError, match=re.escape(message) + "$"):
+        PEXIDER_SCALARS[entry](value)
+
+
 def test_one_number_rule_for_every_scalar_input(monkeypatch):
     # numkern._is_number answers "is this a number?" for every scalar check,
     # fp_apply checks its one p through FpParam, and only numkern imports numbers.
@@ -264,7 +289,7 @@ def test_one_number_rule_for_every_scalar_input(monkeypatch):
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
     readers = {f"{name}:{scope}" for name, tree in trees.items() for scope, loaded in _loads(tree) if loaded == "_is_number"}
     assert readers == {
-        "cli.py:_is_finite_number", "fracfun.py:FpParam.__post_init__", "fracfun.py:FracParams.__post_init__",
+        "cli.py:_is_finite_number", "fracfun.py:FpParam.__post_init__", "fracfun.py:_require_positive",
         "fracfun.py:_check_unit_interval", "numkern.py:ToleranceConfig.__post_init__", "numkern.py:ToleranceConfig.scaled",
         "numkern.py:_is_weight", "strength.py:strength_two_block",
     }
@@ -366,6 +391,8 @@ Q2 = effects.make_ray(np.array([0.0, 1.0]))
 R3 = effects.make_ray(np.array([1.0, 1.0, 0.0]))
 PHI2 = autos.random_automorphism(2, 0.5, False, 1)
 WITNESS2 = coexist.coexist_trivial_witness(A2, A2)
+# Witnesses whose F, or G, is of dimension 3 while E is of dimension 2.
+WITNESS_F3, WITNESS_G3 = coexist.CoexistenceWitness(A2, A3, A2), coexist.CoexistenceWitness(A2, A2, A3)
 
 MISMATCHED = {
     "psd_leq": lambda: numkern.psd_leq(A2.matrix, A3.matrix),
@@ -385,6 +412,10 @@ MISMATCHED = {
     "coexists_with_weak_atom": lambda: coexist.coexists_with_weak_atom(A2, effects.WeakAtom(0.5, P3)),
     "CoexistenceWitness.residual_for": lambda: WITNESS2.residual_for(A3, A3),
     "CoexistenceWitness.is_valid_for": lambda: WITNESS2.is_valid_for(A3, A3),
+    "CoexistenceWitness.residual_for-F": lambda: WITNESS_F3.residual_for(A2, A2),
+    "CoexistenceWitness.residual_for-G": lambda: WITNESS_G3.residual_for(A2, A2),
+    "CoexistenceWitness.is_valid_for-F": lambda: WITNESS_F3.is_valid_for(A2, A2),
+    "CoexistenceWitness.is_valid_for-G": lambda: WITNESS_G3.is_valid_for(A2, A2),
     "apply": lambda: autos.apply(PHI2, A3),
     "apply_to_ray": lambda: autos.apply_to_ray(PHI2, P3),
     "extract_scalar_action": lambda: autos.extract_scalar_action(PHI2, P3, 0.5),

@@ -497,6 +497,69 @@ def test_an_order_block_samples_under_one_qr_and_one_eigh(monkeypatch):
     assert [r.to_dict() for r in reports] == [autos.verify_order(m, 10, s).to_dict() for m, s in zip(maps, [3, 4])]
 
 
+def _square(A):
+    """Spectral squaring, a black box that keeps zero products but not order."""
+    return make_effect(hermitize((A.eigenvectors * A.eigenvalues**2) @ A.eigenvectors.conj().T))
+
+
+def _smear(A):
+    """A black box that sends lam I to an effect that is not a scalar."""
+    P = np.zeros((A.dim, A.dim))
+    P[0, 0] = 1.0
+    return make_effect(0.5 * A.matrix + 0.25 * P)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_group_of_family_members_and_black_boxes_gives_each_entry_its_lone_report(n):
+    # A group's controls map one stack with a member per entry.  A family
+    # member at p = 0 passes them and one at p = 0.5 fails; squaring keeps
+    # lam I a scalar and smearing does not, so the scalar-pair value check
+    # is NaN on both black boxes.  Each entry's report is its one-entry run's.
+    from effectkit import autos
+
+    maps = [random_automorphism(n, 0.0, False, 5), _square, random_automorphism(n, 0.5, True, 6), _smear]
+    seeds = [1, 2, 3, 4]
+    fixed, pair = "half-identity-fixed-point", "sequential-scalar-pair"
+    runs = [  # each suite, its one-entry run, and the check each entry's counterexample names
+        (autos._ORTHO, autos.verify_ortho, [None, fixed, fixed, fixed]),
+        (autos._SEQUENTIAL, autos.verify_sequential, [None, "sequential", pair, pair]),
+        (
+            autos._scalar_pair_suite(0.3),
+            lambda phi, *a, **k: autos.verify_scalar_pair(phi, 0.3, *a, **k),
+            [None, None, None, "scalar-image"],
+        ),
+    ]
+    for suite, alone, checks in runs:
+        reports = [r.to_dict() for r in suite.run(maps, 6, seeds, n, DEFAULT_TOL)]
+        assert reports == [alone(phi, 6, seed, dim=n).to_dict() for phi, seed in zip(maps, seeds)]
+        assert [r["counterexample"] and r["counterexample"]["check"] for r in reports] == checks
+
+
+def test_a_family_group_maps_each_control_stack_in_one_call(monkeypatch):
+    # Suite.run calls a group's controls once, and they map all four
+    # entries' I/2 (or lam I), and the I/2 * I/2 of the sequential pair,
+    # in one _map_members call each.
+    import dataclasses
+
+    from effectkit import autos
+
+    cases = [(0.0, False), (0.0, True), (0.5, False), (0.5, True)]
+    maps = [random_automorphism(3, p, conj, k) for k, (p, conj) in enumerate(cases)]
+    real_map = autos._map_members
+    mapped = []
+    monkeypatch.setattr(autos, "_map_members", lambda *a: mapped.append(len(a[-1].matrix)) or real_map(*a))
+
+    def step(maps, n, tol, block):  # maps nothing
+        return [("none", np.zeros(len(block.rngs)), 0.0, {})]
+
+    for suite, stacks in ((autos._ORTHO, 1), (autos._SEQUENTIAL, 2), (autos._scalar_pair_suite(0.3), 1)):
+        calls = []
+        counted = dataclasses.replace(suite, step=step, controls=lambda *a: calls.append(a) or suite.controls(*a))
+        mapped.clear()
+        counted.run(maps, 5, [1, 2, 3, 4], 3, DEFAULT_TOL)
+        assert len(calls) == 1 and mapped == [4] * stacks
+
+
 # At seeds 7 and 17 of the second list a shared block meets another
 # entry's failing member first; at caps 1 and 7 the strength-oracle step
 # can meet a failing ray pair before a failing effect.

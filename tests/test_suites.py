@@ -132,6 +132,13 @@ def test_a_suite_refuses_a_trial_count_that_is_not_a_positive_int(suite, trials)
         SUITES[suite](trials)
 
 
+def test_a_group_of_no_entries_runs_nothing_and_reports_nothing():
+    # Controls are called once per group of at least one entry.
+    from effectkit.cli import SUITES as ALL
+
+    assert [suite.run([], 3, [], 2, DEFAULT_TOL) for suite in ALL] == [[]] * len(ALL)
+
+
 _ATOM = make_effect(0.9 * np.diag([1.0, 0.0]))
 # Each caller that takes a count, with the count it is called with, its
 # error and the start of its message.

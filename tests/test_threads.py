@@ -1,9 +1,9 @@
 """The threaded path of ``Suite.run``: from ``suites._THREAD_DIM`` up, a
 group is cut into shares of consecutive entries, and each share runs the
-block loop on a worker thread.  Reports, exit codes and errors equal the
-serial loop's, a caller's map runs on the caller's thread, and a failing
-entry or an interrupt stops the later shares, or every share, at their
-next block."""
+block loop, the first on the caller's thread and each later one on a
+worker thread.  Reports, exit codes and errors equal the serial loop's, a
+caller's map runs on the caller's thread, and a failing entry or an
+interrupt stops the later shares, or every share, at their next block."""
 
 import signal
 import sys
@@ -21,12 +21,14 @@ from effectkit.suites import Suite
 
 
 def _count_threaded_runs(monkeypatch):
+    # Every group goes through _run_shares; a threaded one has more than one walk.
     calls = []
-    threaded = Suite._run_shares
+    run_shares = Suite._run_shares
 
-    def spy(self, *args):
-        calls.append(self.name)
-        return threaded(self, *args)
+    def spy(self, walks):
+        if len(walks) > 1:
+            calls.append(self.name)
+        return run_shares(self, walks)
 
     monkeypatch.setattr(Suite, "_run_shares", spy)
     return calls
@@ -62,7 +64,7 @@ def test_threaded_verify_equals_serial(monkeypatch, capsys, argv):
 
 
 def test_a_callers_map_runs_on_the_callers_thread(monkeypatch):
-    # Every public verify_* runs one entry, which the serial loop runs.
+    # Every public verify_* runs one entry: one share, on the caller's thread.
     monkeypatch.setattr(suites, "_usable_cpus", lambda: 4)
     phi = random_automorphism(64, 0.5, False, 1)
     threads = []
@@ -73,6 +75,32 @@ def test_a_callers_map_runs_on_the_callers_thread(monkeypatch):
 
     assert verify_order(black_box, 3, 5, dim=64).failures == 0
     assert threads and set(threads) == {threading.get_ident()}
+
+
+def _effectkit_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("effectkit-")]
+
+
+def test_the_first_share_runs_on_the_callers_thread_and_one_share_starts_no_thread(monkeypatch):
+    # Two shares of two entries each: entries 0 and 1 step on the caller's
+    # thread, entries 2 and 3 on the one worker.  With one usable CPU the
+    # group is one share, and no effectkit-* thread runs while it steps.
+    caller = threading.get_ident()
+    seen = []
+
+    def step(subjects, n, tol, block):
+        seen.append((subjects[0], threading.get_ident() == caller, len(_effectkit_threads())))
+        return _check(block)
+
+    suite = Suite("where", ("n",), step)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    suite.run([0, 1, 2, 3], 3, [1, 2, 3, 4], suites._THREAD_DIM, DEFAULT_TOL)
+    assert {(subject, on_caller) for subject, on_caller, _ in seen} == {(0, True), (2, False)}
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+    del seen[:]
+    suite.run([0, 1, 2, 3], 3, [1, 2, 3, 4], suites._THREAD_DIM, DEFAULT_TOL)
+    assert seen and set(seen) == {(0, True, 0)}
+    assert not _effectkit_threads()
 
 
 def _check(block):
@@ -109,7 +137,7 @@ def test_the_first_failing_entry_raises_and_stops_the_later_entries(monkeypatch)
         with pytest.raises(ValueError, match="slow failure"):
             suite.run(subjects, 200, [1, 2, 3, 4], suites._THREAD_DIM, DEFAULT_TOL)
         assert blocks == [] if cpus == 1 else len(blocks) < 200
-    assert not [t for t in threading.enumerate() if t.name.startswith("effectkit-")]
+    assert not _effectkit_threads()
 
 
 @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
@@ -134,7 +162,7 @@ def test_an_interrupt_stops_every_entry_at_its_next_block(monkeypatch):
     finally:
         signal.signal(signal.SIGINT, previous)
     assert len(blocks) < 100
-    assert not [t for t in threading.enumerate() if t.name.startswith("effectkit-")]
+    assert not _effectkit_threads()
 
 
 def test_more_workers_than_cores_record_every_trial_of_their_entry(monkeypatch):
