@@ -54,6 +54,7 @@ from .effects import (
     RayProjection,
     WeakAtom,
     _effect,
+    _locked,
     _sample_effect_stack,
     _sample_ray_stack,
     _scalar_rule,
@@ -98,7 +99,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class EffectAutomorphism:
-    """Family member (U, conjugate, p); callable on effects."""
+    """Family member (U, conjugate, p); callable on effects.  U passes the
+    array rule (``numkern._outside_array``), its faults but shape raising
+    UnitarityViolation, and is unitary within eps_herm * n."""
 
     U: np.ndarray
     conjugate: bool
@@ -108,18 +111,14 @@ class EffectAutomorphism:
         if not isinstance(self.conjugate, (bool, np.bool_)):
             raise ParamError(f"conjugate must be a bool, got {self.conjugate!r}")
         object.__setattr__(self, "conjugate", bool(self.conjugate))  # a map document holds a JSON boolean
-        U = numkern.as_complex_matrix(self.U)
-        if not np.isfinite(U).all():
-            raise UnitarityViolation("U has non-finite entries")
+        U = numkern._outside_array(self.U, 2, "U", UnitarityViolation)[0]
         n = U.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries give defect inf or nan, refused below
             defect = numkern.frobenius(U.conj().T @ U - np.eye(n))
         # A map validates itself when built, before any tol is given: the default bound.
         if not (defect <= DEFAULT_TOL.eps_herm * n):
             raise UnitarityViolation(f"U is not unitary: defect {defect:.3e}")
-        U = U.copy()
-        U.setflags(write=False)
-        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "U", _locked(U.copy()))
         if not isinstance(self.p, FpParam):
             object.__setattr__(self, "p", FpParam(self.p))
 
@@ -185,8 +184,7 @@ _FAMILY = ("n", "p", "conj")
 
 def _map_dim(phi: EffectMap, dim: int | None) -> int:
     if dim is not None:
-        if not numkern._is_count(dim):
-            raise DimensionError(f"dimension must be a positive integer, got {dim!r}")
+        numkern._require_dim(dim)
         return int(dim)
     if isinstance(phi, EffectAutomorphism):
         return phi.dim

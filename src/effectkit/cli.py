@@ -52,9 +52,10 @@ a factor that takes a field out of (0, 1e-3) exits 2, naming --tol.
 Only a map document's unitarity bound, eps_herm * n, stays at the default:
 a map validates itself when it is built.
 
-Exit codes: 0 all checks passed; 1 a mathematical check failed;
-2 unusable input (parse failure, malformed document, dimension mismatch,
-invalid parameter).
+Exit codes: 0 all checks passed; 1 a mathematical check failed
+(``CheckFailed``); 2 unusable input (``InputError``: parse failure,
+malformed document, dimension mismatch, invalid parameter).  Any other
+exception is a fault of the program and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -537,7 +538,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CheckFailed as exc:
         sys.stderr.write(f"check failed: {exc}\n")
         return 1
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

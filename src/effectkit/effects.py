@@ -210,13 +210,10 @@ class RayProjection:
 
 
 def make_ray(v: np.ndarray) -> RayProjection:
-    """Build a RayProjection from any nonzero 1-D vector of finite entries (normalized here)."""
-    vec = np.asarray(v, dtype=np.complex128)
-    if vec.ndim != 1:
-        raise DimensionError(f"ray vector must be 1-D, got shape {vec.shape}")
-    if vec.shape[0] < 1:
-        raise DimensionError("ray vector must have positive length")
-    vec, projection = _ray(vec)
+    """Build a RayProjection from a nonzero vector, normalized here.  ``v``
+    passes the array rule (``numkern._outside_array``); its faults but shape
+    raise DomainError, as the zero vector does."""
+    vec, projection = _ray(numkern._outside_array(v, 1, "ray vector", DomainError)[0])
     return RayProjection(vector=_locked(vec), projection=projection)
 
 
@@ -237,22 +234,20 @@ def _ray_matrix(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack: ``_ray`` without the eigenbasis, for callers that read only these.
 
     The norm is summed from squares, so it holds only where its square is a
-    normal float.  A vector whose norm leaves that range (a sampled one
-    never does) is divided by its largest real or imaginary part first; one
-    with a NaN or inf entry, whose norm is NaN or inf, is refused."""
+    normal float.  A vector of finite entries whose norm leaves that range
+    (a sampled one never does) is divided by its largest real or imaginary
+    part first."""
     with np.errstate(over="ignore"):
-        norm = np.asarray(numkern._vector_norm(vec))
+        norm = numkern._norms(vec)
     outside = ~((2.0**-511 <= norm) & (norm < 2.0**512))  # [2**-511, 2**512): roots of the normal floats
     if outside.any():
-        if not np.isfinite(vec).all():
-            raise DomainError("cannot build a ray from a vector with NaN or inf entries")
         scale = np.maximum(np.abs(vec.real), np.abs(vec.imag)).max(axis=-1, keepdims=True)
         if (scale == 0.0).any():
             raise DomainError("cannot build a ray from the zero vector")
         # Part by part: a complex division by a subnormal scale overflows.
         parts = np.stack((vec.real / scale, vec.imag / scale), axis=-1).view(np.complex128)[..., 0]
         vec = np.where(outside[..., None], parts, vec)
-        norm = np.asarray(numkern._vector_norm(vec))
+        norm = numkern._norms(vec)
     vec = vec / norm[..., None]
     return vec, numkern.hermitize(vec[..., :, None] * vec.conj()[..., None, :])
 

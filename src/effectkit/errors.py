@@ -5,7 +5,7 @@ family at once, and every concrete error from exactly one of two bases:
 InputError for unusable *inputs* (shape, hermiticity, spectrum, parameter
 ranges) and CheckFailed for failed *mathematical checks* (order
 violations, quotient breakdowns, fit rejections).  The CLI maps the former
-to exit code 2 and the latter to exit code 1.
+to exit code 2 and the latter to exit code 1, and no other exception.
 """
 
 __all__ = [

@@ -20,9 +20,9 @@ applies these steps to each matrix of a stack exactly as to a lone matrix,
 so a stacked result equals the per-matrix results bit for bit; the
 Frobenius norm is summed as ``np.linalg.norm`` sums it for the same reason.
 ``require_hermitian`` and ``eig_hermitian`` are for outside input, which
-is validated one matrix at a time: the matrices ``hermitize`` and
-``_from_spectrum`` build are exactly Hermitian, and the effects built from
-them skip the check.
+is validated one matrix at a time, after the one array rule
+``_outside_array``: the matrices ``hermitize`` and ``_from_spectrum``
+build are exactly Hermitian, and the effects built from them skip the check.
 
 A lone entry point is the one-member case of its stacked routine: each
 sampler is one call of its stacked form on ``[generator]``, and
@@ -46,6 +46,7 @@ from .errors import (
     DimensionError,
     DomainError,
     HermiticityViolation,
+    InputError,
     NotPositiveSemidefinite,
 )
 
@@ -120,12 +121,31 @@ class EigenDecomp:
     eigenvectors: np.ndarray
 
 
+def _outside_array(x, ndim: int, what: str, error: type[InputError]) -> tuple[np.ndarray, float]:
+    """The one array rule: ``x``, a matrix (``ndim`` 2) or vector (``ndim`` 1)
+    from outside, as complex128 with its norm (inf over finite entries, for the
+    caller to judge).  A dtype not int, unsigned, float or complex, or a NaN or
+    inf entry, raises ``error``; a shape not square or empty, DimensionError."""
+    try:
+        A = np.asarray(x)
+    except ValueError:  # a ragged nested list
+        raise DimensionError(f"{what} is not a rectangular array") from None
+    if A.dtype.kind not in "iufc":
+        raise error(f"{what} must hold numbers, got dtype {A.dtype}")
+    if A.ndim != ndim or A.shape[0] != A.shape[-1] or A.size == 0:
+        fault = "must have positive length" if A.ndim == 1 else f"must be 1-D, got shape {A.shape}"
+        raise DimensionError(f"expected a square matrix, got shape {A.shape}" if ndim == 2 else f"{what} {fault}")
+    A = A.astype(np.complex128, copy=False)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        norm = frobenius(A)
+    if not math.isfinite(norm) and not np.isfinite(A).all():
+        raise error(f"{what} has non-finite entries")
+    return A, norm
+
+
 def as_complex_matrix(M: np.ndarray) -> np.ndarray:
-    """Coerce to a square complex128 array, raising DimensionError otherwise."""
-    A = np.asarray(M, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    return A
+    """The matrix case of the array rule, ``_outside_array``, raising DimensionError for every fault."""
+    return _outside_array(M, 2, "matrix", DimensionError)[0]
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -157,13 +177,6 @@ def frobenius(M: np.ndarray) -> float | np.ndarray:
     if M.ndim <= 2:
         return float(_norms(M.ravel(order="K")))
     return _norms(M.reshape(M.shape[:-2] + (-1,)))
-
-
-def _vector_norm(v: np.ndarray) -> float | np.ndarray:
-    """2-norm of a vector, or the array of norms of the rows of a (T, n) stack."""
-    v = np.asarray(v)
-    norms = _norms(v)
-    return float(norms) if v.ndim == 1 else norms
 
 
 def _vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -207,17 +220,16 @@ def _first(values, bad: np.ndarray):
 def require_hermitian(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Validate hermiticity of the matrix ``M`` and return the hermitized copy.
 
-    This is the check for outside input, one matrix at a time.  The defect
-    ||M - M*|| is measured relative to max(1, ||M||) so the check is
-    scale-aware without going vacuous near zero.  A matrix whose norm is
-    not finite (a NaN or inf entry) is rejected first: an inf entry would
-    otherwise meet the infinite bound.
+    This is the check for outside input, one matrix at a time, after the
+    array rule (``_outside_array``): its faults but shape, and a norm past
+    the float range, raise HermiticityViolation.  The defect ||M - M*|| is
+    measured relative to max(1, ||M||) so the check is scale-aware without
+    going vacuous near zero.
     """
-    A = as_complex_matrix(M)
-    with np.errstate(over="ignore"):  # a norm past the float range is inf, refused here
-        scale = frobenius(A)
-        if not np.isfinite(scale):
-            raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
+    A, scale = _outside_array(M, 2, "matrix", HermiticityViolation)
+    if not math.isfinite(scale):
+        raise HermiticityViolation(f"matrix norm is {scale}: non-finite entries or overflow")
+    with np.errstate(over="ignore"):  # ||M - M*|| may pass the float range when ||M|| nearly does
         defect = frobenius(A - A.conj().T)
     if not defect <= tol.eps_herm * max(1.0, scale):
         raise HermiticityViolation(f"matrix is not Hermitian: defect {defect:.3e}")
@@ -243,8 +255,7 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     The slack is eps_psd * max(1, ||N - M||_F), so the test is reflexive
     and tolerant of round-off on the scale of the difference itself.
     """
-    A = require_hermitian(M, tol)
-    B = require_hermitian(N, tol)
+    A, B = require_hermitian(M, tol), require_hermitian(N, tol)
     if A.shape != B.shape:
         raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
     return bool(_psd_leq_both(A, B, tol)[0])
@@ -289,8 +300,7 @@ def _clamped_psd_eigenvalues(M: np.ndarray, tol: ToleranceConfig) -> EigenDecomp
 def mat_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix via its spectral decomposition."""
     dec = _clamped_psd_eigenvalues(M, tol)
-    V = dec.eigenvectors
-    return _from_spectrum(V, np.sqrt(dec.eigenvalues))
+    return _from_spectrum(dec.eigenvectors, np.sqrt(dec.eigenvalues))
 
 
 def pinv_sqrt(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -409,5 +419,5 @@ def _random_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None
     """(T, n) stack of ``random_ray(n, rng)`` for each of the T generators;
     with m, the (m, T, n) stacks of m rays drawn from each."""
     v = _draws(rngs, (n,), m or 1)[0]
-    v = v / _vector_norm(v)[..., None]
+    v = v / _norms(v)[..., None]
     return v if m else v[0]

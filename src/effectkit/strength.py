@@ -261,7 +261,7 @@ def _two_block(
         raise OrthogonalityError("P and Q must be orthogonal rank-one projections")
     cp, cq = numkern._vdot(p, r), numkern._vdot(q, r)
     residual = r - cp[:, None] * p - cq[:, None] * q
-    if (numkern._vector_norm(residual) > tol.eps_rank).any():
+    if (numkern._norms(residual) > tol.eps_rank).any():
         raise SpanError("R lies outside the span of P and Q")
     overlap = numkern._overlaps(p, r)
     if ((overlap <= tol.eps_rank) | (overlap >= 1.0 - tol.eps_rank)).any():

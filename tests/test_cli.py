@@ -55,6 +55,18 @@ def test_strength_oracle_agrees(docs, capsys):
     assert out["gap"] <= 1e-6
 
 
+def test_a_program_fault_is_not_reported_as_unusable_input(docs, capsys, monkeypatch):
+    # Only InputError exits 2 and CheckFailed 1: numpy's LinAlgError (a
+    # ValueError) from inside a decision propagates with its traceback.
+    def no_convergence(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(effectkit.numkern, "_loewner_spectrum", no_convergence)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        main(["strength", "--effect", docs["eff"], "--ray", docs["ray"], "--oracle"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_strength_oracle_catches_a_mutated_closed_form(tmp_path, capsys, monkeypatch):
     from test_stacks import _bisect_reference
 

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import effectkit
 from effectkit import autos, cli, coexist, effects, errors, fracfun, numkern, sequential, strength
@@ -265,6 +267,94 @@ def test_every_scalar_entry_point_refuses_what_is_not_a_number(entry, value):
     # beyond the float range is refused, not left to raise OverflowError.
     with pytest.raises(_refusal(entry), match=re.escape(repr(value))):
         SCALAR_ENTRY_POINTS[entry](value)
+
+
+# Each public entry point that takes a matrix or vector from outside, called
+# with x as that array, and the error its faults other than shape raise.
+_HALF = 0.5 * np.eye(2)
+ARRAY_ENTRY_POINTS = {
+    "make_effect": (effects.make_effect, errors.HermiticityViolation),
+    "require_hermitian": (numkern.require_hermitian, errors.HermiticityViolation),
+    "eig_hermitian": (numkern.eig_hermitian, errors.HermiticityViolation),
+    "psd_leq-M": (lambda x: numkern.psd_leq(x, _HALF), errors.HermiticityViolation),
+    "psd_leq-N": (lambda x: numkern.psd_leq(_HALF, x), errors.HermiticityViolation),
+    "mat_sqrt": (numkern.mat_sqrt, errors.HermiticityViolation),
+    "pinv_sqrt": (numkern.pinv_sqrt, errors.HermiticityViolation),
+    "EffectAutomorphism": (lambda x: autos.EffectAutomorphism(x, False, 0.0), errors.UnitarityViolation),
+    "make_ray": (effects.make_ray, errors.DomainError),
+}
+
+
+def _spoiled(value) -> np.ndarray:
+    """The identity (a unit vector for a ray) with one entry set to value."""
+    M = np.eye(2, dtype=complex)
+    M[1, 0] = value
+    return M
+
+
+# Each input that is not an array of numbers, as (matrix, vector, what the refusal names).
+NOT_ARRAYS = {
+    "bool": (np.eye(2, dtype=bool), np.array([True, False]), "got dtype bool"),
+    "str": (np.full((2, 2), "1"), np.array(["1", "0"]), "got dtype <U1"),
+    "bytes": (np.full((2, 2), b"1"), np.array([b"1", b"0"]), "got dtype |S1"),
+    "object": (np.eye(2).astype(object), np.array([1.0, 0.0], dtype=object), "got dtype object"),
+    "nan": (_spoiled(np.nan), _spoiled(np.nan)[1], "has non-finite entries"),
+    "inf": (_spoiled(complex(0.0, np.inf)), _spoiled(complex(0.0, np.inf))[1], "has non-finite entries"),
+    "shape": (np.ones((2, 3)), np.eye(2), "shape (2, "),
+}
+
+
+@pytest.mark.parametrize("value", NOT_ARRAYS.values(), ids=NOT_ARRAYS)
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_every_array_entry_point_refuses_what_is_not_an_array_of_numbers(entry, value):
+    # A wrong shape raises DimensionError; every other fault the entry
+    # point's own error, naming the dtype or the fault.
+    call, error = ARRAY_ENTRY_POINTS[entry]
+    matrix, vector, text = value
+    with pytest.raises(DimensionError if "shape" in text else error, match=re.escape(text)):
+        call(vector if entry == "make_ray" else matrix)
+
+
+def test_nested_lists_are_read_as_numpy_reads_them():
+    # numpy reads an all-bool list as a bool array, refused, and a list that
+    # mixes bools with ints as an int array; no entry is checked on its own.
+    with pytest.raises(errors.HermiticityViolation, match="got dtype bool"):
+        effects.make_effect([[True, False], [False, True]])
+    assert effects.make_effect([[True, 0], [0, 1]]).matrix.tobytes() == np.eye(2, dtype=complex).tobytes()
+    # A string is not the number it spells, and is refused by the package, not by numpy.
+    for spelled in ([["a"]], [["0.5", "0"], ["0", "0.5"]]):
+        with pytest.raises(errors.HermiticityViolation, match="got dtype <U"):
+            effects.make_effect(spelled)
+    with pytest.raises(DimensionError, match="not a rectangular array"):
+        effects.make_effect([[0.5, 0.0], [0.0]])
+
+
+_NUMBERS = {
+    "int": (st.integers(-1000, 1000), ("int32", "int64", "float64", "complex128")),
+    "float": (st.floats(-1e6, 1e6), ("float32", "float64", "complex64", "complex128")),
+    "complex": (st.complex_numbers(max_magnitude=1e6), ("complex64", "complex128")),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(_NUMBERS)), n=st.integers(1, 4))
+def test_arrays_of_numbers_are_read_as_before(data, kind, n):
+    # An int, float or complex array, or a nested list of such numbers, is
+    # read as np.asarray(x, dtype=complex128) read it before the rule.
+    numbers, dtypes = _NUMBERS[kind]
+    entries = data.draw(st.lists(numbers, min_size=n * n, max_size=n * n))
+    rows = [[entries[i * n + j] if i <= j else None for j in range(n)] for i in range(n)]
+    for i in range(n):  # Hermitian: a real diagonal, conjugate pairs below it
+        rows[i][i] = rows[i][i].real if kind == "complex" else rows[i][i]
+        for j in range(i):
+            rows[i][j] = rows[j][i].conjugate() if kind == "complex" else rows[j][i]
+    for x in [rows, *(np.array(rows, dtype=dtype) for dtype in dtypes)]:
+        before = np.asarray(x, dtype=np.complex128)
+        assert numkern.require_hermitian(x).tobytes() == numkern.hermitize(before).tobytes()
+        vector = x[0]
+        if np.any(np.asarray(vector, dtype=np.complex128)):
+            got = effects.make_ray(vector).vector
+            assert got.tobytes() == effects._ray(np.asarray(vector, dtype=np.complex128))[0].tobytes()
 
 
 NOT_POSITIVE_NUMBERS = {"0.0": 0.0, "-1.0": -1.0, "-0.0": -0.0, "-inf": -math.inf, "array(1.0)": np.array(1.0)}

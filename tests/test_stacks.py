@@ -27,9 +27,9 @@ from effectkit.fracfun import fp_apply
 from effectkit.numkern import (
     DEFAULT_TOL,
     _haar_unitary_stack,
+    _norms,
     _random_effect_stack,
     _random_ray_stack,
-    _vector_norm,
     eig_hermitian,
     frobenius,
     haar_unitary,
@@ -111,11 +111,11 @@ def test_norms_and_hermitize_match_numpy(n):
     scale = 10.0 ** rng.uniform(-6, 6, (T, n, n))
     M = scale * (rng.standard_normal((T, n, n)) + 1j * rng.standard_normal((T, n, n)))
     norms = frobenius(M)
-    rows = _vector_norm(M[:, 0, :])
+    rows = _norms(M[:, 0, :])
     H = hermitize(M)
     for k in range(T):
         assert norms[k] == np.linalg.norm(M[k]) == frobenius(M[k])
-        assert rows[k] == np.linalg.norm(M[k, 0, :]) == _vector_norm(M[k, 0, :])
+        assert rows[k] == np.linalg.norm(M[k, 0, :]) == _norms(M[k, 0, :])
         assert same(H[k], 0.5 * (M[k] + M[k].conj().T))
     # A lone matrix is summed in memory order, as np.linalg.norm sums it.
     for F in (np.asfortranarray(M[0]), M[0].T, M[0].conj().T):
@@ -150,16 +150,13 @@ def test_validation_takes_the_rebuild_branch_per_member(n):
     assert same(S[0].matrix, hermitize(Ms[0]))
 
 
-NON_FINITE = "non-finite entries or overflow"
-
-
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize(
     "spoil,error,text",
     [
         (lambda M: M.__setitem__((0, -1), M[0, -1] + 1e-3j), HermiticityViolation, "matrix is not Hermitian: defect "),
-        (lambda M: M.__setitem__((0, 0), np.nan), HermiticityViolation, f"matrix norm is nan: {NON_FINITE}"),
-        (lambda M: M.__setitem__((0, 0), np.inf), HermiticityViolation, f"matrix norm is inf: {NON_FINITE}"),
+        (lambda M: M.__setitem__((0, 0), np.nan), HermiticityViolation, "matrix has non-finite entries"),
+        (lambda M: M.__setitem__((0, 0), np.inf), HermiticityViolation, "matrix has non-finite entries"),
         (lambda M: M.__setitem__((0, 0), 1.5), SpectrumOutOfRange, None),
     ],
     ids=["non-hermitian", "nan", "inf", "spectrum"],
