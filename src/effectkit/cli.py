@@ -54,8 +54,9 @@ a map validates itself when it is built.
 
 Exit codes: 0 all checks passed; 1 a mathematical check failed
 (``CheckFailed``); 2 unusable input (``InputError``: parse failure,
-malformed document, dimension mismatch, invalid parameter).  Any other
-exception is a fault of the program and propagates with its traceback.
+malformed document, dimension mismatch, invalid parameter); 3 a fault of
+the program: ``main`` lets any other exception propagate, and ``run``, the
+console script, prints its traceback and exits 3.
 """
 
 from __future__ import annotations
@@ -86,11 +87,11 @@ from .autos import (
     random_automorphism,
 )
 from .coexist import _COEXIST
-from .effects import Effect, _ray_matrix, make_effect
+from .effects import Effect, RayProjection, make_effect, make_ray
 from .errors import CheckFailed, InputError, OrthogonalityError, SpanError, SpectrumOutOfRange
 from .fracfun import _PEXIDER, FpParam
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import _STRENGTH_ORACLE, _bisect, _closed_value, _oracle_gap_limit
+from .strength import _STRENGTH_ORACLE, _oracle_gap_limit, strength_bisect, strength_closed
 from .suites import _matrix_rows, _suite_seed
 
 RIGIDITY_SUITES = ("ortho", "sequential")
@@ -267,9 +268,9 @@ def load_effect(path: str, tol: ToleranceConfig) -> Effect:
     return make_effect(doc_to_matrix(_load_json(path), path), tol)
 
 
-def load_ray(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """A ray document's unit vector and projection matrix, without a basis."""
-    return _ray_matrix(doc_to_vector(_load_json(path), path))
+def load_ray(path: str) -> RayProjection:
+    """The ray of a vector document (``make_ray``), its basis not built."""
+    return make_ray(doc_to_vector(_load_json(path), path))
 
 
 def load_map(path: str) -> EffectAutomorphism:
@@ -331,19 +332,14 @@ def _tolerances(factor: float) -> ToleranceConfig:
 def cmd_strength(args: argparse.Namespace) -> int:
     tol = _tolerances(args.tol)
     A = load_effect(args.effect, tol)
-    vec, P = load_ray(args.ray)
-    result = _closed_value(A, vec, tol)
+    ray = load_ray(args.ray)
+    result = strength_closed(A, ray, tol)
     out = {"value": result.value, "in_range": result.in_range, "near_cutoff": result.near_cutoff}
-    code = 0
     if args.oracle:
-        oracle = float(_bisect(P, A.matrix, tol))
-        gap = abs(result.value - oracle)
-        out["oracle"] = oracle
-        out["gap"] = gap
-        if gap > _oracle_gap_limit(tol):
-            code = 1
+        oracle = strength_bisect(A, ray, tol)
+        out.update(oracle=oracle, gap=abs(result.value - oracle))
     sys.stdout.write(dump_json(out) + "\n")
-    return code
+    return int(out.get("gap", 0.0) > _oracle_gap_limit(tol))
 
 
 def cmd_apply(args: argparse.Namespace) -> int:
@@ -544,4 +540,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script: ``main``, and a fault of the program exits 3 with its traceback."""
+    try:
+        code = main()
+    except Exception:
+        import traceback  # only on a fault: it costs import time otherwise
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)

@@ -102,7 +102,7 @@ def coexist_rank_one(
         if not (numkern._is_weight(value) and value > 0.0):
             raise DomainError(f"weight {name} must be a number in (0, 1], got {value!r}")
     _same_dim(P, Q)
-    distinct, fits = _rank_one(s, P.vector, P.projection.matrix, t, Q.vector, Q.projection.matrix, tol)
+    distinct, fits = _rank_one(s, P.vector, P.matrix, t, Q.vector, Q.matrix, tol)
     if not distinct[0]:
         raise DegenerateRanges("rank-one criterion needs distinct ranges")
     return bool(fits)

@@ -8,6 +8,8 @@ range projections, scalar detection, and the rank-one dominance fact
 
 Every Effect carries its spectral decomposition, computed once at
 construction, so downstream functional calculus never re-diagonalizes.
+A RayProjection is a unit vector and its projection matrix; the Effect
+``ray.projection``, whose basis costs a complete QR, is built on first read.
 
 An EffectStack holds T effects of one dimension as (T, n, n) matrices,
 (T, n) eigenvalues and (T, n, n) eigenvectors, so the verification suites
@@ -34,6 +36,7 @@ for bit, so it takes the spectral rules alone, in one ``_spectral`` call.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -199,39 +202,43 @@ def _scalar_stack(n: int, lams: np.ndarray) -> EffectStack:
 
 @dataclass(frozen=True, eq=False)
 class RayProjection:
-    """Unit vector together with the rank-one projection onto its line."""
+    """Unit vector and the rank-one projection matrix onto its line; the Effect
+    ``projection``, its basis from a complete QR, is built on first read."""
 
     vector: np.ndarray
-    projection: Effect
+    matrix: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.vector.shape[0]
+
+    @functools.cached_property
+    def projection(self) -> Effect:
+        return _ray(self.vector, self.matrix)
 
 
 def make_ray(v: np.ndarray) -> RayProjection:
     """Build a RayProjection from a nonzero vector, normalized here.  ``v``
     passes the array rule (``numkern._outside_array``); its faults but shape
     raise DomainError, as the zero vector does."""
-    vec, projection = _ray(numkern._outside_array(v, 1, "ray vector", DomainError)[0])
-    return RayProjection(vector=_locked(vec), projection=projection)
+    vec, P = _ray_matrix(numkern._outside_array(v, 1, "ray vector", DomainError)[0])
+    return RayProjection(vector=_locked(vec), matrix=_locked(P))
 
 
-def _ray(vec: np.ndarray) -> tuple[np.ndarray, Effect | EffectStack]:
-    """Normalized vector and its projection, for a vector or a (T, n) stack."""
-    vec, P = _ray_matrix(vec)
+def _ray(vec: np.ndarray, P: np.ndarray) -> Effect | EffectStack:
+    """The Effect of the projection P onto the unit vector vec, or of each in a stack."""
     # Complete to an orthonormal basis: QR puts the ray (up to phase) in
     # the first column, so the remaining columns span its orthocomplement.
     Q = np.linalg.qr(vec[..., None], mode="complete")[0]
     basis = np.concatenate([Q[..., 1:], vec[..., None]], axis=-1)
     w = np.zeros(vec.shape)
     w[..., -1] = 1.0
-    return vec, _effect(P, w, basis)
+    return _effect(P, w, basis)
 
 
 def _ray_matrix(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Normalized vector and its projection matrix, for a vector or a (T, n)
-    stack: ``_ray`` without the eigenbasis, for callers that read only these.
+    stack: a ray without its eigenbasis (``_ray``).
 
     The norm is summed from squares, so it holds only where its square is a
     normal float.  A vector of finite entries whose norm leaves that range
@@ -290,7 +297,7 @@ def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
 def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None = None) -> EffectStack:
     """Stack of the projections ``sample_ray(n, rng).projection`` for each
     generator; with m, the stack of the m stacks drawn from each in turn."""
-    return _ray(numkern._random_ray_stack(n, rngs, m))[1]
+    return _ray(*_ray_matrix(numkern._random_ray_stack(n, rngs, m)))
 
 
 def _same_dim(A: Effect | RayProjection, B: Effect | RayProjection) -> None:

@@ -12,7 +12,8 @@ Two independent routes are provided and kept separate on purpose:
 
 ``strength_two_block`` covers the special two-dimensional configuration
 mu * P + Q with orthogonal rank-one P and Q, where the value along a ray
-R inside the span reduces to mu / (mu + (1 - mu) tr(PR)).
+R inside the span reduces to mu / (mu + (1 - mu) tr(PR)).  No route reads
+the basis of ``ray.projection``; the CLI's ``strength`` runs the first two.
 
 The closed form and the two-block reduction are each one routine for a
 lone effect and ray or for stacks of them; the strength-oracle suite runs
@@ -94,13 +95,8 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     the range and the strength is zero.  Otherwise the value is
     1 / sum(|c_i|^2 / lambda_i) over the range eigenvalues.
     """
-    return _closed_value(A, ray.vector, tol)
-
-
-def _closed_value(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> StrengthValue:
-    """``strength_closed`` along the unit vector vec: a ray read without its basis."""
-    _check_dims(A, len(vec))
-    value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, vec, tol)
+    _check_dims(A, ray.dim)
+    value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, ray.vector, tol)
     return StrengthValue(float(value), bool(in_range), bool(near))
 
 
@@ -150,7 +146,7 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     test gives.
     """
     _check_dims(A, ray.dim)
-    return float(_bisect(ray.projection.matrix, A.matrix, tol))
+    return float(_bisect(ray.matrix, A.matrix, tol))
 
 
 def _bisect(P: np.ndarray, A: np.ndarray, tol: ToleranceConfig) -> float:
@@ -249,7 +245,7 @@ def strength_two_block(
     if P.dim != Q.dim or P.dim != R.dim:
         raise DimensionError("rays must share one dimension")
     vectors = (P.vector[None], Q.vector[None], R.vector[None])
-    return float(_two_block(np.array([mu]), *vectors, P.projection.matrix, Q.projection.matrix, tol)[0])
+    return float(_two_block(np.array([mu]), *vectors, P.matrix, Q.matrix, tol)[0])
 
 
 def _two_block(

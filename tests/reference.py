@@ -1,4 +1,5 @@
-"""A 40-digit reference for the strength along a ray and for the Loewner order.
+"""A 40-digit reference for the strength along a ray, the Loewner order,
+f_p and the zero product.
 
 Each value is computed with mpmath from the float matrices and vectors as
 stored, every float read exactly, so the reference judges each effectkit
@@ -11,6 +12,10 @@ float route.  No effectkit routine is called here.
   largest accepted t.
 * ``lambda_min(A, B)``: the smallest eigenvalue of B - A, from
   ``mpmath.eighe``, which decides A <= B.
+* ``fp(p, x)``: f_p(x) = x / (x p + 1 - p), and ``inverse_param(p)``:
+  q = 1 - 1 / (1 - p), the parameter of f_p's inverse.
+* ``frobenius_product(A, B)``: ||AB||_F, which decides whether A and B
+  have a zero product.
 """
 
 from __future__ import annotations
@@ -38,3 +43,23 @@ def lambda_min(A: np.ndarray, B: np.ndarray) -> float:
     """The smallest eigenvalue of B - A, for Hermitian A and B, rounded to a float."""
     with mpmath.workdps(DIGITS):
         return float(min(mpmath.eighe(_matrix(B) - _matrix(A), eigvals_only=True)))
+
+
+def fp(p: float, x: float) -> float:
+    """f_p(x) = x / (x p + 1 - p), rounded to a float."""
+    with mpmath.workdps(DIGITS):
+        x, p = mpmath.mpf(x), mpmath.mpf(p)
+        return float(x / (x * p + 1 - p))
+
+
+def inverse_param(p: float) -> float:
+    """q = 1 - 1 / (1 - p), rounded to a float."""
+    with mpmath.workdps(DIGITS):
+        return float(1 - 1 / (1 - mpmath.mpf(p)))
+
+
+def frobenius_product(A: np.ndarray, B: np.ndarray) -> float:
+    """||AB||_F, rounded to a float."""
+    with mpmath.workdps(DIGITS):
+        M = _matrix(A) * _matrix(B)
+        return float(mpmath.sqrt(mpmath.fsum(abs(z) ** 2 for z in M)))

@@ -396,6 +396,25 @@ def test_console_script_end_to_end(docs, tmp_path):
     assert result.stderr.startswith("error:")
 
 
+def test_a_fault_of_the_program_exits_three_with_its_traceback(tmp_path):
+    # A child process runs the console script's callable with cmd_fit
+    # raising an exception that is neither InputError nor CheckFailed.
+    code = (
+        "import sys\n"
+        "from effectkit import cli\n"
+        "def cmd_fit(args):\n"
+        "    raise RuntimeError('a fault of the program')\n"
+        "cli.cmd_fit = cmd_fit\n"
+        "sys.argv = ['effectkit', 'fit', '--map', 'map.json']\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.startswith("Traceback (most recent call last):\n")
+    assert result.stderr.endswith("RuntimeError: a fault of the program\n")
+
+
 def test_dump_json_formats():
     text = dump_json({"a": 1.0, "b": True, "c": None, "d": [0.1], "e": "x"})
     parsed = json.loads(text)

@@ -354,7 +354,7 @@ def test_arrays_of_numbers_are_read_as_before(data, kind, n):
         vector = x[0]
         if np.any(np.asarray(vector, dtype=np.complex128)):
             got = effects.make_ray(vector).vector
-            assert got.tobytes() == effects._ray(np.asarray(vector, dtype=np.complex128))[0].tobytes()
+            assert got.tobytes() == effects._ray_matrix(np.asarray(vector, dtype=np.complex128))[0].tobytes()
 
 
 NOT_POSITIVE_NUMBERS = {"0.0": 0.0, "-1.0": -1.0, "-0.0": -0.0, "-inf": -math.inf, "array(1.0)": np.array(1.0)}

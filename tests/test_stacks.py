@@ -319,7 +319,7 @@ def _bisect_reference(A, P, tol=DEFAULT_TOL):
 
 @pytest.mark.parametrize("n", DIMS + (16,))
 def test_strength_routes_match_their_first_form(n):
-    from effectkit.effects import _ray, make_ray
+    from effectkit.effects import _ray_matrix, make_ray
     from effectkit.strength import _bisect, _closed, strength_bisect, strength_closed
 
     # Members of every kernel size, rays spread over the range with a leak
@@ -340,9 +340,9 @@ def test_strength_routes_match_their_first_form(n):
         effects.append(make_effect(hermitize((Q * w) @ Q.conj().T)))
         vectors.append(v)
     A = _stack_effects(effects)
-    vec, rays = _ray(np.stack(vectors))
+    vec, rays = _ray_matrix(np.stack(vectors))
     value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, vec, DEFAULT_TOL)
-    bisected = [_bisect(P, a, DEFAULT_TOL) for P, a in zip(rays.matrix, A.matrix)]
+    bisected = [_bisect(P, a, DEFAULT_TOL) for P, a in zip(rays, A.matrix)]
     assert in_range.any() and not in_range.all() and max(bisected) == 1.0
     for k, (a, v) in enumerate(zip(effects, vectors)):
         ray = make_ray(v)
@@ -350,30 +350,29 @@ def test_strength_routes_match_their_first_form(n):
         alone = strength_closed(a, ray)
         assert same(value[k], want[0]) and (in_range[k], near[k]) == want[1:]
         assert same(alone.value, want[0]) and (alone.in_range, alone.near_cutoff) == want[1:]
-        want = _bisect_reference(a.matrix, ray.projection.matrix)
+        want = _bisect_reference(a.matrix, ray.matrix)
         assert same(bisected[k], want) and same(strength_bisect(a, ray), want)
 
 
 @pytest.mark.parametrize("n", DIMS)
 def test_ray_matrix_is_the_ray_without_its_basis(n):
-    from effectkit.effects import _ray, _ray_matrix
+    # A ray holds what _ray_matrix gives; its projection adds the basis
+    # alone, and a stack's member k is the projection of ray k.
+    from effectkit.effects import _ray, _ray_matrix, make_ray
 
-    for v in (random_ray(n, 41) * 3.0, _random_ray_stack(n, rngs(41))):
-        vec, projection = _ray(v)
-        got_vec, got_matrix = _ray_matrix(v)
-        assert same(got_vec, vec) and same(got_matrix, projection.matrix)
+    vectors = _random_ray_stack(n, rngs(41)) * 3.0
+    vec, P = _ray_matrix(vectors)
+    projections = _ray(vec, P)
+    assert same(projections.matrix, P)
+    for k, v in enumerate(vectors):
+        ray = make_ray(v)
+        assert same(ray.vector, vec[k]) and same(ray.matrix, P[k])
+        assert same_effect(ray.projection, projections[k])
 
 
-def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch, tmp_path):
-    # Only make_ray and the transition suite's rays read the basis that a
-    # complete QR builds; the orthogonal vector of the coexist suite's
-    # fixed controls is its only complete QR, whatever the trials.  The
-    # strength command reads its ray document without a basis too.
-    import json
-
-    from effectkit import coexist, strength
-    from effectkit.cli import main, matrix_to_doc
-
+@pytest.fixture
+def complete_qrs(monkeypatch):
+    """A counter of the complete QRs, the eigenbasis of a ray, that a call runs."""
     complete = []
     real_qr = np.linalg.qr
 
@@ -383,12 +382,25 @@ def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
 
-    def complete_qrs(run):
+    def count(run):
         complete.clear()
         run()
         return sum(complete)
 
-    atom = make_effect(0.9 * sample_ray(3, 5).projection.matrix)
+    return count
+
+
+def test_coexist_and_strength_suites_build_no_ray_basis(complete_qrs, tmp_path):
+    # Only a ray's projection and the transition suite's rays read the
+    # basis that a complete QR builds; the orthogonal vector of the coexist
+    # suite's fixed controls is its only complete QR, whatever the trials.
+    # The strength command reads its ray document without a basis too.
+    import json
+
+    from effectkit import coexist, strength
+    from effectkit.cli import main, matrix_to_doc
+
+    atom = make_effect(0.9 * sample_ray(3, 5).matrix)
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(atom, 40, 3)) == 0
     assert complete_qrs(lambda: coexist.coexists_with_all_probe(sample_effect(3, 5), 40, 3)) == 0
     assert complete_qrs(lambda: strength._STRENGTH_ORACLE.run([3], 20, [3], 3, DEFAULT_TOL)[0]) == 0
@@ -402,6 +414,49 @@ def test_coexist_and_strength_suites_build_no_ray_basis(monkeypatch, tmp_path):
     assert complete_qrs(lambda: codes.append(main(argv))) == 0
     assert complete_qrs(lambda: codes.append(main(argv + ["--oracle"]))) == 0
     assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_a_ray_builds_its_basis_on_its_first_read(complete_qrs, n):
+    # Building, sampling and mapping a ray run no complete QR, nor do the
+    # lone strength and coexist routes.  The first read of .projection runs
+    # one and keeps its result: the QR completion written out below.
+    from effectkit import coexist, strength
+    from effectkit.autos import apply_to_ray
+    from effectkit.effects import WeakAtom, make_ray
+
+    rays = []
+    assert complete_qrs(lambda: rays.append(make_ray(3.0 * random_ray(n, 42)))) == 0
+    assert complete_qrs(lambda: rays.append(sample_ray(n, 43))) == 0
+    phi = random_automorphism(n, 0.5, True, 44)
+    assert complete_qrs(lambda: rays.append(apply_to_ray(phi, rays[0]))) == 0
+    A = sample_effect(n, 45)
+    lone = [
+        lambda: strength.strength_closed(A, rays[0]),
+        lambda: strength.strength_bisect(A, rays[1]),
+        lambda: coexist.coexists_with_weak_atom(A, WeakAtom(0.3, rays[2])),
+    ]
+    if n >= 2:
+        e = np.eye(n)
+        P, Q, R = make_ray(e[0]), make_ray(e[1]), make_ray(e[0] + 2.0 * e[1])
+        lone += [
+            lambda: strength.strength_two_block(0.5, P, Q, R),
+            lambda: coexist.coexist_rank_one(0.5, P, 0.4, R),
+        ]
+    for run in lone:
+        assert complete_qrs(run) == 0
+
+    for ray in rays:
+        assert complete_qrs(lambda: ray.projection) == 1
+        first = ray.projection
+        assert complete_qrs(lambda: ray.projection) == 0 and ray.projection is first
+        vec = ray.vector
+        Q = np.linalg.qr(vec[:, None], mode="complete")[0]
+        w = np.zeros(n)
+        w[-1] = 1.0
+        assert same(first.matrix, ray.matrix) and same(ray.matrix, hermitize(np.outer(vec, vec.conj())))
+        assert same(first.eigenvalues, w)
+        assert same(first.eigenvectors, np.concatenate([Q[:, 1:], vec[:, None]], axis=1))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 8, 64))
