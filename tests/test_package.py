@@ -3,7 +3,8 @@ the dimension rule of the functions that take two operands, that no
 module keeps a check limit outside ToleranceConfig, that no private
 name is left without a use, that suites hand their checks to the
 recorder as data, that every suite is one ``Suite`` value run by
-``Suite.run``, and that one routine makes the images of a caller's map."""
+``Suite.run``, that one routine makes the images of a caller's map, and
+that no test file pins a report's hash outside the golden store."""
 
 import ast
 import dataclasses
@@ -192,6 +193,14 @@ def test_only_apply_and_the_image_routine_map_through_the_family_kernel():
         if name == "_map_members"
     }
     assert readers == {"autos.py:_images", "autos.py:apply"}
+
+
+def test_no_test_file_holds_a_hash_literal():
+    # Every byte pin is a record of tests/goldens.json, which tests/goldens.py
+    # re-records with a verdict diff; a sha256 written into a test has neither.
+    tests = Path(__file__).parent.glob("*.py")
+    pinned = [path.name for path in tests if re.search(r"[0-9a-fA-F]{64}", path.read_text(encoding="utf-8"))]
+    assert pinned == []
 
 
 def _callee(call: ast.Call) -> str | None:
