@@ -240,8 +240,8 @@ def _coexist_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block)
     distinct, fits = _rank_one(lam, p, P, 1.0 - lam, q, Q, tol)
     split = ~witness | ~distinct | fits
     return [
-        ("trivial-witness-missing-for-substochastic-pair", ~witness, 0.0, {}),
-        ("convex-split-pair-reported-incompatible", ~split, 0.0, {}),
+        ("trivial-witness-missing-for-substochastic-pair", ~witness, 0.0, {"A": A.matrix, "B": B.matrix}),
+        ("convex-split-pair-reported-incompatible", ~split, 0.0, {"A": lam * P, "B": (1.0 - lam) * Q}),
     ]
 
 

@@ -278,7 +278,7 @@ def _strength_oracle_step(seeds: list[int], n: int, tol: ToleranceConfig, block:
     vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
     bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
     gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - bisected)
-    checks = [("closed-vs-bisect", gap, _oracle_gap_limit(tol), {"A": A.matrix})]
+    checks = [("closed-vs-bisect", gap, _oracle_gap_limit(tol), {"A": A.matrix, "v": vec})]
     if n >= 2:
         V = numkern._haar_unitary_stack(n, rngs)
         theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]
@@ -292,7 +292,7 @@ def _strength_oracle_step(seeds: list[int], n: int, tol: ToleranceConfig, block:
         E = _spectral(mu[:, None, None] * P + Q, tol)
         closed = _closed(E.eigenvalues, E.eigenvectors, r, tol)[0]
         two_block = np.abs(closed - _two_block(mu, p, q, r, P, Q, tol))
-        checks.append(("two-block", two_block, tol.eps_rank, {"E": E.matrix}))
+        checks.append(("two-block", two_block, tol.eps_rank, {"E": E.matrix, "r": r}))
     return checks
 
 

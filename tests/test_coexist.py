@@ -1,9 +1,13 @@
 """Coexistence: witnesses, the rank-one criterion, weak atoms, the probe."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from effectkit import coexist
+from effectkit.cli import dump_json
 from effectkit.coexist import (
     CoexistenceWitness,
     coexist_rank_one,
@@ -253,3 +257,31 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
     assert answers() != before
     if core != "_witness_valid":
         assert coexist._COEXIST.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures > 0
+
+
+@pytest.mark.parametrize(
+    "core,check",
+    [("_below_identity", "trivial-witness-missing-for-substochastic-pair"),
+     ("_rank_one", "convex-split-pair-reported-incompatible")],
+)
+def test_a_failing_trial_records_the_pair_it_decided(monkeypatch, core, check):
+    # With one decision inverted, the suite's first counterexample, its pair
+    # read back from the report's JSON, has the trivial witness (A, B, 0):
+    # the pair coexists, so the inverted decision was wrong.  The controls
+    # are left out, since they record no inputs.
+    real = getattr(coexist, core)
+    if core == "_rank_one":
+        def inverted(*args):
+            distinct, fits = real(*args)
+            return distinct, ~fits
+    else:
+        def inverted(*args):
+            return ~real(*args)
+    trials_only = dataclasses.replace(coexist._COEXIST, controls=None)
+    assert trials_only.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(coexist, core, inverted)
+        report = json.loads(dump_json(trials_only.run([1], 20, [1], 3, DEFAULT_TOL)[0].to_dict()))
+    assert report["counterexample"]["check"] == check
+    A, B = (make_effect(np.array(rows) @ [1, 1j]) for rows in report["counterexample"]["inputs"].values())
+    assert coexist_trivial_witness(A, B) is not None

@@ -1,8 +1,12 @@
 """Strength along rays: closed form, bisection oracle, two-block reduction."""
 
+import json
+
 import numpy as np
 import pytest
 
+import goldens
+from effectkit import strength
 from effectkit.autos import apply_to_ray, random_automorphism
 from effectkit.effects import (
     identity_effect,
@@ -13,6 +17,7 @@ from effectkit.effects import (
     scalar_effect,
 )
 from effectkit.errors import DimensionError, DomainError, OrthogonalityError, SpanError
+from effectkit.cli import dump_json
 from effectkit.fracfun import fp_eval
 from effectkit.numkern import DEFAULT_TOL, haar_unitary, psd_leq
 from effectkit.strength import (
@@ -179,3 +184,21 @@ def test_strength_value_invariant():
         StrengthValue(value=0.5, in_range=False)
     with pytest.raises(ValueError):
         StrengthValue(value=1.5, in_range=True)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_an_oracle_counterexample_fails_again_from_the_report_alone(n):
+    # Under the mutated closed form, the suite's first counterexample, its
+    # effect and ray read back from the report's JSON, fails the oracle
+    # check again through the public routes; without the mutation it passes.
+    report = json.loads(dump_json(goldens.CALLS[f"mutated-oracle-n{n}"]().to_dict()))
+    assert report["counterexample"]["check"] == "closed-vs-bisect"
+    matrix, vector = (np.array(rows) @ [1, 1j] for rows in report["counterexample"]["inputs"].values())
+    A, ray = make_effect(matrix), make_ray(vector)
+
+    def gap():
+        return abs(strength_closed(A, ray).value - strength_bisect(A, ray))
+
+    with goldens.mutated_closed():
+        assert gap() > strength._oracle_gap_limit(DEFAULT_TOL)
+    assert gap() <= strength._oracle_gap_limit(DEFAULT_TOL)
