@@ -112,9 +112,9 @@ def diff(old: list[dict], new: list[dict]) -> list[str]:
     and the largest |change| of worst_violation per suite name."""
     before, lines, moved = {r["id"]: r for r in old}, [], {}
     for r in new:
-        was = before.get(r["id"], {"verdicts": []})
-        if (was.get("bytes"), was.get("sha256")) != (r["bytes"], r["sha256"]):
-            lines.append(f"bytes {r['id']}: {was.get('bytes')} -> {r['bytes']}")
+        was = before[r["id"]]
+        if (was["bytes"], was["sha256"]) != (r["bytes"], r["sha256"]):
+            lines.append(f"bytes {r['id']}: {was['bytes']} -> {r['bytes']}")
         rows = {row[0]: row for row in was["verdicts"]}
         for label, failures, satisfied, worst, _ in r["verdicts"]:
             _, old_failures, old_satisfied, old_worst, _ = rows.get(label, (label, None, None, worst, None))

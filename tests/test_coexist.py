@@ -225,6 +225,20 @@ def test_probe_equals_its_first_definition():
     assert {want for _, want in outcomes} == {True, False}
 
 
+def _inverted(core):
+    """The decision ``core`` of coexist with its answer inverted; for
+    ``_rank_one``, the answer whether the weighted sum fits."""
+    real = getattr(coexist, core)
+
+    def inverted(*args):
+        if core == "_rank_one":
+            distinct, fits = real(*args)
+            return distinct, ~fits
+        return ~real(*args)
+
+    return inverted
+
+
 @pytest.mark.parametrize("core", ["_below_identity", "_rank_one", "_weak_atoms_fit", "_witness_valid"])
 def test_suite_runs_the_library_decisions(monkeypatch, core):
     # The public functions and the coexist suite share one routine per
@@ -245,15 +259,7 @@ def test_suite_runs_the_library_decisions(monkeypatch, core):
 
     before = answers()
     assert coexist._COEXIST.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures == 0
-    real = getattr(coexist, core)
-    if core == "_rank_one":
-        def inverted(*args):
-            distinct, fits = real(*args)
-            return distinct, ~fits
-    else:
-        def inverted(*args):
-            return ~real(*args)
-    monkeypatch.setattr(coexist, core, inverted)
+    monkeypatch.setattr(coexist, core, _inverted(core))
     assert answers() != before
     if core != "_witness_valid":
         assert coexist._COEXIST.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures > 0
@@ -269,18 +275,10 @@ def test_a_failing_trial_records_the_pair_it_decided(monkeypatch, core, check):
     # read back from the report's JSON, has the trivial witness (A, B, 0):
     # the pair coexists, so the inverted decision was wrong.  The controls
     # are left out, since they record no inputs.
-    real = getattr(coexist, core)
-    if core == "_rank_one":
-        def inverted(*args):
-            distinct, fits = real(*args)
-            return distinct, ~fits
-    else:
-        def inverted(*args):
-            return ~real(*args)
     trials_only = dataclasses.replace(coexist._COEXIST, controls=None)
     assert trials_only.run([1], 20, [1], 3, DEFAULT_TOL)[0].failures == 0
     with monkeypatch.context() as patch:
-        patch.setattr(coexist, core, inverted)
+        patch.setattr(coexist, core, _inverted(core))
         report = json.loads(dump_json(trials_only.run([1], 20, [1], 3, DEFAULT_TOL)[0].to_dict()))
     assert report["counterexample"]["check"] == check
     A, B = (make_effect(np.array(rows) @ [1, 1j]) for rows in report["counterexample"]["inputs"].values())

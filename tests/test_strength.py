@@ -8,6 +8,7 @@ import pytest
 import goldens
 from effectkit import strength
 from effectkit.autos import apply_to_ray, random_automorphism
+from effectkit.cli import dump_json
 from effectkit.effects import (
     identity_effect,
     make_effect,
@@ -17,7 +18,6 @@ from effectkit.effects import (
     scalar_effect,
 )
 from effectkit.errors import DimensionError, DomainError, OrthogonalityError, SpanError
-from effectkit.cli import dump_json
 from effectkit.fracfun import fp_eval
 from effectkit.numkern import DEFAULT_TOL, haar_unitary, psd_leq
 from effectkit.strength import (
