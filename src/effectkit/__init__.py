@@ -26,8 +26,8 @@ del os
 from . import autos, coexist, effects, errors, fracfun, numkern, sequential, strength
 
 # Kept to their modules: ``apply`` reads as a generic verb at package level,
-# the samplers return raw matrices, and EffectStack serves the suites.
-_MODULE_ONLY = {"apply", "as_complex_matrix", "random_effect", "random_ray", "EffectStack"}
+# and the samplers return raw matrices.
+_MODULE_ONLY = {"apply", "as_complex_matrix", "random_effect", "random_ray"}
 
 __all__ = ["__version__"]
 for _module in (errors, numkern, effects, strength, sequential, coexist, fracfun, autos):

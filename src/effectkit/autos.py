@@ -22,7 +22,7 @@ and zero-product suites check "in both directions" through one routine,
 
 Each suite is a ``suites.Suite`` value (``_ORDER`` and the like), a step
 and its fixed controls, run by the one driver ``Suite.run``: a step turns
-a block of trials (EffectStacks) into checks, each sampling, validation,
+a block of trials (stacked Effects) into checks, each sampling, validation,
 map and decision one stacked call, and the controls map one stack, a
 member per entry (I/2 or lam I).  Each ``verify_*`` is the one-entry run
 of its suite, and ``effectkit verify`` runs a suite once for all the
@@ -50,7 +50,6 @@ import numpy as np
 from . import numkern
 from .effects import (
     Effect,
-    EffectStack,
     RayProjection,
     WeakAtom,
     _effect,
@@ -140,7 +139,7 @@ def random_automorphism(
 def apply(phi: EffectAutomorphism, A: Effect) -> Effect:
     """Image of A: conjugate entries if flagged, apply f_p, rotate by U.
 
-    For an EffectStack, the stack of the member images.
+    For a stack of effects, the stack of the member images.
     """
     return _map_members(phi.U, phi.conjugate, phi.p.p, A)
 
@@ -210,7 +209,7 @@ def _images(runs: Sequence[tuple[EffectMap, int]]) -> EffectMap:
         return functools.partial(_map_members, U, conjugate, p)
     members = [phi for phi, count in runs for _ in range(count)]
 
-    def images(S: EffectStack) -> EffectStack:
+    def images(S: Effect) -> Effect:
         out = [phi(S[k]) for k, phi in enumerate(members)]
         wrong = [B.dim for B in out if B.dim != S.dim]
         if wrong:
@@ -434,7 +433,7 @@ def _sequential_step(maps: list[EffectMap], n: int, tol: ToleranceConfig, block:
 _SEQUENTIAL = Suite("sequential", _FAMILY, _sequential_step, _sequential_controls)
 
 
-def _transition(P: EffectStack, Q: EffectStack) -> np.ndarray:
+def _transition(P: Effect, Q: Effect) -> np.ndarray:
     """tr(PQ) of each member pair."""
     return np.trace(P.matrix @ Q.matrix, axis1=-2, axis2=-1).real
 

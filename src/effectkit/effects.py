@@ -11,13 +11,13 @@ construction, so downstream functional calculus never re-diagonalizes.
 A RayProjection is a unit vector and its projection matrix; the Effect
 ``ray.projection``, whose basis costs a complete QR, is built on first read.
 
-An EffectStack holds T effects of one dimension as (T, n, n) matrices,
-(T, n) eigenvalues and (T, n, n) eigenvectors, so the verification suites
-can run each LAPACK and matmul step once for all their trials.
-``stack[k]`` is member k as an Effect, and ``leq``, ``zero_product`` and
-``orthocomplement`` take stacks as well as effects, deciding each member
-on its own.  Every member equals, bit for bit, the Effect built from the
-same matrix alone.  A stacked sampler draws member k from the k-th
+An Effect also holds a stack of T effects of one dimension, as (T, n, n)
+matrices, (T, n) eigenvalues and (T, n, n) eigenvectors, so the
+verification suites can run each LAPACK and matmul step once for all their
+trials.  ``stack[k]`` is member k, and ``leq``, ``zero_product`` and
+``orthocomplement`` take stacks as well as lone effects, deciding each
+member on its own.  Every member equals, bit for bit, the Effect built from
+the same matrix alone.  A stacked sampler draws member k from the k-th
 generator, so each trial keeps its own random stream and a report does
 not depend on how trials are grouped; m effects per generator come as one
 (m, T, n, n) stack of stacks, under one QR and one eigendecomposition.
@@ -54,7 +54,6 @@ from .numkern import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "Effect",
-    "EffectStack",
     "RayProjection",
     "WeakAtom",
     "make_effect",
@@ -84,30 +83,14 @@ def _locked(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Effect:
-    """Hermitian matrix with spectrum in [0, 1], plus its cached eigensystem.
+    """Hermitian matrix with spectrum in [0, 1], plus its cached eigensystem;
+    or a stack of them, the arrays led by the same stack axes, (T,) or (m, T).
 
     ``eigenvalues`` are ascending and already clamped to [0, 1];
     ``eigenvectors`` holds the matching orthonormal columns.  Arrays are
-    read-only; treat instances as immutable values.
+    read-only; treat instances as immutable values.  ``len()`` and indexing
+    read a stack, ``trace()`` a lone effect; the other shape raises TypeError.
     """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-@dataclass(frozen=True, eq=False)
-class EffectStack:
-    """T effects of one dimension: (T, n, n) matrices, (T, n) eigenvalues
-    and (T, n, n) eigenvectors, each member as in an Effect.  A sampler's
-    m stacks come as one stack of stacks, (m, T, n, n)."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
@@ -117,17 +100,28 @@ class EffectStack:
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
+    def trace(self) -> float:
+        if self.matrix.ndim != 2:
+            raise TypeError("trace() takes a lone effect, not a stack")
+        return float(np.trace(self.matrix).real)
+
+    def __bool__(self) -> bool:  # every effect is true; len() would raise on a lone one
+        return True
+
     def __len__(self) -> int:
+        if self.matrix.ndim == 2:
+            raise TypeError("a lone effect has no len()")
         return self.matrix.shape[0]
 
-    def __getitem__(self, k: int | slice) -> Effect | EffectStack:
+    def __getitem__(self, k: int | slice) -> Effect:
+        if self.matrix.ndim == 2:
+            raise TypeError("a lone effect cannot be indexed")
         return _effect(self.matrix[k], self.eigenvalues[k], self.eigenvectors[k])
 
 
-def _effect(matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Effect | EffectStack:
-    """Assemble an Effect (or a stack, from stacked parts) known to be valid."""
-    kind = Effect if matrix.ndim == 2 else EffectStack
-    return kind(
+def _effect(matrix: np.ndarray, eigenvalues: np.ndarray, eigenvectors: np.ndarray) -> Effect:
+    """Assemble an Effect, lone or stacked, known to be valid."""
+    return Effect(
         matrix=_locked(matrix),
         eigenvalues=_locked(np.real(eigenvalues)),
         eigenvectors=_locked(eigenvectors),
@@ -150,26 +144,26 @@ def make_effect(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     return _spectral(numkern.require_hermitian(M, tol), tol)
 
 
-def _spectral(H: np.ndarray, tol: ToleranceConfig) -> Effect | EffectStack:
+def _spectral(H: np.ndarray, tol: ToleranceConfig) -> Effect:
     """The spectral rules of ``make_effect``, for a complex matrix or stack
     that ``hermitize`` returns bit for bit, as it returns its own output."""
     w, V = np.linalg.eigh(H)
     lo, hi = w[..., 0], w[..., -1]
     ok = (lo >= -tol.eps_psd) & (hi <= 1.0 + tol.eps_psd)
-    if not numkern._holds(ok):
+    if not ok.all():
         raise SpectrumOutOfRange(
             f"spectrum [{numkern._first(lo, ~ok):.12g}, {numkern._first(hi, ~ok):.12g}]"
             " not within [0, 1] plus eps_psd"
         )
     clamped = np.clip(w, 0.0, 1.0)
     kept = (clamped == w).all(axis=-1)
-    if not numkern._holds(kept):
+    if not kept.all():
         H = np.where(kept[..., None, None], H, numkern._from_spectrum(V, clamped))
     return _effect(H, clamped, V)
 
 
-def _stack_effects(effects: Sequence[Effect]) -> EffectStack:
-    """The EffectStack of a sequence of effects of one dimension."""
+def _stack_effects(effects: Sequence[Effect]) -> Effect:
+    """The stack of a sequence of lone effects of one dimension."""
     return _effect(
         np.stack([E.matrix for E in effects]),
         np.stack([E.eigenvalues for E in effects]),
@@ -192,7 +186,7 @@ def scalar_effect(n: int, lam: float) -> Effect:
     return _scalar_stack(n, np.array([float(lam)]))[0]
 
 
-def _scalar_stack(n: int, lams: np.ndarray) -> EffectStack:
+def _scalar_stack(n: int, lams: np.ndarray) -> Effect:
     """The one builder of lam * I: the stack of these effects for each lam
     of a 1-d float array, every lam in [0, 1]."""
     eye = np.eye(n, dtype=np.complex128)
@@ -225,7 +219,7 @@ def make_ray(v: np.ndarray) -> RayProjection:
     return RayProjection(vector=_locked(vec), matrix=_locked(P))
 
 
-def _ray(vec: np.ndarray, P: np.ndarray) -> Effect | EffectStack:
+def _ray(vec: np.ndarray, P: np.ndarray) -> Effect:
     """The Effect of the projection P onto the unit vector vec, or of each in a stack."""
     # Complete to an orthonormal basis: QR puts the ray (up to phase) in
     # the first column, so the remaining columns span its orthocomplement.
@@ -283,7 +277,7 @@ def sample_effect(n: int, seed: int | np.random.Generator, tol: ToleranceConfig 
 
 def _sample_effect_stack(
     n: int, rngs: Sequence[np.random.Generator], tol: ToleranceConfig = DEFAULT_TOL, m: int | None = None
-) -> EffectStack:
+) -> Effect:
     """Stack of ``sample_effect(n, rng, tol)`` for each generator, drawn as
     it draws; with m, the stack of the m stacks drawn from each in turn."""
     return _spectral(numkern._random_effect_stack(n, rngs, m), tol)
@@ -294,7 +288,7 @@ def sample_ray(n: int, seed: int | np.random.Generator) -> RayProjection:
     return make_ray(numkern.random_ray(n, seed))
 
 
-def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None = None) -> EffectStack:
+def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None = None) -> Effect:
     """Stack of the projections ``sample_ray(n, rng).projection`` for each
     generator; with m, the stack of the m stacks drawn from each in turn."""
     return _ray(*_ray_matrix(numkern._random_ray_stack(n, rngs, m)))

@@ -177,12 +177,17 @@ def _fp(pv: float, x):
 
 
 def inverse_param(p: FpParam | float) -> FpParam:
-    """Parameter of the inverse map: f_p^-1 = f_q with q = 1 - 1/(1-p)."""
-    return FpParam(1.0 - 1.0 / (1.0 - _coerce_p(p)))
+    """Parameter of the inverse map: f_p^-1 = f_q with q = 1 - 1/(1-p).  Once
+    1 - p passes about 2^54, q rounds to 1, which is no p: ParamError names p."""
+    pv = _coerce_p(p)
+    q = 1.0 - 1.0 / (1.0 - pv)
+    if q == 1.0:
+        raise ParamError(f"p = {pv!r} has no inverse parameter: q = 1 - 1/(1 - p) rounds to 1")
+    return FpParam(q)
 
 
 def fp_apply(p: FpParam | float, A: Effect) -> Effect:
-    """Apply f_p to an effect (or each member of an EffectStack) through
+    """Apply f_p to an effect (or each member of a stack of effects) through
     the spectral calculus.
 
     f_p is increasing, so the stored ascending eigenvalue order (and the

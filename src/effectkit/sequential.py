@@ -42,7 +42,7 @@ def _sqrt_matrix(A: Effect) -> np.ndarray:
 def seq_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """The sequential product sqrt(A) B sqrt(A), validated as an effect.
 
-    For two EffectStacks, the stack of the member products.
+    For two stacks of effects, the stack of the member products.
     """
     _same_dim(A, B)
     S = _sqrt_matrix(A)

@@ -1,6 +1,7 @@
 """Fractional family: evaluation, inversion, functional equation, fits."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effectkit.effects import make_effect, make_ray
+from effectkit.autos import apply, inverse, random_automorphism
+from effectkit.effects import make_effect, make_ray, sample_effect
 from effectkit.errors import DomainError, FitError, ParamError
 from effectkit.fracfun import (
     RIGIDITY_KINDS,
@@ -104,6 +106,28 @@ def test_f_inverse_near_one_is_exact_for_the_double():
 def test_inverse_param_round_trip(p, x):
     q = inverse_param(p)
     assert fp_eval(q, fp_eval(p, x)) == pytest.approx(x, abs=1e-9)
+
+
+@pytest.mark.parametrize("p", [-(2.0**54), -1e17, -1e300])
+def test_a_p_whose_inverse_parameter_rounds_to_one_is_refused_by_name(p):
+    # 1 - 1/(1 - p) rounds to 1, which no member has; the error names the
+    # caller's p, not the rounded 1.0.
+    message = f"p = {p!r} has no inverse parameter: q = 1 - 1/(1 - p) rounds to 1"
+    with pytest.raises(ParamError, match=re.escape(message) + "$"):
+        inverse_param(p)
+    with pytest.raises(ParamError, match=re.escape(message) + "$"):
+        inverse(random_automorphism(2, p, False, 1))
+
+
+def test_the_last_p_below_the_rounding_edge_still_inverts():
+    # q = 1 - 2^-53, and the round trip returns p to within its own rounding.
+    p = -(2.0**53 + 2)
+    q = inverse_param(p).p
+    assert q < 1.0 and inverse_param(q).p == pytest.approx(p, rel=2**-51)
+    phi = random_automorphism(2, p, False, 1)
+    A = sample_effect(2, 3)
+    back = apply(inverse(phi), apply(phi, A))
+    assert np.linalg.norm(back.matrix - A.matrix) <= 1e-12
 
 
 def test_inverse_param_known_value():

@@ -94,6 +94,19 @@ def test_every_check_limit_is_owned_by_tolerance_config():
     assert found == []
 
 
+def test_effects_defines_one_effect_dataclass():
+    # A lone effect and a stack of effects are one type: the arrays may carry
+    # leading stack axes, so no second class holds the same three arrays.
+    tree = ast.parse(Path(effects.__file__).read_text(encoding="utf-8"))
+    fields = {
+        node.name: [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+    holders = {name: names for name, names in fields.items() if {"matrix", "eigenvalues", "eigenvectors"} <= set(names)}
+    assert holders == {"Effect": ["matrix", "eigenvalues", "eigenvectors"]}
+
+
 def _private_definitions(tree):
     """Module-level private functions, classes and assignment targets, dunders excepted."""
     for node in tree.body:

@@ -4,8 +4,13 @@
 with mpmath from the stored floats and calls no effectkit routine, so each
 route is judged against the truth for its own inputs:
 
-* ``strength_closed`` agrees with the reference to 1e-13 relative (2.2e-14
-  was the worst seen over 100 seeded pairs at n = 2 to 16);
+* ``strength_closed`` agrees with the reference to max(1e-13, n eps S2 / S1)
+  relative, with S1 = sum |c_i|^2 / lambda_i and S2 = sum |c_i|^2 / lambda_i^2
+  = ||A^-1 v||^2.  An absolute error of about n eps in each eigenvalue moves
+  S1 by n eps S2 to first order, so a small eigenvalue with weight on it
+  widens the bound.  The worst seen was 0.61 of it, over 644 seeded pairs at
+  n = 1 to 8; the four ``@example`` pairs at n = 8 err by 1.0e-13 to 1.6e-12
+  relative, 0.02-0.14 of n eps S2 / S1;
 * ``strength_bisect`` lies within the bound its docstring states: at most
   2^-27 below the reference t, and above it by at most the slack's
   overshoot.  lambda(t) = lambda_min(A - t P) is concave, zero at t, with
@@ -37,7 +42,7 @@ where one mpmath solve or eigenvalue problem takes about 0.4 s at n = 32.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -56,7 +61,7 @@ def check_strength(n: int, seed: int) -> None:
     A, ray = sample_effect(n, seed), sample_ray(n, seed + 1)
     truth, solved = reference.strength(A.matrix, ray.vector)
     closed = strength_closed(A, ray)
-    assert closed.in_range and abs(closed.value - truth) <= 1e-13 * truth
+    assert closed.in_range and abs(closed.value - truth) <= max(1e-13, n * EPS * solved * truth) * truth
     slack = DEFAULT_TOL.eps_psd * max(1.0, numkern.frobenius(A.matrix - truth * ray.projection.matrix))
     bisected = strength_bisect(A, ray)
     assert truth - 2.0**-BISECT_ITERATIONS - 4 * EPS <= bisected <= truth + 1.05 * truth**2 * solved * slack
@@ -90,6 +95,11 @@ def check_order(n: int, seed: int, kind: str) -> None:
 
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(1, 8), seed=SEEDS, kind=st.sampled_from(sorted(KINDS)))
+# Pairs whose closed form errs by more than 1e-13 relative, lambda_min down to 6.3e-5.
+@example(n=8, seed=1984, kind="generic")
+@example(n=8, seed=938971949, kind="generic")
+@example(n=8, seed=2877893728, kind="generic")
+@example(n=8, seed=310376951, kind="generic")
 def test_small_dimensions_against_the_reference(n, seed, kind):
     check_strength(n, seed)
     check_order(n, seed, kind)

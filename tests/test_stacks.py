@@ -10,7 +10,6 @@ import pytest
 
 from effectkit.autos import apply, random_automorphism
 from effectkit.effects import (
-    EffectStack,
     _sample_effect_stack,
     _sample_ray_stack,
     _spectral,
@@ -126,7 +125,7 @@ def test_norms_and_hermitize_match_numpy(n):
 def test_sampled_stacks_match_sampled_effects_and_rays(n):
     E = _sample_effect_stack(n, rngs(4))
     P = _sample_ray_stack(n, rngs(5))
-    assert isinstance(E, EffectStack) and len(E) == T and E.dim == n
+    assert E.matrix.shape == (T, n, n) and E.eigenvalues.shape == (T, n) and len(E) == T and E.dim == n
     for k in range(T):
         assert same_effect(E[k], sample_effect(n, np.random.default_rng([4, k])))
         assert same_effect(P[k], sample_ray(n, np.random.default_rng([5, k])).projection)
@@ -220,6 +219,21 @@ def test_map_application_matches_per_effect(n, conjugate, p):
     for k, (a, _) in enumerate(singles):
         assert same_effect(image[k], apply(phi, a))
         assert same_effect(fa[k], fp_apply(p, a))
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_len_and_indexing_read_a_stack_and_trace_a_lone_effect(n):
+    # One Effect type holds both shapes; each reads only the shape it has.
+    A = _sample_effect_stack(n, rngs(13))
+    lone = A[0]
+    assert lone.trace() == float(np.trace(lone.matrix).real) and len(A) == T and lone and A
+    for wrong in (lambda: len(lone), lambda: lone[0], lambda: lone[0:1], A.trace):
+        with pytest.raises(TypeError):
+            wrong()
+    # A stack of stacks indexes to a stack, and a slice keeps the stack axis.
+    outer = _sample_effect_stack(n, rngs(14), m=2)
+    assert len(outer) == 2 and len(outer[1]) == T and outer[1][T - 1].matrix.shape == (n, n)
+    assert len(A[1:3]) == 2 and same_effect(A[1:3][0], A[1])
 
 
 @pytest.mark.parametrize("n", DIMS)
