@@ -33,14 +33,13 @@ from .effects import (
     WeakAtom,
     _ray_matrix,
     _same_dim,
-    _sample_effect_stack,
     _spectral,
     orthocomplement,
     scalar_effect,
     zero_effect,
 )
 from .errors import DegenerateRanges, DimensionError, DomainError
-from .numkern import DEFAULT_TOL, ToleranceConfig, hermitize
+from .numkern import DEFAULT_TOL, ToleranceConfig
 from .strength import _closed
 from .suites import Suite, _Block, _suite_seed, _trial_blocks
 
@@ -157,7 +156,7 @@ def _below_identity(M: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     """Whether M <= I, for a matrix or each member of a stack.  With M =
     A + B this is the trivial witness's test: (A, B, 0) witnesses iff it holds."""
     eye = np.eye(M.shape[-1], dtype=np.complex128)
-    return numkern._psd_leq_both(hermitize(M), eye, tol)[0]
+    return numkern._psd_leq_both(M, eye, tol)[0]
 
 
 def _rank_one(s, p: np.ndarray, P: np.ndarray, t, q: np.ndarray, Q: np.ndarray, tol: ToleranceConfig):
@@ -192,7 +191,7 @@ def _witness_residual(E, F, G, A, B) -> np.ndarray:
 def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
     """Whether a witness with that residual holds and E + F + G is an effect."""
     total = E + F + G
-    positive = numkern._psd_leq_both(np.zeros_like(total), hermitize(total), tol)[0]
+    positive = numkern._psd_leq_both(np.zeros_like(total), total, tol)[0]
     return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)
 
 
@@ -224,12 +223,12 @@ def _coexist_control_failures(seed: int, n: int, tol: ToleranceConfig) -> tuple[
 def _coexist_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
     """The trivial witness and the rank-one criterion on sampled pairs."""
     rngs = block.rngs
-    A, B = _sample_effect_stack(n, rngs, tol, 2)
-    # Scale each pair with A + B above I to just under it; a positive
-    # real keeps the matrices exactly Hermitian, and 1.0 keeps them as they are.
-    top = np.linalg.eigvalsh(A.matrix + B.matrix)[:, -1]
+    M = numkern._random_effect_stack(n, rngs, 2)
+    # Scale each pair with A + B above I to just under it, then diagonalize
+    # it once: a positive real keeps it exactly Hermitian, and 1.0 as it is.
+    top = np.linalg.eigvalsh(M[0] + M[1])[:, -1]
     scale = np.where(top > 1.0, (1.0 - 1e-12) / top, 1.0)[:, None, None]
-    A, B = _spectral(np.stack([A.matrix, B.matrix]) * scale, tol)
+    A, B = _spectral(M * scale, tol)
     # The trivial witness (A, B, 0), present iff A + B <= I.  It solves the
     # witness equations exactly, and A + B >= 0 holds for effects: no more to check.
     witness = _below_identity(A.matrix + B.matrix, tol)

@@ -23,15 +23,15 @@ not depend on how trials are grouped; m effects per generator come as one
 (m, T, n, n) stack of stacks, under one QR and one eigendecomposition.
 ``sample_effect`` and ``scalar_effect`` (``identity_effect`` and
 ``zero_effect`` too) are the one-member cases of the stacked sampler and of
-``_scalar_stack``, ``leq`` reads the first decision of the one Loewner
-kernel, ``numkern._psd_leq_both``, ``is_scalar`` is the one-matrix case of
+``_scalar_stack``, ``leq`` reads the first decision of
+``numkern._psd_leq_both``, ``is_scalar`` is the one-matrix case of
 the scalar rule ``_scalar_rule``, and ``rank_of`` and ``range_projection``
 split the spectrum at the one rank cutoff, ``numkern._rank_cutoff``.
 
 Validation follows where a matrix comes from.  Outside input goes through
-``make_effect`` one matrix at a time: hermiticity, then the spectral
-rules.  A matrix or stack the program builds is its own hermitization bit
-for bit, so it takes the spectral rules alone, in one ``_spectral`` call.
+``make_effect`` one matrix at a time: hermiticity, then the spectral rules.
+A matrix or stack the program builds is its own hermitization bit for bit:
+it takes them alone, in one ``_spectral`` call, and is compared as it is.
 """
 
 from __future__ import annotations

@@ -66,9 +66,9 @@ RIGIDITY_KINDS = ("fixed-point", "symmetry", "multiplicative")
 class FracParams:
     """Parameters (a, b, c) of the general family; all strictly positive.
 
-    ``a`` and ``c`` shape f itself; ``b`` is the scale of the companion
-    function g(y) = b y^c and tags along so a solution pair can travel as
-    one value.
+    ``a`` and ``c`` shape f itself.  No routine reads ``b``, the scale of the
+    companion g(y) = b y^c: ``verify_pexider`` and ``pexider_decomposition``
+    take g's scale as an argument, and the pexider step passes 1.0.
     """
 
     a: float

@@ -19,10 +19,10 @@ then runs each LAPACK and matmul step once for all m x T samples.  numpy
 applies these steps to each matrix of a stack exactly as to a lone matrix,
 so a stacked result equals the per-matrix results bit for bit; the
 Frobenius norm is summed as ``np.linalg.norm`` sums it for the same reason.
-``require_hermitian`` and ``eig_hermitian`` are for outside input, which
-is validated one matrix at a time, after the one array rule
-``_outside_array``: the matrices ``hermitize`` and ``_from_spectrum``
-build are exactly Hermitian, and the effects built from them skip the check.
+``require_hermitian`` and ``eig_hermitian`` are for outside input, which is
+validated one matrix at a time, after the one array rule ``_outside_array``.
+What ``hermitize`` and ``_from_spectrum`` build is exactly Hermitian, so
+effects built from it skip the check, and the Loewner kernel takes it as is.
 
 A lone entry point is the one-member case of its stacked routine: each
 sampler is one call of its stacked form on ``[generator]``, and
@@ -257,29 +257,29 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
 
 def _psd_leq_both(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """The comparisons A <= B and B <= A of ``psd_leq`` without validation,
-    as bool arrays, from one spectrum.
+    as bool arrays from one spectrum, for inputs as ``_loewner_spectrum``
+    takes them; a stack gives one decision per member.
 
-    ``A`` and ``B`` must be complex matrices or stacks of one shape that
-    are exactly Hermitian, such as Effect matrices or real multiples of
-    one: hermitize then returns them bit for bit, so each result equals
-    ``psd_leq``'s.  A stack gives one decision per member.
-
-    ``hermitize(A - B)`` equals ``-D`` for ``D = hermitize(B - A)`` (up to
-    the sign of zero entries) and has the same Frobenius norm, and LAPACK
-    gives its spectrum as that of D negated and reversed, bit for bit
-    (tests/test_numkern.py checks this on seeded stacks).  So B <= A is
-    decided by the negated top eigenvalue of the D that decides A <= B.
+    ``A - B`` is ``-D`` for ``D = B - A`` (up to the sign of zero entries),
+    of the same Frobenius norm, and LAPACK gives its spectrum as D's negated
+    and reversed, bit for bit (tests/test_numkern.py checks this on seeded
+    stacks).  So D's negated top eigenvalue decides B <= A.
     """
     w, slack = _loewner_spectrum(A, B, tol)
     return w[..., 0] >= slack, -w[..., -1] >= slack
 
 
 def _loewner_spectrum(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
-    """The one Loewner kernel: the ascending spectrum w of D = hermitize(B - A)
-    and the slack -eps_psd * max(1, ||D||_F), for inputs as in
-    ``_psd_leq_both``.  A <= B holds iff w[..., 0] >= slack, so a caller
-    that needs how far lambda_min(B - A) is from the cutoff reads it here."""
-    D = hermitize(B - A)
+    """The one Loewner kernel: the ascending spectrum w of D = B - A and the
+    slack -eps_psd * max(1, ||D||_F); A <= B holds iff w[..., 0] >= slack.
+
+    A and B are complex matrices or stacks of one shape, each exactly
+    Hermitian: an effect matrix, a real multiple of one, or a sum of these.
+    Then D equals ``hermitize(D)`` entry for entry; ``eigvalsh`` reads only
+    its lower triangle and real diagonal, and the norm squares every part,
+    so each result equals ``psd_leq``'s, which hermitizes its inputs.
+    """
+    D = B - A
     return np.linalg.eigvalsh(D), -tol.eps_psd * np.maximum(1.0, frobenius(D))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from effectkit import coexist
-from effectkit.cli import dump_json
+from effectkit.cli import dump_json, main
 from effectkit.coexist import (
     CoexistenceWitness,
     coexist_rank_one,
@@ -30,6 +30,7 @@ from effectkit.effects import (
 from effectkit.errors import DegenerateRanges, DomainError
 from effectkit.numkern import DEFAULT_TOL
 from effectkit.strength import strength_closed
+from effectkit.suites import _trial_blocks
 
 
 def _overlapping_rays(tau, seed=0):
@@ -283,3 +284,22 @@ def test_a_failing_trial_records_the_pair_it_decided(monkeypatch, core, check):
     assert report["counterexample"]["check"] == check
     A, B = (make_effect(np.array(rows) @ [1, 1j]) for rows in report["counterexample"]["inputs"].values())
     assert coexist_trivial_witness(A, B) is not None
+
+
+def test_each_block_of_sampled_pairs_is_diagonalized_once(monkeypatch, capsys):
+    # A block draws its pairs as matrices, scales them and diagonalizes them
+    # in one stacked eigh.  At n = 64 a block holds one trial, so the run
+    # makes one eigh per trial and one for its control's weak atom.
+    real, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert main(["verify", "--suite", "coexist", "--dims", "64", "--trials", "4", "--seed", "41"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 5
+    first = coexist._COEXIST.first_stream
+    for n, trials in ((2, 600), (3, 300)):
+        blocks = list(_trial_blocks([41], range(first, first + trials), n))
+        assert len(blocks) == 2
+        for block in blocks:
+            calls.clear()
+            coexist._coexist_step([41], n, DEFAULT_TOL, block)
+            assert len(calls) == 1

@@ -5,7 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from effectkit.effects import _stack_effects, leq, make_effect, sample_effect
+import goldens
+from effectkit import numkern
+from effectkit.cli import main
+from effectkit.coexist import CoexistenceWitness, coexist_rank_one, coexist_trivial_witness
+from effectkit.effects import _stack_effects, leq, make_effect, sample_effect, sample_ray, scalar_effect
 from effectkit.errors import DimensionError, HermiticityViolation, NotPositiveSemidefinite
 from effectkit.numkern import (
     DEFAULT_TOL,
@@ -24,6 +28,7 @@ from effectkit.numkern import (
     random_ray,
     require_hermitian,
 )
+from effectkit.strength import strength_bisect
 
 
 def test_tolerance_defaults():
@@ -195,13 +200,58 @@ SPECTRUM_STACKS = [(1, 5000), (2, 5000), (3, 5000), (8, 1000), (64, 40)]
 def test_reversed_difference_has_the_negated_spectrum(n, count):
     # The assumption _psd_leq_both rests on: the difference taken the other
     # way has the same Frobenius norm, and LAPACK returns its spectrum as
-    # the first one negated and reversed, bit for bit.
+    # the first one negated and reversed, bit for bit; for the differences
+    # the Loewner kernel takes, and for their hermitizations.
     rngs = [np.random.default_rng([29, n, k]) for k in range(count)]
     A, B = _random_effect_stack(n, rngs), _random_effect_stack(n, rngs)
-    D, E = hermitize(B - A), hermitize(A - B)
-    w = np.linalg.eigvalsh(D)
-    assert np.array_equal(np.linalg.eigvalsh(E).view(np.uint64), (-w[..., ::-1]).view(np.uint64))
-    assert np.array_equal(frobenius(E), frobenius(D))
+    for D, E in ((B - A, A - B), (hermitize(B - A), hermitize(A - B))):
+        w = np.linalg.eigvalsh(D)
+        assert np.array_equal(np.linalg.eigvalsh(E).view(np.uint64), (-w[..., ::-1]).view(np.uint64))
+        assert np.array_equal(frobenius(E), frobenius(D))
+
+
+def test_the_loewner_kernel_gets_differences_that_are_their_own_hermitization(monkeypatch, capsys):
+    # _loewner_spectrum takes D = B - A as it is.  Every caller hands it
+    # exactly Hermitian matrices, so D equals hermitize(D) entry for entry
+    # and gives the spectrum and slack of hermitize(D) bit for bit.
+    real, seen = numkern._loewner_spectrum, []
+
+    def checked(A, B, tol):
+        D = B - A
+        H = hermitize(D)
+        assert np.array_equal(D, H)
+        w, slack = real(A, B, tol)
+        assert w.tobytes() == np.linalg.eigvalsh(H).tobytes()
+        assert np.array_equal(slack, -tol.eps_psd * np.maximum(1.0, frobenius(H)))
+        seen.append(1)
+        return w, slack
+
+    monkeypatch.setattr(numkern, "_loewner_spectrum", checked)
+
+    def calls(run):
+        seen.clear()
+        run()
+        return len(seen)
+
+    default = next(record for record in goldens.load() if record["id"] == "default")
+    assert calls(lambda: main(list(default["argv"]))) > 0
+    capsys.readouterr()
+    rng = np.random.default_rng(43)
+    for n in (1, 2, 3, 8):
+        A, B, C = (sample_effect(n, rng) for _ in range(3))
+        M, N = (X.matrix + 1e-12 * rng.standard_normal((n, n)) for X in (A, B))
+        P, Q = sample_ray(n, rng), sample_ray(n, rng)
+        G = make_effect(0.5 * C.matrix)
+        witness = CoexistenceWitness(E=scalar_effect(n, 0.3), F=scalar_effect(n, 0.2), G=G)
+        X, Y = make_effect(0.3 * np.eye(n) + G.matrix), make_effect(0.2 * np.eye(n) + G.matrix)
+        assert calls(lambda: leq(A, B)) == 1
+        assert calls(lambda: leq(_stack_effects([A, C]), _stack_effects([B, B]))) == 1
+        assert calls(lambda: psd_leq(M, N)) == 1
+        assert calls(lambda: strength_bisect(A, P)) > 0
+        assert calls(lambda: coexist_trivial_witness(A, B)) == 1
+        assert calls(lambda: witness.is_valid_for(X, Y)) == 2 and witness.is_valid_for(X, Y)
+        if n > 1:
+            assert calls(lambda: coexist_rank_one(0.4, P, 0.7, Q)) == 1
 
 
 def _order_pairs():
