@@ -54,6 +54,7 @@ from .effects import (
     WeakAtom,
     _effect,
     _locked,
+    _same_dim,
     _sample_effect_stack,
     _sample_ray_stack,
     _scalar_rule,
@@ -149,7 +150,7 @@ def _map_members(U: np.ndarray, conjugate, p, A: Effect) -> Effect:
     with the map given once, or per member as a (T, n, n) stack of unitaries,
     T conjugation flags and (T, 1) floats p, each checked by an FpParam: the one routine that maps."""
     if A.dim != U.shape[-1]:
-        raise DimensionError(f"dimension mismatch: effect {A.dim}, map {U.shape[-1]}")
+        raise DimensionError(f"dimension mismatch: {U.shape[-1]} vs {A.dim}")
     V = A.eigenvectors  # f_p reads only the eigensystem, so only that is conjugated
     if isinstance(conjugate, np.ndarray):
         V = np.where(conjugate[:, None, None], np.conj(V), V)
@@ -162,8 +163,7 @@ def _map_members(U: np.ndarray, conjugate, p, A: Effect) -> Effect:
 
 def apply_to_ray(phi: EffectAutomorphism, ray: RayProjection) -> RayProjection:
     """Image of a ray; the image projection equals the image of the projection."""
-    if ray.dim != phi.dim:
-        raise DimensionError(f"dimension mismatch: ray {ray.dim}, map {phi.dim}")
+    _same_dim(phi, ray)
     v = np.conj(ray.vector) if phi.conjugate else ray.vector
     return make_ray(phi.U @ v)
 

@@ -31,6 +31,7 @@ from .effects import (
     Effect,
     RayProjection,
     WeakAtom,
+    _lone,
     _ray_matrix,
     _same_dim,
     _spectral,
@@ -62,14 +63,12 @@ class CoexistenceWitness:
 
     def residual_for(self, A: Effect, B: Effect) -> float:
         """Worst Frobenius defect of the witness equations for (A, B)."""
-        for X in (self.F, self.G, A, B):
-            _same_dim(self.E, X)
+        _same_dim(self.E, self.F, self.G, A, B)
         return float(_witness_residual(self.E.matrix, self.F.matrix, self.G.matrix, A.matrix, B.matrix))
 
     def is_valid_for(self, A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Check the splitting equations and that E + F + G is an effect."""
-        for X in (self.F, self.G, A, B):
-            _same_dim(self.E, X)
+        _same_dim(self.E, self.F, self.G, A, B)
         E, F, G = self.E.matrix, self.F.matrix, self.G.matrix
         return bool(_witness_valid(E, F, G, _witness_residual(E, F, G, A.matrix, B.matrix), tol))
 
@@ -136,6 +135,7 @@ def coexists_with_all_probe(
     a refuting weak atom appears quickly.  A count that runs no probe
     (below 2), or is not an integer (a bool is not one), raises DomainError.
     """
+    _lone(A, "coexists_with_all_probe")
     if not numkern._is_count(trials, 2):
         raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
     numkern._require_seed(seed)

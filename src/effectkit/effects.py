@@ -14,19 +14,20 @@ A RayProjection is a unit vector and its projection matrix; the Effect
 An Effect also holds a stack of T effects of one dimension, as (T, n, n)
 matrices, (T, n) eigenvalues and (T, n, n) eigenvectors, so the
 verification suites can run each LAPACK and matmul step once for all their
-trials.  ``stack[k]`` is member k, and ``leq``, ``zero_product`` and
-``orthocomplement`` take stacks as well as lone effects, deciding each
-member on its own.  Every member equals, bit for bit, the Effect built from
-the same matrix alone.  A stacked sampler draws member k from the k-th
-generator, so each trial keeps its own random stream and a report does
-not depend on how trials are grouped; m effects per generator come as one
-(m, T, n, n) stack of stacks, under one QR and one eigendecomposition.
-``sample_effect`` and ``scalar_effect`` (``identity_effect`` and
-``zero_effect`` too) are the one-member cases of the stacked sampler and of
-``_scalar_stack``, ``leq`` reads the first decision of
-``numkern._psd_leq_both``, ``is_scalar`` is the one-matrix case of
-the scalar rule ``_scalar_rule``, and ``rank_of`` and ``range_projection``
-split the spectrum at the one rank cutoff, ``numkern._rank_cutoff``.
+trials.  ``stack[k]`` is member k; ``leq``, ``effects_equal``,
+``zero_product`` and ``orthocomplement`` take each member on its own, and
+routines that read one effect refuse a stack (``_lone``).  Every member
+equals, bit for bit, the Effect built from the same matrix alone.  A
+stacked sampler draws member k from the k-th generator, so each trial keeps
+its own random stream and a report does not depend on how trials are
+grouped; m effects per generator come as one (m, T, n, n) stack of stacks,
+under one QR and one eigendecomposition.  ``sample_effect`` and
+``scalar_effect`` (``identity_effect`` and ``zero_effect`` too) are the
+one-member cases of the stacked sampler and of ``_scalar_stack``, ``leq``
+reads the first decision of ``numkern._psd_leq_both``, ``is_scalar`` is the
+one-matrix case of the scalar rule ``_scalar_rule``, ``rank_of`` and
+``range_projection`` split the spectrum at the one rank cutoff,
+``numkern._rank_cutoff``, and ``_same_dim`` is the one dimension rule.
 
 Validation follows where a matrix comes from.  Outside input goes through
 ``make_effect`` one matrix at a time: hermiticity, then the spectral rules.
@@ -101,8 +102,7 @@ class Effect:
         return self.matrix.shape[-1]
 
     def trace(self) -> float:
-        if self.matrix.ndim != 2:
-            raise TypeError("trace() takes a lone effect, not a stack")
+        _lone(self, "trace()")
         return float(np.trace(self.matrix).real)
 
     def __bool__(self) -> bool:  # every effect is true; len() would raise on a lone one
@@ -180,7 +180,8 @@ def zero_effect(n: int) -> Effect:
 
 
 def scalar_effect(n: int, lam: float) -> Effect:
-    """The effect lam * I; lam must be a number in [0, 1], not a bool."""
+    """The effect lam * I; n must be a count and lam a number in [0, 1], not a bool."""
+    numkern._require_dim(n)
     if not numkern._is_weight(lam):
         raise SpectrumOutOfRange(f"scalar must be a number in [0, 1], got {lam!r}")
     return _scalar_stack(n, np.array([float(lam)]))[0]
@@ -294,9 +295,19 @@ def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None
     return _ray(*_ray_matrix(numkern._random_ray_stack(n, rngs, m)))
 
 
-def _same_dim(A: Effect | RayProjection, B: Effect | RayProjection) -> None:
-    if A.dim != B.dim:
-        raise DimensionError(f"dimension mismatch: {A.dim} vs {B.dim}")
+def _same_dim(*operands) -> None:
+    """The one dimension rule: effects, rays and maps given together (anything
+    with ``dim``) share one dimension, else DimensionError lists their
+    dimensions in argument order, as in ``dimension mismatch: 2 vs 3``."""
+    dims = [X.dim for X in operands]
+    if len(set(dims)) > 1:
+        raise DimensionError("dimension mismatch: " + " vs ".join(map(str, dims)))
+
+
+def _lone(A: Effect, routine: str) -> None:
+    """The lone-effect rule: a routine written for one effect refuses a stack."""
+    if A.matrix.ndim != 2:
+        raise TypeError(f"{routine} takes a lone effect, not a stack")
 
 
 def leq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -349,17 +360,20 @@ def _vanishes(M: np.ndarray, A: np.ndarray, B: np.ndarray, tol: ToleranceConfig)
 
 def is_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff every eigenvalue is within eps_psd of 0 or 1."""
+    _lone(A, "is_projection")
     w = A.eigenvalues
     return bool(np.all(np.minimum(w, 1.0 - w) <= tol.eps_psd))
 
 
 def rank_of(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: eigenvalues above the relative cutoff eps_rank * max."""
+    _lone(A, "rank_of")
     return int(np.count_nonzero(A.eigenvalues > numkern._rank_cutoff(A.eigenvalues, tol)))
 
 
 def range_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """Orthogonal projection onto the numerical range of A."""
+    _lone(A, "range_projection")
     kept = A.eigenvalues > numkern._rank_cutoff(A.eigenvalues, tol)
     V = A.eigenvectors
     Vk = V[:, kept]

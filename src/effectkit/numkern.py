@@ -251,7 +251,7 @@ def psd_leq(M: np.ndarray, N: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) ->
     """
     A, B = require_hermitian(M, tol), require_hermitian(N, tol)
     if A.shape != B.shape:
-        raise DimensionError(f"shape mismatch: {A.shape} vs {B.shape}")
+        raise DimensionError(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
     return bool(_psd_leq_both(A, B, tol)[0])
 
 

@@ -33,13 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, RayProjection, _ray_matrix, _sample_effect_stack, _spectral, _zero_product
-from .errors import (
-    DimensionError,
-    DomainError,
-    OrthogonalityError,
-    SpanError,
-)
+from .effects import Effect, RayProjection, _ray_matrix, _same_dim, _sample_effect_stack, _spectral, _zero_product
+from .errors import DomainError, OrthogonalityError, SpanError
 from .numkern import DEFAULT_TOL, ToleranceConfig
 from .suites import Suite, _Block
 
@@ -81,11 +76,6 @@ class StrengthValue:
             raise ValueError("out-of-range strength must be zero")
 
 
-def _check_dims(A: Effect, dim: int) -> None:
-    if A.dim != dim:
-        raise DimensionError(f"dimension mismatch: effect {A.dim}, ray {dim}")
-
-
 def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAULT_TOL) -> StrengthValue:
     """Closed-form strength of A along the ray.
 
@@ -95,7 +85,7 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     the range and the strength is zero.  Otherwise the value is
     1 / sum(|c_i|^2 / lambda_i) over the range eigenvalues.
     """
-    _check_dims(A, ray.dim)
+    _same_dim(A, ray)
     value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, ray.vector, tol)
     return StrengthValue(float(value), bool(in_range), bool(near))
 
@@ -147,7 +137,7 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     it changes no outcome, so the result is the float that running every
     test gives.
     """
-    _check_dims(A, ray.dim)
+    _same_dim(A, ray)
     return float(_bisect(ray.matrix, A.matrix, tol))
 
 
@@ -244,8 +234,7 @@ def strength_two_block(
     """
     if not (numkern._is_number(mu) and 0.0 < mu < 1.0):
         raise DomainError(f"weight mu must lie strictly between 0 and 1, got {mu!r}")
-    if P.dim != Q.dim or P.dim != R.dim:
-        raise DimensionError("rays must share one dimension")
+    _same_dim(P, Q, R)
     vectors = (P.vector[None], Q.vector[None], R.vector[None])
     return float(_two_block(np.array([mu]), *vectors, P.matrix, Q.matrix, tol)[0])
 

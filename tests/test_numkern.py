@@ -9,7 +9,16 @@ import goldens
 from effectkit import numkern
 from effectkit.cli import main
 from effectkit.coexist import CoexistenceWitness, coexist_rank_one, coexist_trivial_witness
-from effectkit.effects import _stack_effects, leq, make_effect, sample_effect, sample_ray, scalar_effect
+from effectkit.effects import (
+    _stack_effects,
+    identity_effect,
+    leq,
+    make_effect,
+    sample_effect,
+    sample_ray,
+    scalar_effect,
+    zero_effect,
+)
 from effectkit.errors import DimensionError, HermiticityViolation, NotPositiveSemidefinite
 from effectkit.numkern import (
     DEFAULT_TOL,
@@ -170,10 +179,18 @@ def test_random_effect_spectrum():
         random_effect(0, 1)
 
 
-@pytest.mark.parametrize("sampler", [haar_unitary, random_ray, random_effect, sample_effect])
+SCALAR_BUILDERS = [
+    scalar_effect,
+    pytest.param(lambda n, _: identity_effect(n), id="identity_effect"),
+    pytest.param(lambda n, _: zero_effect(n), id="zero_effect"),
+]
+
+
+@pytest.mark.parametrize("sampler", [haar_unitary, random_ray, random_effect, sample_effect] + SCALAR_BUILDERS)
 @pytest.mark.parametrize("n", [0, True, 2.5])
 def test_a_sampler_refuses_a_dimension_that_is_not_a_positive_int(sampler, n):
-    # True is an int to isinstance, but not a dimension.
+    # True is an int to isinstance, but not a dimension.  The builders of
+    # lam * I take the same rule: scalar_effect(n, 0) is the zero effect.
     with pytest.raises(DimensionError, match=f"positive integer, got {n!r}"):
         sampler(n, 0)
 

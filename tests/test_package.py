@@ -1,6 +1,6 @@
 """The package surface: its exported names, its BLAS thread default, the exit code of each error,
-the dimension rule of the functions that take two operands, that no
-module keeps a check limit outside ToleranceConfig, that no private
+the dimension rule of the functions that take two operands, the
+lone-effect rule of those written for one effect, that no module keeps a check limit outside ToleranceConfig, that no private
 name is left without a use, that suites hand their checks to the
 recorder as data, that every suite is one ``Suite`` value run by
 ``Suite.run``, that one routine makes the images of a caller's map, and
@@ -560,5 +560,23 @@ def test_every_function_of_two_operands_is_listed():
 
 @pytest.mark.parametrize("call", MISMATCHED.values(), ids=MISMATCHED.keys())
 def test_mismatched_dimensions_raise_dimension_error(call):
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=r"^dimension mismatch: \d+( vs \d+)+$"):
+        call()
+
+
+# A stack of three effects at n = 3, given to the routines written for one effect.
+STACK3 = effects._stack_effects([effects.sample_effect(3, k) for k in range(3)])
+
+STACKED = {
+    "trace": lambda: STACK3.trace(),
+    "is_projection": lambda: effects.is_projection(STACK3),
+    "rank_of": lambda: effects.rank_of(STACK3),
+    "range_projection": lambda: effects.range_projection(STACK3),
+    "coexists_with_all_probe": lambda: coexist.coexists_with_all_probe(STACK3, 10, 1),
+}
+
+
+@pytest.mark.parametrize("call", STACKED.values(), ids=STACKED.keys())
+def test_a_routine_for_one_effect_refuses_a_stack(call):
+    with pytest.raises(TypeError, match="takes a lone effect, not a stack$"):
         call()
