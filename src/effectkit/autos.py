@@ -54,7 +54,7 @@ from .effects import (
     WeakAtom,
     _effect,
     _locked,
-    _same_dim,
+    _operands,
     _sample_effect_stack,
     _sample_ray_stack,
     _scalar_rule,
@@ -163,7 +163,7 @@ def _map_members(U: np.ndarray, conjugate, p, A: Effect) -> Effect:
 
 def apply_to_ray(phi: EffectAutomorphism, ray: RayProjection) -> RayProjection:
     """Image of a ray; the image projection equals the image of the projection."""
-    _same_dim(phi, ray)
+    _operands(phi, ray)
     v = np.conj(ray.vector) if phi.conjugate else ray.vector
     return make_ray(phi.U @ v)
 
@@ -250,7 +250,7 @@ def fit_p(
 
     Samples phi(x I) on an endpoint-free grid, requires each image to be
     a scalar, and fits the general family in logit coordinates.  The
-    fitted exponent must equal 1 within 100 * eps_rank (1e-6 at the
+    fitted exponent must equal 1 within ``tol.estimate_limit`` (1e-6 at the
     default tolerances), otherwise the map is not in the order-form family
     and NotInFamily is raised; the multiplier gives p = 1 - a.  The grid is
     mapped as the suites map, in blocks of bounded memory: a family member
@@ -281,7 +281,7 @@ def _fit_family(
                 raise NotInFamily(f"scalar image {mu!r} leaves the open unit interval")
             samples.append((x, mu))
     fit = fit_frac(samples)
-    limit = 100 * tol.eps_rank
+    limit = tol.estimate_limit
     if abs(fit.c - 1.0) > limit:
         raise NotInFamily(f"fitted exponent {fit.c!r} deviates from 1 beyond {limit}")
     return FpParam(1.0 - fit.a), fit

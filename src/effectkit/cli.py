@@ -5,7 +5,7 @@ Subcommands
 strength   --effect FILE --ray FILE [--oracle]
            Strength of the effect along the ray; with --oracle also runs
            the bisection route and fails (exit 1) if the two disagree by
-           more than 100 * eps_rank.
+           more than ToleranceConfig.estimate_limit, 100 * eps_rank.
 verify     --suite NAME --dims LIST --p LIST [--trials N] [--seed S]
            [--expect MODE] [--json FILE]
            Seeded verification suites, one report entry per point of the
@@ -91,7 +91,7 @@ from .effects import Effect, RayProjection, make_effect, make_ray
 from .errors import CheckFailed, InputError, OrthogonalityError, SpanError, SpectrumOutOfRange
 from .fracfun import _PEXIDER, FpParam
 from .numkern import DEFAULT_TOL, ToleranceConfig
-from .strength import _STRENGTH_ORACLE, _oracle_gap_limit, strength_bisect, strength_closed
+from .strength import _STRENGTH_ORACLE, strength_bisect, strength_closed
 from .suites import _matrix_rows, _suite_seed
 
 RIGIDITY_SUITES = ("ortho", "sequential")
@@ -339,7 +339,7 @@ def cmd_strength(args: argparse.Namespace) -> int:
         oracle = strength_bisect(A, ray, tol)
         out.update(oracle=oracle, gap=abs(result.value - oracle))
     sys.stdout.write(dump_json(out) + "\n")
-    return int(out.get("gap", 0.0) > _oracle_gap_limit(tol))
+    return int(out.get("gap", 0.0) > tol.estimate_limit)
 
 
 def cmd_apply(args: argparse.Namespace) -> int:

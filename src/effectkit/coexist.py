@@ -31,9 +31,8 @@ from .effects import (
     Effect,
     RayProjection,
     WeakAtom,
-    _lone,
+    _operands,
     _ray_matrix,
-    _same_dim,
     _spectral,
     orthocomplement,
     scalar_effect,
@@ -63,12 +62,12 @@ class CoexistenceWitness:
 
     def residual_for(self, A: Effect, B: Effect) -> float:
         """Worst Frobenius defect of the witness equations for (A, B)."""
-        _same_dim(self.E, self.F, self.G, A, B)
+        _operands(self.E, self.F, self.G, A, B, lone="CoexistenceWitness.residual_for")
         return float(_witness_residual(self.E.matrix, self.F.matrix, self.G.matrix, A.matrix, B.matrix))
 
     def is_valid_for(self, A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
         """Check the splitting equations and that E + F + G is an effect."""
-        _same_dim(self.E, self.F, self.G, A, B)
+        _operands(self.E, self.F, self.G, A, B, lone="CoexistenceWitness.is_valid_for")
         E, F, G = self.E.matrix, self.F.matrix, self.G.matrix
         return bool(_witness_valid(E, F, G, _witness_residual(E, F, G, A.matrix, B.matrix), tol))
 
@@ -77,7 +76,7 @@ def coexist_trivial_witness(
     A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CoexistenceWitness | None:
     """Witness (A, B, 0) when A + B is itself an effect, else None."""
-    _same_dim(A, B)
+    _operands(A, B, lone="coexist_trivial_witness")
     if not _below_identity(A.matrix + B.matrix, tol):
         return None
     return CoexistenceWitness(E=A, F=B, G=zero_effect(A.dim))
@@ -99,7 +98,7 @@ def coexist_rank_one(
     for name, value in (("s", s), ("t", t)):
         if not (numkern._is_weight(value) and value > 0.0):
             raise DomainError(f"weight {name} must be a number in (0, 1], got {value!r}")
-    _same_dim(P, Q)
+    _operands(P, Q)
     distinct, fits = _rank_one(s, P.vector, P.matrix, t, Q.vector, Q.matrix, tol)
     if not distinct[0]:
         raise DegenerateRanges("rank-one criterion needs distinct ranges")
@@ -116,7 +115,7 @@ def coexists_with_weak_atom(
     t - s <= strength(I - A, Q), i.e. iff t is at most the sum of the two
     strengths.
     """
-    _same_dim(A, atom.ray)
+    _operands(A, atom.ray, lone="coexists_with_weak_atom")
     return bool(_weak_atoms_fit(A, orthocomplement(A), atom.weight, atom.ray.vector[None], tol)[0])
 
 
@@ -135,7 +134,7 @@ def coexists_with_all_probe(
     a refuting weak atom appears quickly.  A count that runs no probe
     (below 2), or is not an integer (a bool is not one), raises DomainError.
     """
-    _lone(A, "coexists_with_all_probe")
+    _operands(A, lone="coexists_with_all_probe")
     if not numkern._is_count(trials, 2):
         raise DomainError(f"trials must be an integer of at least 2, got {trials!r}")
     numkern._require_seed(seed)
@@ -184,12 +183,12 @@ def _closed_along(A: Effect, vec: np.ndarray, tol: ToleranceConfig) -> np.ndarra
 
 
 def _witness_residual(E, F, G, A, B) -> np.ndarray:
-    """Worst Frobenius defect of E + G = A and F + G = B, for matrices or stacks."""
+    """Worst Frobenius defect of E + G = A and F + G = B; its only callers, the witness's methods, take lone effects."""
     return np.maximum(numkern.frobenius(E + G - A), numkern.frobenius(F + G - B))
 
 
 def _witness_valid(E, F, G, residual, tol: ToleranceConfig) -> np.ndarray:
-    """Whether a witness with that residual holds and E + F + G is an effect."""
+    """Whether a witness with that residual holds and E + F + G is an effect; as above, for lone effects only."""
     total = E + F + G
     positive = numkern._psd_leq_both(np.zeros_like(total), total, tol)[0]
     return ~(residual > tol.eps_eq) & positive & _below_identity(total, tol)

@@ -16,7 +16,7 @@ matrices, (T, n) eigenvalues and (T, n, n) eigenvectors, so the
 verification suites can run each LAPACK and matmul step once for all their
 trials.  ``stack[k]`` is member k; ``leq``, ``effects_equal``,
 ``zero_product`` and ``orthocomplement`` take each member on its own, and
-routines that read one effect refuse a stack (``_lone``).  Every member
+routines that read one effect refuse a stack, naming themselves.  Every member
 equals, bit for bit, the Effect built from the same matrix alone.  A
 stacked sampler draws member k from the k-th generator, so each trial keeps
 its own random stream and a report does not depend on how trials are
@@ -27,7 +27,9 @@ one-member cases of the stacked sampler and of ``_scalar_stack``, ``leq``
 reads the first decision of ``numkern._psd_leq_both``, ``is_scalar`` is the
 one-matrix case of the scalar rule ``_scalar_rule``, ``rank_of`` and
 ``range_projection`` split the spectrum at the one rank cutoff,
-``numkern._rank_cutoff``, and ``_same_dim`` is the one dimension rule.
+``numkern._rank_cutoff``, and ``_operands`` is the one operand rule (one
+dimension; no stack where one effect is read), called at the entry of
+every exported routine that reads an Effect.
 
 Validation follows where a matrix comes from.  Outside input goes through
 ``make_effect`` one matrix at a time: hermiticity, then the spectral rules.
@@ -102,7 +104,7 @@ class Effect:
         return self.matrix.shape[-1]
 
     def trace(self) -> float:
-        _lone(self, "trace()")
+        _operands(self, lone="Effect.trace")
         return float(np.trace(self.matrix).real)
 
     def __bool__(self) -> bool:  # every effect is true; len() would raise on a lone one
@@ -295,19 +297,15 @@ def _sample_ray_stack(n: int, rngs: Sequence[np.random.Generator], m: int | None
     return _ray(*_ray_matrix(numkern._random_ray_stack(n, rngs, m)))
 
 
-def _same_dim(*operands) -> None:
-    """The one dimension rule: effects, rays and maps given together (anything
-    with ``dim``) share one dimension, else DimensionError lists their
-    dimensions in argument order, as in ``dimension mismatch: 2 vs 3``."""
+def _operands(*operands, lone: str | None = None) -> None:
+    """The one operand rule: effects, rays and maps given together share one ``dim``,
+    else ``dimension mismatch: 2 vs 3`` in argument order; then a routine written
+    for one effect, named by ``lone``, refuses any Effect operand that is a stack."""
     dims = [X.dim for X in operands]
     if len(set(dims)) > 1:
         raise DimensionError("dimension mismatch: " + " vs ".join(map(str, dims)))
-
-
-def _lone(A: Effect, routine: str) -> None:
-    """The lone-effect rule: a routine written for one effect refuses a stack."""
-    if A.matrix.ndim != 2:
-        raise TypeError(f"{routine} takes a lone effect, not a stack")
+    if lone is not None and any(isinstance(X, Effect) and X.matrix.ndim != 2 for X in operands):
+        raise TypeError(f"{lone} takes a lone effect, not a stack")
 
 
 def leq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -317,13 +315,13 @@ def leq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     validating them again.  For two stacks, a bool array with one
     decision per member pair.
     """
-    _same_dim(A, B)
+    _operands(A, B)
     return _decision(numkern._psd_leq_both(A.matrix, B.matrix, tol)[0])
 
 
 def effects_equal(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Equality convention: Frobenius distance at most eps_eq."""
-    _same_dim(A, B)
+    _operands(A, B)
     return numkern.frobenius(A.matrix - B.matrix) <= tol.eps_eq
 
 
@@ -343,7 +341,7 @@ def zero_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bo
     projections being orthogonal.  For two stacks, a bool array with one
     decision per member pair.
     """
-    _same_dim(A, B)
+    _operands(A, B)
     return _decision(_zero_product(A.matrix, B.matrix, tol))
 
 
@@ -360,20 +358,20 @@ def _vanishes(M: np.ndarray, A: np.ndarray, B: np.ndarray, tol: ToleranceConfig)
 
 def is_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """True iff every eigenvalue is within eps_psd of 0 or 1."""
-    _lone(A, "is_projection")
+    _operands(A, lone="is_projection")
     w = A.eigenvalues
     return bool(np.all(np.minimum(w, 1.0 - w) <= tol.eps_psd))
 
 
 def rank_of(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank: eigenvalues above the relative cutoff eps_rank * max."""
-    _lone(A, "rank_of")
+    _operands(A, lone="rank_of")
     return int(np.count_nonzero(A.eigenvalues > numkern._rank_cutoff(A.eigenvalues, tol)))
 
 
 def range_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
     """Orthogonal projection onto the numerical range of A."""
-    _lone(A, "range_projection")
+    _operands(A, lone="range_projection")
     kept = A.eigenvalues > numkern._rank_cutoff(A.eigenvalues, tol)
     V = A.eigenvectors
     Vk = V[:, kept]
@@ -386,6 +384,7 @@ def range_projection(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Effect:
 
 def is_scalar(A: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float | None]:
     """Detect A = lam * I; returns (True, lam) or (False, None)."""
+    _operands(A, lone="is_scalar")
     ok, lam = _scalar_rule(A.matrix, tol)
     return (True, float(lam)) if ok else (False, None)
 
@@ -406,7 +405,7 @@ def scalar_multiple_of_rank_one(A: Effect, B: Effect, tol: ToleranceConfig = DEF
     Returns None if the reconstruction residual fails the eps_eq bound,
     which signals numerically inconsistent inputs.
     """
-    _same_dim(A, B)
+    _operands(A, B, lone="scalar_multiple_of_rank_one")
     if rank_of(B, tol) != 1:
         raise RankError("B must have rank one")
     if not leq(A, B, tol):

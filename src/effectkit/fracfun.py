@@ -378,7 +378,7 @@ def _pexider_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block)
         pinned.append(_symmetry_defect(sb, sc, 40) <= tol.eps_eq)
     return [
         ("functional-equation-residual", residuals, tol.eps_herm, {}),
-        ("fit-recovery", errors, 100 * tol.eps_rank, {}),
+        ("fit-recovery", errors, tol.estimate_limit, {}),
         ("symmetry-accepts-off-family-pair", pinned, 0.0, {}),
     ]
 

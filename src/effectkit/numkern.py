@@ -109,6 +109,12 @@ class ToleranceConfig:
             eps_herm=self.eps_herm * factor,
         )
 
+    @property
+    def estimate_limit(self) -> float:
+        """Derived, not settable: how far an estimate may miss its exact value
+        (the strength oracle gap, fit exponent and fit recovery), 100 * eps_rank."""
+        return 100 * self.eps_rank
+
 
 DEFAULT_TOL = ToleranceConfig()
 

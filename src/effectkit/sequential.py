@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, _effect, _same_dim, _spectral, _vanishes, leq, zero_product
+from .effects import Effect, _effect, _operands, _spectral, _vanishes, leq, zero_product
 from .errors import OrderViolation, QuotientFailure
 from .numkern import DEFAULT_TOL, ToleranceConfig
 
@@ -44,7 +44,7 @@ def seq_product(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> Eff
 
     For two stacks of effects, the stack of the member products.
     """
-    _same_dim(A, B)
+    _operands(A, B)
     S = _sqrt_matrix(A)
     return _spectral(numkern.hermitize(S @ B.matrix @ S), tol)
 
@@ -55,6 +55,7 @@ def seq_zero_iff_zero(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) 
     The two booleans agree for genuine effects; returning both lets test
     suites check the equivalence instead of assuming it.
     """
+    _operands(A, B, lone="seq_zero_iff_zero")
     seq_is_zero = _vanishes(seq_product(A, B, tol).matrix, A.matrix, B.matrix, tol)
     return bool(seq_is_zero), zero_product(A, B, tol)
 
@@ -75,6 +76,7 @@ def douglas_quotient(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -
     eps_psd.  A clamp beyond that, or a reconstruction residual above
     eps_eq, raises QuotientFailure.
     """
+    _operands(A, B, lone="douglas_quotient")
     if not leq(A, B, tol):
         raise OrderViolation("douglas_quotient requires A <= B")
     w, V, sqrtB = _quotient_candidate(A, B, tol)
@@ -98,7 +100,7 @@ def order_via_seq(A: Effect, B: Effect, tol: ToleranceConfig = DEFAULT_TOL) -> b
     on A.  No direct eigenvalue comparison of B - A is consulted, which
     makes this an independent cross-check of ``leq``.
     """
-    _same_dim(A, B)
+    _operands(A, B, lone="order_via_seq")
     w, V, sqrtB = _quotient_candidate(A, B, tol)
     clamped = np.clip(w, 0.0, 1.0)
     best = numkern._from_spectrum(V, clamped)

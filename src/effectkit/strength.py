@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkern
-from .effects import Effect, RayProjection, _ray_matrix, _same_dim, _sample_effect_stack, _spectral, _zero_product
+from .effects import Effect, RayProjection, _operands, _ray_matrix, _sample_effect_stack, _spectral, _zero_product
 from .errors import DomainError, OrthogonalityError, SpanError
 from .numkern import DEFAULT_TOL, ToleranceConfig
 from .suites import Suite, _Block
@@ -85,7 +85,7 @@ def strength_closed(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     the range and the strength is zero.  Otherwise the value is
     1 / sum(|c_i|^2 / lambda_i) over the range eigenvalues.
     """
-    _same_dim(A, ray)
+    _operands(A, ray, lone="strength_closed")
     value, in_range, near = _closed(A.eigenvalues, A.eigenvectors, ray.vector, tol)
     return StrengthValue(float(value), bool(in_range), bool(near))
 
@@ -137,7 +137,7 @@ def strength_bisect(A: Effect, ray: RayProjection, tol: ToleranceConfig = DEFAUL
     it changes no outcome, so the result is the float that running every
     test gives.
     """
-    _same_dim(A, ray)
+    _operands(A, ray, lone="strength_bisect")
     return float(_bisect(ray.matrix, A.matrix, tol))
 
 
@@ -234,7 +234,7 @@ def strength_two_block(
     """
     if not (numkern._is_number(mu) and 0.0 < mu < 1.0):
         raise DomainError(f"weight mu must lie strictly between 0 and 1, got {mu!r}")
-    _same_dim(P, Q, R)
+    _operands(P, Q, R)
     vectors = (P.vector[None], Q.vector[None], R.vector[None])
     return float(_two_block(np.array([mu]), *vectors, P.matrix, Q.matrix, tol)[0])
 
@@ -256,12 +256,6 @@ def _two_block(
     return mu / (mu + (1.0 - mu) * overlap)
 
 
-def _oracle_gap_limit(tol: ToleranceConfig) -> float:
-    """The largest gap between the closed form and bisection that passes:
-    100 * eps_rank, 1e-6 at the default tolerances."""
-    return 100 * tol.eps_rank
-
-
 def _strength_oracle_step(seeds: list[int], n: int, tol: ToleranceConfig, block: _Block) -> list[tuple]:
     """Closed form against bisection, and the two-block reduction."""
     rngs = block.rngs
@@ -269,7 +263,7 @@ def _strength_oracle_step(seeds: list[int], n: int, tol: ToleranceConfig, block:
     vec, ray = _ray_matrix(numkern._random_ray_stack(n, rngs))
     bisected = np.array([_bisect(P, a, tol) for P, a in zip(ray, A.matrix)])
     gap = np.abs(_closed(A.eigenvalues, A.eigenvectors, vec, tol)[0] - bisected)
-    checks = [("closed-vs-bisect", gap, _oracle_gap_limit(tol), {"A": A.matrix, "v": vec})]
+    checks = [("closed-vs-bisect", gap, tol.estimate_limit, {"A": A.matrix, "v": vec})]
     if n >= 2:
         V = numkern._haar_unitary_stack(n, rngs)
         theta = [rng.uniform(0.15, math.pi / 2 - 0.15) for rng in rngs]

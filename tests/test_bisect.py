@@ -12,7 +12,7 @@ from test_stacks import _bisect_reference
 from effectkit import numkern, strength
 from effectkit.effects import _ray_matrix, _sample_effect_stack, make_effect, make_ray
 from effectkit.numkern import DEFAULT_TOL, haar_unitary, hermitize
-from effectkit.strength import _bisect, _closed, _oracle_gap_limit, strength_bisect
+from effectkit.strength import _bisect, _closed, strength_bisect
 from effectkit.suites import _suite_seed, _trial_blocks
 
 TOLS = {"default": DEFAULT_TOL, "tol-1e3": DEFAULT_TOL.scaled(1e3)}
@@ -119,4 +119,4 @@ def test_n128_failing_trials_bisect_as_every_test(k):
 @pytest.mark.parametrize("k", N128_FAILING_TRIALS)
 def test_n128_oracle_gap_within_limit(k):
     A, P, closed = _n128_trial(k)
-    assert abs(closed - _bisect(P, A, DEFAULT_TOL)) <= _oracle_gap_limit(DEFAULT_TOL)
+    assert abs(closed - _bisect(P, A, DEFAULT_TOL)) <= DEFAULT_TOL.estimate_limit

@@ -2,7 +2,7 @@
 scales it: one case per limit shows a scaled tol flipping the check."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,23 +13,32 @@ from effectkit.cli import main, matrix_to_doc
 from effectkit.effects import scalar_effect
 from effectkit.errors import NotInFamily
 from effectkit.fracfun import FracParams, f_eval
-from effectkit.numkern import DEFAULT_TOL
+from effectkit.numkern import DEFAULT_TOL, ToleranceConfig
 
 
 def test_limits_at_the_default_tolerances_keep_their_values():
     # Each limit as its check computes it, against the constant it replaced.
     limits = {
-        "oracle gap": (strength._oracle_gap_limit(DEFAULT_TOL), 1e-6),
+        "oracle gap": (DEFAULT_TOL.estimate_limit, 1e-6),
         "two-block gap": (DEFAULT_TOL.eps_rank, 1e-8),
-        "fit exponent": (100 * DEFAULT_TOL.eps_rank, 1e-6),
+        "fit exponent": (DEFAULT_TOL.estimate_limit, 1e-6),
         "rigidity": (DEFAULT_TOL.eps_eq, 1e-9),
         "pexider residual": (DEFAULT_TOL.eps_herm, 1e-10),
-        "pexider fit recovery": (100 * DEFAULT_TOL.eps_rank, 1e-6),
+        "pexider fit recovery": (DEFAULT_TOL.estimate_limit, 1e-6),
     }
     for name, (limit, old) in limits.items():
         assert limit == old, name
     for n in range(1, 257):
         assert DEFAULT_TOL.eps_herm * n == 1e-10 * n
+
+
+def test_the_estimate_limit_is_derived_from_eps_rank_and_not_settable():
+    # One owner for 100 * eps_rank: --tol and scaled still set four fields.
+    assert [f.name for f in fields(ToleranceConfig)] == ["eps_psd", "eps_rank", "eps_eq", "eps_herm"]
+    for tol in (DEFAULT_TOL, DEFAULT_TOL.scaled(1e3), DEFAULT_TOL.scaled(0.37)):
+        assert tol.estimate_limit == 100 * tol.eps_rank
+    with pytest.raises(AttributeError):
+        DEFAULT_TOL.estimate_limit = 1e-3
 
 
 def test_tol_reaches_the_oracle_gap(tmp_path, capsys):

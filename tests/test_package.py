@@ -1,10 +1,12 @@
-"""The package surface: its exported names, its BLAS thread default, the exit code of each error,
-the dimension rule of the functions that take two operands, the
-lone-effect rule of those written for one effect, that no module keeps a check limit outside ToleranceConfig, that no private
-name is left without a use, that suites hand their checks to the
-recorder as data, that every suite is one ``Suite`` value run by
-``Suite.run``, that one routine makes the images of a caller's map, and
-that no test file pins a report's hash outside the golden store."""
+"""The package surface: its exported names, its BLAS thread default, the
+exit code of each error, the operand rule (the dimension rule of the
+functions that take two operands, and every exported routine classified as
+lone-only, refusing a stack, stack-taking or taking no effect), that no
+module keeps a check limit outside ToleranceConfig, that no private name is
+left without a use, that suites hand their checks to the recorder as data,
+that every suite is one ``Suite`` value run by ``Suite.run``, that one
+routine makes the images of a caller's map, and that no test file pins a
+report's hash outside the golden store."""
 
 import ast
 import dataclasses
@@ -505,6 +507,9 @@ PHI2 = autos.random_automorphism(2, 0.5, False, 1)
 WITNESS2 = coexist.coexist_trivial_witness(A2, A2)
 # Witnesses whose F, or G, is of dimension 3 while E is of dimension 2.
 WITNESS_F3, WITNESS_G3 = coexist.CoexistenceWitness(A2, A3, A2), coexist.CoexistenceWitness(A2, A2, A3)
+# A stack of three effects at n = 3, and a lone effect and a map of that dimension.
+STACK3 = effects._stack_effects([effects.sample_effect(3, k) for k in range(3)])
+E3, PHI3 = P3.projection, autos.random_automorphism(3, 0.5, False, 1)
 
 MISMATCHED = {
     "psd_leq": lambda: numkern.psd_leq(A2.matrix, A3.matrix),
@@ -531,6 +536,11 @@ MISMATCHED = {
     "apply": lambda: autos.apply(PHI2, A3),
     "apply_to_ray": lambda: autos.apply_to_ray(PHI2, P3),
     "extract_scalar_action": lambda: autos.extract_scalar_action(PHI2, P3, 0.5),
+    # A stack given with a mismatched operand: the dimension rule comes first.
+    "scalar_multiple_of_rank_one-stack": lambda: effects.scalar_multiple_of_rank_one(STACK3, P2.projection),
+    "strength_closed-stack": lambda: strength.strength_closed(STACK3, P2),
+    "douglas_quotient-stack": lambda: sequential.douglas_quotient(A2, STACK3),
+    "CoexistenceWitness.is_valid_for-stack": lambda: WITNESS2.is_valid_for(STACK3, STACK3),
 }
 
 
@@ -564,19 +574,75 @@ def test_mismatched_dimensions_raise_dimension_error(call):
         call()
 
 
-# A stack of three effects at n = 3, given to the routines written for one effect.
-STACK3 = effects._stack_effects([effects.sample_effect(3, k) for k in range(3)])
-
-STACKED = {
-    "trace": lambda: STACK3.trace(),
-    "is_projection": lambda: effects.is_projection(STACK3),
-    "rank_of": lambda: effects.rank_of(STACK3),
-    "range_projection": lambda: effects.range_projection(STACK3),
-    "coexists_with_all_probe": lambda: coexist.coexists_with_all_probe(STACK3, 10, 1),
+# Every exported routine, by how it reads an Effect: each function in
+# ``effectkit.__all__`` or kept to its module, and each public method of an
+# exported class.  A routine that reads one is given as a call of one effect
+# E, placed in each of its Effect operands, its other operands of dimension 3.
+# The dunders of a stack, ``len()`` and indexing, and a map's call, which is
+# ``apply``, are tested in test_stacks.py.
+LONE_ONLY = {
+    "Effect.trace": lambda E: E.trace(),
+    "is_projection": lambda E: effects.is_projection(E),
+    "rank_of": lambda E: effects.rank_of(E),
+    "range_projection": lambda E: effects.range_projection(E),
+    "is_scalar": lambda E: effects.is_scalar(E),
+    "scalar_multiple_of_rank_one": lambda E: effects.scalar_multiple_of_rank_one(E, E),
+    "strength_closed": lambda E: strength.strength_closed(E, P3),
+    "strength_bisect": lambda E: strength.strength_bisect(E, P3),
+    "seq_zero_iff_zero": lambda E: sequential.seq_zero_iff_zero(E, E),
+    "douglas_quotient": lambda E: sequential.douglas_quotient(E, E),
+    "order_via_seq": lambda E: sequential.order_via_seq(E, E),
+    "coexist_trivial_witness": lambda E: coexist.coexist_trivial_witness(E, E),
+    "coexists_with_weak_atom": lambda E: coexist.coexists_with_weak_atom(E, effects.WeakAtom(0.5, P3)),
+    "coexists_with_all_probe": lambda E: coexist.coexists_with_all_probe(E, 10, 1),
+    "CoexistenceWitness.residual_for": lambda E: coexist.CoexistenceWitness(E, E, E).residual_for(E, E),
+    "CoexistenceWitness.is_valid_for": lambda E: coexist.CoexistenceWitness(E, E, E).is_valid_for(E, E),
+}
+STACK_TAKING = {
+    "leq": lambda E: effects.leq(E, effects.orthocomplement(E)),
+    "effects_equal": lambda E: effects.effects_equal(E, effects.orthocomplement(E)),
+    "zero_product": lambda E: effects.zero_product(E, effects.orthocomplement(E)),
+    "orthocomplement": lambda E: effects.orthocomplement(E),
+    "seq_product": lambda E: sequential.seq_product(E, effects.orthocomplement(E)),
+    "fp_apply": lambda E: fracfun.fp_apply(0.5, E),
+    "apply": lambda E: autos.apply(PHI3, E),
+}
+NO_EFFECT = {
+    "ToleranceConfig.scaled", "as_complex_matrix", "frobenius", "hermitize", "require_hermitian",
+    "eig_hermitian", "psd_leq", "mat_sqrt", "pinv_sqrt", "haar_unitary", "random_effect", "random_ray",
+    "WeakAtom.to_effect", "make_effect", "identity_effect", "zero_effect", "scalar_effect", "make_ray",
+    "sample_effect", "sample_ray", "strength_two_block", "coexist_rank_one",
+    "FpParam.as_frac", "PexiderDecomposition.max_residual", "f_eval", "f_inverse", "fp_eval",
+    "inverse_param", "verify_pexider", "fit_frac", "g_symmetry_check", "rigidity_probe",
+    "pexider_decomposition", "interior_grid",
+    "VerificationReport.to_dict", "random_automorphism", "apply_to_ray", "inverse", "extract_scalar_action",
+    "fit_p", "verify_order", "verify_zero_product", "verify_ortho", "verify_sequential", "verify_transition",
+    "verify_scalar_pair",
 }
 
 
-@pytest.mark.parametrize("call", STACKED.values(), ids=STACKED.keys())
-def test_a_routine_for_one_effect_refuses_a_stack(call):
-    with pytest.raises(TypeError, match="takes a lone effect, not a stack$"):
-        call()
+def test_every_exported_routine_is_classified():
+    # A new routine joins one of the three, so none skips the operand rule.
+    found = {name for name, _ in _public_callables(effectkit)} | effectkit._MODULE_ONLY
+    classes = [set(LONE_ONLY), set(STACK_TAKING), NO_EFFECT]
+    assert sum(map(len, classes)) == len(set.union(*classes))
+    assert found == set.union(*classes)
+
+
+@pytest.mark.parametrize("name", LONE_ONLY)
+def test_a_routine_for_one_effect_refuses_a_stack(name):
+    LONE_ONLY[name](E3)  # the call is valid for a lone effect
+    short = re.escape(name.rsplit(".", 1)[-1])
+    with pytest.raises(TypeError, match=rf"\b{short}\b.* takes a lone effect, not a stack$"):
+        LONE_ONLY[name](STACK3)
+
+
+@pytest.mark.parametrize("name", STACK_TAKING)
+def test_a_stack_taking_routine_reads_each_member(name):
+    stacked = STACK_TAKING[name](STACK3)
+    for k in range(3):
+        lone = STACK_TAKING[name](STACK3[k])
+        if isinstance(lone, effects.Effect):
+            assert np.array_equal(stacked[k].matrix, lone.matrix)
+        else:
+            assert stacked[k] == lone

@@ -200,5 +200,5 @@ def test_an_oracle_counterexample_fails_again_from_the_report_alone(n):
         return abs(strength_closed(A, ray).value - strength_bisect(A, ray))
 
     with goldens.mutated_closed():
-        assert gap() > strength._oracle_gap_limit(DEFAULT_TOL)
-    assert gap() <= strength._oracle_gap_limit(DEFAULT_TOL)
+        assert gap() > DEFAULT_TOL.estimate_limit
+    assert gap() <= DEFAULT_TOL.estimate_limit
